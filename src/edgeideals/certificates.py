@@ -23,10 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph
+from .graphs import Graph, GraphError
 from .polynomials import (Monomial, Polynomial, edge_monomial,
                           monomial_from_data, monomial_to_data,
                           poly_from_data, poly_to_data)
+
+
+class CertificateFormatError(GraphError):
+    """Certificate data that does not have the serialized shape."""
 
 
 @dataclass(frozen=True)
@@ -257,8 +261,19 @@ def certified_set_to_data(gs: GeneratorSet, cert: Certificate):
 
 
 def certified_set_from_data(d):
-    g = Graph.build(((u, v) for u, v in d["edges"]),
-                    isolated=d.get("isolated", ()))
-    gs = GeneratorSet(g, tuple(poly_from_data(pd) for pd in d["generators"]))
-    cert = Certificate(tuple(step_from_data(sd) for sd in d["steps"]))
+    """Inverse of certified_set_to_data.  Data of any other shape (a
+    missing key, a wrong type, a bad label or step kind) raises
+    CertificateFormatError."""
+    try:
+        g = Graph.build(((u, v) for u, v in d["edges"]),
+                        isolated=d.get("isolated", ()))
+        gs = GeneratorSet(g, tuple(poly_from_data(pd)
+                                   for pd in d["generators"]))
+        cert = Certificate(tuple(step_from_data(sd) for sd in d["steps"]))
+    except KeyError as exc:
+        raise CertificateFormatError("certificate lacks key %s"
+                                     % exc) from None
+    except (TypeError, ValueError) as exc:
+        raise CertificateFormatError("malformed certificate: %s"
+                                     % exc) from None
     return gs, cert

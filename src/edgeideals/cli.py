@@ -91,11 +91,12 @@ def _parse_attachments(specs):
     out = {}
     for spec in specs or ():
         vertex, _, what = spec.partition("=")
-        if not what:
+        try:
+            out[vertex] = constructions.WHISKER if what == "whisker" \
+                else int(what)
+        except ValueError:
             raise GraphError("attachment %r is not VERTEX=whisker|3|4|5"
-                             % spec)
-        out[vertex] = constructions.WHISKER if what == "whisker" \
-            else int(what)
+                             % spec) from None
     return out
 
 

@@ -1,17 +1,25 @@
 """Brute-force projective dimension of R/I(G) via Hochster's formula.
 
 The graded Betti number beta_{i,W} is the rank of the reduced homology of the
-independence complex restricted to W, in degree |W| - i - 1.  Ranks are taken
-over F2 by Gaussian elimination (exact, fast; no torsion is expected at the
-sizes the guard permits).
+independence complex restricted to W, in degree |W| - i - 1.  All ranks, and
+so every Betti number and pd reported here, are taken over the field F2 by
+Gaussian elimination on bitmask rows.  The field matters: Katzman,
+"Characteristic-independence of Betti numbers of graph ideals" (J. Combin.
+Theory Ser. A 113, 2006), shows that Betti numbers of edge ideals can depend
+on the characteristic from 11 vertices up, which is below the MAX_VERTICES
+guard.  An answer from this module is an answer over F2.
+
+Only subsets W in which every vertex has a neighbour in W are visited.  If
+some v in W has no neighbour in W, adding v to an independent set of G[W]
+keeps it independent, so the restricted complex is a cone with apex v; a
+cone is contractible, its reduced homology is zero in every degree, and
+beta_{i,W} = 0 for every i.  Skipping such W is therefore exact.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .graphs import Graph, GraphError
 
@@ -53,84 +61,63 @@ def independence_complex(g):
     return SimplicialComplex(tuple(active), facets)
 
 
-def _independent_subsets(adj, pool):
-    """All independent sets within pool, grouped by cardinality."""
-    by_size = {0: [frozenset()]}
-    pool = sorted(pool)
+def _reduced_ranks(levels):
+    """Reduced F2 homology ranks {degree: rank}, zero ranks omitted, of the
+    complex whose faces of cardinality k are the vertex bitmasks levels[k]
+    (degree d faces have d+1 vertices; the empty face is degree -1).
 
-    def extend(current, start):
-        for i in range(start, len(pool)):
-            v = pool[i]
-            if adj[v] & current:
-                continue
-            nxt = current | {v}
-            by_size.setdefault(len(nxt), []).append(frozenset(nxt))
-            extend(nxt, i + 1)
-
-    extend(frozenset(), 0)
-    return by_size
-
-
-def _f2_rank(rows, ncols):
-    if not rows or ncols == 0:
-        return 0
-    m = np.array(rows, dtype=np.uint8)
-    rank = 0
-    for col in range(ncols):
-        pivots = np.nonzero(m[rank:, col])[0]
-        if not len(pivots):
-            continue
-        pivot = rank + pivots[0]
-        m[[rank, pivot]] = m[[pivot, rank]]
-        hits = np.nonzero(m[:, col])[0]
-        hits = hits[hits != rank]
-        m[hits] ^= m[rank]
-        rank += 1
-        if rank == m.shape[0]:
-            break
-    return rank
-
-
-def _reduced_ranks(faces_by_size):
-    """Reduced F2 homology ranks per degree, from faces grouped by
-    cardinality (degree d faces have d+1 vertices; the empty face is
-    degree -1).  Returns {degree: rank}, omitting zero ranks.
-
-    The empty complex (only the empty face) has rank 1 in degree -1.
+    Each boundary row is an int over the lower faces; the pivot dict keys
+    each reduced row by its lowest set bit.  The empty complex (only the
+    empty face) has rank 1 in degree -1.
     """
-    max_card = max(faces_by_size)
-    boundary_rank = {}  # rank of the boundary map from degree d to d-1
-    for d in range(0, max_card):
-        upper = faces_by_size.get(d + 1, [])
-        lower = faces_by_size.get(d, [])
-        if not upper or not lower:
-            boundary_rank[d + 1] = 0
-            continue
-        index = {f: i for i, f in enumerate(lower)}
-        rows = []
-        for f in upper:
-            row = [0] * len(lower)
-            for v in f:
-                row[index[f - {v}]] = 1
-            rows.append(row)
-        boundary_rank[d + 1] = _f2_rank(rows, len(lower))
+    boundary_rank = [0] * (len(levels) + 1)  # cardinality k -> k-1
+    for k in range(1, len(levels)):
+        index = {f: 1 << i for i, f in enumerate(levels[k - 1])}
+        pivots = {}
+        for f in levels[k]:
+            row, rest = 0, f
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row |= index[f ^ low]
+            while row:
+                low = row & -row
+                if low not in pivots:
+                    pivots[low] = row
+                    break
+                row ^= pivots[low]
+        boundary_rank[k] = len(pivots)
     ranks = {}
-    for d in range(-1, max_card):
-        n_faces = len(faces_by_size.get(d + 1, []))
-        kernel = n_faces - boundary_rank.get(d + 1, 0)
-        image = boundary_rank.get(d + 2, 0)
-        r = kernel - image
+    for k, faces in enumerate(levels):
+        r = len(faces) - boundary_rank[k] - boundary_rank[k + 1]
         if r:
-            ranks[d] = r
+            ranks[k - 1] = r
     return ranks
 
 
 def reduced_homology_ranks(cx: SimplicialComplex):
     """Reduced F2 homology ranks of a complex, {degree: rank}."""
-    by_size = {}
+    bit = {v: 1 << i for i, v in enumerate(set().union(*cx.facets))}
+    levels = [[] for _ in range(max(map(len, cx.facets), default=0) + 1)]
     for f in cx.faces():
-        by_size.setdefault(len(f), []).append(f)
-    return _reduced_ranks(by_size)
+        levels[len(f)].append(sum(bit[v] for v in f))
+    return _reduced_ranks(levels)
+
+
+def _independent_faces(nbr, w):
+    """Independent subsets of the bitmask w, as bitmasks grouped by
+    cardinality; nbr maps each vertex bit to its neighbour mask."""
+    levels, frontier = [], [(0, w)]
+    while frontier:
+        levels.append([f for f, _ in frontier])
+        grown = []
+        for f, allowed in frontier:
+            while allowed:
+                low = allowed & -allowed
+                allowed ^= low
+                grown.append((f | low, allowed & ~nbr[low]))
+        frontier = grown
+    return levels
 
 
 @dataclass(frozen=True)
@@ -147,28 +134,23 @@ class BettiTable:
 def projective_dimension(g):
     """(pd, BettiTable) of R/I(G) by Hochster's formula over F2.
 
-    Only subsets W of the non-isolated vertices matter: isolated vertices
-    are cone points of every restricted complex and kill its homology.
+    Only subsets W of the non-isolated vertices with no vertex isolated in
+    G[W] matter: any other W restricts to a cone (see the module docstring).
+    Every visited W contains an edge, so its faces have at most |W| - 1
+    vertices and each homology degree gives a homological index i >= 1.
     """
     active = _guard(g)
     if not g.edges:
         return 0, BettiTable({}, 0)
+    bit = {v: 1 << i for i, v in enumerate(active)}
+    nbr = {bit[v]: sum(bit[u] for u in g.adj[v]) for v in active}
     entries = {}
-    for w in _subsets(active):
-        if not w:
+    for w in range(1, 1 << len(active)):
+        if any(b & w and not m & w for b, m in nbr.items()):
             continue
-        by_size = _independent_subsets(g.adj, w)
-        ranks = _reduced_ranks(by_size)
-        for deg, r in ranks.items():
-            i = len(w) - deg - 1
-            if i >= 1:
-                key = (i, len(w))
-                entries[key] = entries.get(key, 0) + r
+        size = w.bit_count()
+        for deg, r in _reduced_ranks(_independent_faces(nbr, w)).items():
+            key = (size - deg - 1, size)
+            entries[key] = entries.get(key, 0) + r
     pd = max(i for i, _ in entries)
     return pd, BettiTable(entries, pd)
-
-
-def _subsets(pool):
-    pool = list(pool)
-    for k in range(len(pool) + 1):
-        yield from map(frozenset, itertools.combinations(pool, k))

@@ -144,3 +144,46 @@ def test_gens_missing_arguments_exit_2(run):
     run(["gens", "--family", "whisker"], expect=2)
     run(["gens", "--family", "prop42"], expect=2)
     run(["gens", "--family", "prop42", "--base", "/nonexistent"], expect=2)
+
+
+
+def input_error(argv, capsys):
+    """Run the CLI on bad input: exit 2 with one error line, no traceback."""
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+    assert "Traceback" not in out.err
+
+
+def test_gens_non_integer_attachment_exits_2(graph_file, capsys):
+    f = graph_file("base.txt", "a b\n")
+    input_error(["gens", "--family", "prop42", "--base", f,
+                 "--attach", "a=whisker", "--attach", "b=x"], capsys)
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda d: d.pop("generators"),
+    lambda d: d.pop("steps"),
+    lambda d: d.pop("edges"),
+    lambda d: d.update(edges=5),
+    lambda d: d.update(generators="x"),
+    lambda d: d["steps"].append({"kind": "sv", "rho": "x", "sum": 0}),
+    lambda d: d["steps"].append({"kind": "teleport"}),
+    lambda d: d["steps"].append(["sv", 0, 1]),
+    lambda d: d["edges"].append(["a", 1]),
+], ids=["no-generators", "no-steps", "no-edges", "edges-int",
+        "generators-str", "ref-str", "unknown-kind", "step-list",
+        "label-int"])
+def test_verify_malformed_certificate_exits_2(run, tmp_path, capsys, mangle):
+    out = tmp_path / "cert.json"
+    run(["gens", "--family", "cycle", "--length", "5", "--out", str(out)])
+    data = json.loads(out.read_text())
+    mangle(data)
+    out.write_text(json.dumps(data))
+    input_error(["verify", str(out)], capsys)
+
+
+def test_verify_non_object_certificate_exits_2(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    out.write_text("[1, 2, 3]")
+    input_error(["verify", str(out)], capsys)

@@ -1,7 +1,12 @@
 """Hochster-formula projective-dimension oracle, checked against textbook
-homology ranks and the height/big-height inequality chain."""
+homology ranks, the height/big-height inequality chain, and an independent
+test-local Hochster oracle."""
+
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeideals import covers, homology
 from edgeideals.graphs import Graph, parse_edge_list
@@ -93,3 +98,97 @@ def test_size_guard():
     big = Graph.build(("u%d" % i, "v%d" % i) for i in range(8))
     with pytest.raises(homology.SizeGuardError):
         homology.projective_dimension(big)
+
+
+def test_pd_at_the_guard_edge():
+    # A 14-vertex tree (a heap-shaped binary tree): exactly MAX_VERTICES
+    # non-isolated vertices, and pd = big height on trees.
+    g = Graph.build(("t%d" % i, "t%d" % ((i - 1) // 2)) for i in range(1, 14))
+    assert len(g.non_isolated) == homology.MAX_VERTICES
+    assert homology.projective_dimension(g)[0] == covers.big_height(g)
+
+
+# -- independent oracle -------------------------------------------------
+#
+# Hochster's formula by the book: every nonempty W (isolated vertices of
+# G[W] included), faces as frozensets, dense 0/1 boundary matrices reduced
+# by list-of-lists Gaussian elimination over F2.
+
+
+def _oracle_f2_rank(rows):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                rows[r] = [a ^ b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def oracle_reduced_ranks(g, w):
+    """{degree: rank} of the reduced F2 homology of Ind(G[W])."""
+    by_card = [[frozenset(s) for s in itertools.combinations(sorted(w), k)
+                if not any(g.adj[v] & set(s) for v in s)]
+               for k in range(len(w) + 1)]
+    by_card = [faces for faces in by_card if faces]
+    boundary = [0] * (len(by_card) + 1)
+    for k in range(1, len(by_card)):
+        boundary[k] = _oracle_f2_rank(
+            [[int(low <= up) for low in by_card[k - 1]] for up in by_card[k]])
+    ranks = {}
+    for k, faces in enumerate(by_card):
+        r = len(faces) - boundary[k] - boundary[k + 1]
+        if r:
+            ranks[k - 1] = r
+    return ranks
+
+
+def oracle_betti(g):
+    entries = {}
+    active = g.non_isolated
+    for k in range(1, len(active) + 1):
+        for w in itertools.combinations(active, k):
+            for deg, r in oracle_reduced_ranks(g, w).items():
+                i = k - deg - 1
+                if i >= 1:
+                    entries[(i, k)] = entries.get((i, k), 0) + r
+    return entries
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph.build((("v%d" % u, "v%d" % v)
+                        for (u, v), k in zip(pairs, keep) if k),
+                       isolated=["v%d" % i for i in range(n)])
+
+
+def test_oracle_matches_textbook_ranks():
+    assert oracle_reduced_ranks(cycle(5), cycle(5).vertices) == {1: 1}
+    assert oracle_reduced_ranks(cycle(4), cycle(4).vertices) == {0: 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_betti_table_matches_oracle(g):
+    assert homology.projective_dimension(g)[1].entries == oracle_betti(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs())
+def test_isolated_vertex_subsets_have_no_homology(g):
+    # Justifies skipping every W whose induced graph has an isolated vertex.
+    active = g.non_isolated
+    for k in range(1, len(active) + 1):
+        for w in itertools.combinations(active, k):
+            if any(not g.adj[v] & set(w) for v in w):
+                assert oracle_reduced_ranks(g, w) == {}
