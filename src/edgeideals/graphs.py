@@ -2,6 +2,12 @@
 
 Vertices are nonempty whitespace-free string labels, ordered lexicographically.
 All outputs are canonically sorted so that every operation is deterministic.
+
+The exponential kernels run on vertex bitmasks: vertex i in sorted order is
+bit i, and `Graph.masks` holds each neighbourhood as an int.  One DFS over
+simple paths (`_cycles`) answers both cycle screens, and one pivoting
+Bron-Kerbosch (`bron_kerbosch`) enumerates maximal cliques here and maximal
+independent sets in `covers`.
 """
 
 from __future__ import annotations
@@ -56,8 +62,9 @@ class Graph:
         return Graph(tuple(sorted(vs)), frozenset(es))
 
     def __post_init__(self):
+        vs = set(self.vertices)
         for u, v in self.edges:
-            if u not in self.vertices or v not in self.vertices:
+            if u not in vs or v not in vs:
                 raise GraphError("edge endpoint %r not a vertex" % ((u, v),))
             if u == v:
                 raise GraphError("loop edge")
@@ -69,6 +76,18 @@ class Graph:
             nbrs[u].add(v)
             nbrs[v].add(u)
         return {v: frozenset(ns) for v, ns in nbrs.items()}
+
+    @cached_property
+    def masks(self):
+        """Neighbourhood bitmasks: bit j of masks[i] is set when vertices[i]
+        and vertices[j] are adjacent."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        out = [0] * len(self.vertices)
+        for u, v in self.edges:
+            i, j = index[u], index[v]
+            out[i] |= 1 << j
+            out[j] |= 1 << i
+        return tuple(out)
 
     # -- basic queries -------------------------------------------------
 
@@ -319,22 +338,45 @@ def is_clique(g, vs):
     return all(g.has_edge(u, v) for u, v in itertools.combinations(sorted(vs), 2))
 
 
-def maximal_cliques(g):
-    """All maximal cliques, canonically sorted (Bron-Kerbosch with pivoting)."""
+def _bits(mask):
+    """The indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def bron_kerbosch(vertices, masks, candidates):
+    """Every maximal clique, canonically sorted, of the graph on the bits of
+    the mask `candidates`, where bit i stands for vertices[i] (a sorted
+    tuple) and masks[i] is its neighbourhood (bits outside `candidates` are
+    never visited).
+
+    Bron-Kerbosch with Tomita-Tanaka-Takahashi pivoting (TCS 363, 2006): the
+    pivot is the vertex of P | X with the most neighbours in P, and only the
+    vertices of P outside its neighbourhood are branched on.
+    """
     out = []
 
-    def bk(r, p, x):
-        if not p and not x:
-            out.append(frozenset(r))
+    def expand(r, p, x):
+        if not p:
+            if not x:
+                out.append(r)
             return
-        pivot = max(p | x, key=lambda v: (len(g.adj[v] & p), v))
-        for v in sorted(p - g.adj[pivot]):
-            bk(r | {v}, p & g.adj[v], x & g.adj[v])
-            p = p - {v}
-            x = x | {v}
+        pivot = max(_bits(p | x), key=lambda u: (p & masks[u]).bit_count())
+        for v in _bits(p & ~masks[pivot]):
+            expand(r + (v,), p & masks[v], x & masks[v])
+            p ^= 1 << v
+            x |= 1 << v
 
-    bk(frozenset(), frozenset(g.vertices), frozenset())
-    return sorted(out, key=sorted)
+    expand((), candidates, 0)
+    return [frozenset(map(vertices.__getitem__, r))
+            for r in sorted(map(sorted, out))]
+
+
+def maximal_cliques(g):
+    """All maximal cliques, canonically sorted."""
+    return bron_kerbosch(g.vertices, g.masks, (1 << len(g.vertices)) - 1)
 
 
 def simplicial_vertices(g):
@@ -352,29 +394,47 @@ def is_chordal(g):
     return nx.is_chordal(g.to_networkx())
 
 
+def _cycles(masks, max_len, induced):
+    """Yield every cycle of at most max_len vertices once, as the index tuple
+    (s, v1, ..., vk) with s its least vertex and v1 < vk.
+
+    A DFS over simple paths that start at s and grow only through vertices
+    above s.  In induced mode a new vertex may touch no path vertex except
+    its predecessor and s, and one that touches s closes the path and is not
+    grown further, so exactly the chordless cycles come out.
+    """
+    if max_len < 3:
+        return
+    for s, s_nbrs in enumerate(masks):
+        above = -1 << (s + 1)
+        stack = [((s, v), (1 << s) | (1 << v), 0)
+                 for v in _bits(s_nbrs & above)]
+        while stack:
+            path, on_path, banned = stack.pop()
+            last = path[-1]
+            if induced and len(path) > 2:
+                banned |= masks[path[-2]]
+            for w in _bits(masks[last] & above & ~on_path & ~banned):
+                closes = s_nbrs >> w & 1
+                if closes and path[1] < w:
+                    yield path + (w,)
+                if len(path) + 1 < max_len and not (closes and induced):
+                    stack.append((path + (w,), on_path | (1 << w), banned))
+
+
 def has_cycle_subgraph(g, length):
     """Whether g contains a (not necessarily induced) cycle on `length`
     vertices as a subgraph.  Supported lengths: 4 and 5."""
     if length not in (4, 5):
         raise GraphError("only subgraph cycles of length 4 or 5 are screened")
-    for vs in itertools.combinations(g.non_isolated, length):
-        first, rest = vs[0], vs[1:]
-        for perm in itertools.permutations(rest):
-            walk = (first,) + perm
-            if all(g.has_edge(walk[i], walk[(i + 1) % length])
-                   for i in range(length)):
-                return True
-    return False
+    return any(len(c) == length
+               for c in _cycles(g.masks, length, induced=False))
 
 
 def induced_cycles_shorter_than(g, k):
     """All induced (chordless) cycles of length < k, as Cycle values."""
-    out = []
-    for size in range(3, min(k, len(g.vertices) + 1)):
-        for vs in itertools.combinations(g.non_isolated, size):
-            sub = g.induced(vs)
-            if len(sub.edges) == size and all(sub.degree(v) == 2 for v in vs):
-                out.append(Cycle.from_vertex_set(g, frozenset(vs)))
+    out = [Cycle(tuple(g.vertices[i] for i in c))
+           for c in _cycles(g.masks, k - 1, induced=True)]
     return sorted(out, key=lambda c: c.vertices)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .covers import maximal_independent_sets
 from .graphs import Graph, GraphError
 
 MAX_VERTICES = 14  # 2^14 subsets is the hard cap
@@ -55,7 +56,6 @@ def _guard(g):
 def independence_complex(g):
     """Faces are the independent sets of g (on the non-isolated vertices);
     facets are the maximal independent sets."""
-    from .covers import maximal_independent_sets
     active = _guard(g)
     facets = tuple(sorted(maximal_independent_sets(g), key=sorted))
     return SimplicialComplex(tuple(active), facets)

@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own fast paths: minimal
-covers are re-derived by brute-force subset enumeration, so agreement with
-the Bron-Kerbosch enumeration is a genuine cross-check.
+covers, maximal cliques and short cycles are re-derived by brute-force subset
+enumeration over labels, so agreement with the bitmask kernels (Bron-Kerbosch
+and the cycle DFS) is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import itertools
 
 import pytest
 
-from edgeideals.graphs import Graph, parse_edge_list
+from edgeideals.graphs import Cycle, Graph, parse_edge_list
 
 
 def path_graph(n, prefix="p"):
@@ -44,6 +45,42 @@ def brute_force_minimal_covers(g):
     # A smaller cover found later can never be a subset of an earlier one
     # (enumeration is by increasing size), so the list is exactly minimal.
     return sorted(covers, key=sorted)
+
+
+def brute_force_maximal_cliques(g):
+    """All maximal cliques by subset enumeration (exponential)."""
+    cliques = [frozenset(vs)
+               for k in range(len(g.vertices) + 1)
+               for vs in itertools.combinations(g.vertices, k)
+               if all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))]
+    return sorted((c for c in cliques if not any(c < d for d in cliques)),
+                  key=sorted)
+
+
+def cycle_subgraph_oracle(g, length):
+    """Whether some ordering of some `length` vertices is a closed walk of
+    edges: C(n, length) * (length - 1)! candidate walks."""
+    for vs in itertools.combinations(g.non_isolated, length):
+        first, rest = vs[0], vs[1:]
+        for perm in itertools.permutations(rest):
+            walk = (first,) + perm
+            if all(g.has_edge(walk[i], walk[(i + 1) % length])
+                   for i in range(length)):
+                return True
+    return False
+
+
+def induced_cycles_oracle(g, k):
+    """Induced cycles of length < k: every vertex set whose induced subgraph
+    is connected and 2-regular, as a canonical Cycle."""
+    out = []
+    for size in range(3, min(k, len(g.vertices) + 1)):
+        for vs in itertools.combinations(g.non_isolated, size):
+            sub = g.induced(vs)
+            if (all(sub.degree(v) == 2 for v in vs)
+                    and sub.is_connected()):
+                out.append(Cycle.from_vertex_set(g, frozenset(vs)))
+    return sorted(out, key=lambda c: c.vertices)
 
 
 # -- certificate tampering --------------------------------------------

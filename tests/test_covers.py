@@ -56,6 +56,50 @@ def test_enumeration_guard():
     assert covers.height(big, limit=40) == 15
 
 
+def test_cover_stats_memo_is_by_value(monkeypatch):
+    enumerated = []
+    real = covers.enumerate_minimal_covers
+    monkeypatch.setattr(covers, "enumerate_minimal_covers",
+                        lambda g, limit: enumerated.append(g) or
+                        real(g, limit=limit))
+    covers._cover_stats.cache_clear()
+    g1 = path_graph(7, prefix="memo")
+    g2 = Graph.build(reversed(g1.sorted_edges()))
+    assert g1 == g2 and g1 is not g2
+    assert covers.cover_stats(g1) == covers.cover_stats(g2)
+    assert covers.big_height(g2) == 4
+    assert covers.height(g1) == 3
+    assert len(covers.maximum_minimal_covers(g2)) == 6
+    assert enumerated == [g1]
+
+
+def test_memo_results_are_not_shared_lists():
+    g = cycle(6, prefix="mut")
+    first = covers.enumerate_minimal_covers(g)
+    expected = list(first)
+    first.clear()
+    assert covers.enumerate_minimal_covers(g) == expected
+    maxima = covers.maximum_minimal_covers(g)
+    maxima.clear()
+    assert covers.cover_stats(g).all_covers == tuple(expected)
+    assert covers.maximum_minimal_covers(g) == [c for c in expected
+                                                if len(c) == 4]
+
+
+def test_cover_size_error_is_never_cached():
+    big = path_graph(31, prefix="guard")
+    for _ in range(2):
+        with pytest.raises(covers.CoverSizeError):
+            covers.cover_stats(big)
+        with pytest.raises(covers.CoverSizeError):
+            covers.big_height(big)
+        with pytest.raises(covers.CoverSizeError):
+            covers.maximum_minimal_covers(big)
+    assert covers.height(big, limit=40) == 15
+    with pytest.raises(covers.CoverSizeError):
+        covers.cover_stats(big)
+
+
 def test_is_minimal_cover():
     assert covers.is_minimal_cover(TRIANGLE, {"a", "b"})
     assert not covers.is_minimal_cover(TRIANGLE, {"a"})
@@ -147,11 +191,15 @@ def small_graphs(draw, max_n=6):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_graphs())
+@given(small_graphs(max_n=8))
 def test_covers_match_brute_force_random(g):
     got = sorted((c.vertices for c in covers.enumerate_minimal_covers(g)),
                  key=sorted)
     assert got == brute_force_minimal_covers(g)
+    independent = covers.maximal_independent_sets(g)
+    assert independent == sorted(independent, key=sorted)
+    active = frozenset(g.non_isolated)
+    assert sorted((active - s for s in independent), key=sorted) == got
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,13 +2,16 @@
 chordality, and the edge-list text format."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from edgeideals import graphs
 from edgeideals.graphs import (Cycle, Graph, GraphError, edge,
                                format_edge_list, parse_edge_list)
 
-from conftest import BOWTIE, TRIANGLE, WHISKER_P3, cycle, path_graph
+from conftest import (BOWTIE, TRIANGLE, WHISKER_P3,
+                      brute_force_maximal_cliques, cycle,
+                      cycle_subgraph_oracle, induced_cycles_oracle,
+                      path_graph)
 
 
 def test_build_canonicalizes_edges():
@@ -132,6 +135,11 @@ def test_induced_short_cycles():
     assert len(graphs.induced_cycles_shorter_than(cycle(5), 6)) == 1
     chord = c6.with_edges([("c0", "c3")])
     assert graphs.induced_cycles_shorter_than(chord, 6) != []
+    # Two disjoint triangles: six vertices of degree 2 but two cycles.
+    two = Graph.build([("a", "b"), ("b", "c"), ("c", "a"),
+                       ("d", "e"), ("e", "f"), ("f", "d")])
+    assert graphs.induced_cycles_shorter_than(two, 7) == [
+        Cycle(("a", "b", "c")), Cycle(("d", "e", "f"))]
 
 
 def test_parse_edge_list_format():
@@ -175,3 +183,25 @@ def test_relabel_preserves_structure(g):
     assert len(h.edges) == len(g.edges)
     assert sorted(h.degree(mapping[v]) for v in g.vertices) == \
         sorted(g.degree(v) for v in g.vertices)
+
+
+@settings(deadline=None)
+@given(random_graphs(max_n=8))
+def test_cycle_subgraph_screen_matches_oracle(g):
+    for length in (4, 5):
+        assert graphs.has_cycle_subgraph(g, length) == \
+            cycle_subgraph_oracle(g, length)
+
+
+@settings(deadline=None)
+@given(random_graphs(max_n=8))
+def test_induced_cycles_match_oracle(g):
+    for k in range(3, 8):
+        assert graphs.induced_cycles_shorter_than(g, k) == \
+            induced_cycles_oracle(g, k)
+
+
+@settings(deadline=None)
+@given(random_graphs(max_n=8))
+def test_maximal_cliques_match_oracle(g):
+    assert graphs.maximal_cliques(g) == brute_force_maximal_cliques(g)
