@@ -6,14 +6,17 @@ graph, producing a decomposition tree in which every step's cover-cardinality
 inequalities are re-verified by exhaustive enumeration.  An assertion failure
 is a hard error: the inequalities are proved unconditionally, so a violation
 means an implementation bug.
+
+The structural questions (cactus, cycles, branches, fully whiskered) are
+answered by `graphs`; Prop 4.2 graphs are built by `constructions`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import covers
-from . import graphs
+from . import covers, graphs
+from .constructions import WHISKER, build_attached_graph
 from .graphs import TWO_BRANCH, Graph, GraphError, edge
 
 
@@ -42,13 +45,9 @@ def _require_cactus(g):
         raise GraphError("graph is not a cactus")
 
 
-def cycle_count(g):
-    return graphs.cycle_count(g)
-
-
 def theorem34_bound(g, limit=covers.DEFAULT_VERTEX_LIMIT):
     """ara I(G) <= bight I(G) + n for a cactus graph with n cycles."""
-    n = cycle_count(g)
+    n = graphs.cycle_count(g)
     bh = covers.big_height(g, limit=limit)
     return BoundReport(g, n, bh, bh + n)
 
@@ -95,45 +94,10 @@ def corollary41_bound(g, limit=covers.DEFAULT_VERTEX_LIMIT):
             i, j = high
             if j - i == 1 or (i == 0 and j == len(walk) - 1):
                 k += 1
-    n = cycle_count(g)
+    n = graphs.cycle_count(g)
     bh = covers.big_height(g, limit=limit)
     return BoundReport(g, n, bh, bh + n - k, improvement_k=k,
                        source="Cor 4.1")
-
-
-# -- whisker recognizers ----------------------------------------------
-
-
-def is_fully_whiskered(g):
-    """Every vertex lies on some terminal edge.  (Then ara = bight.)"""
-    if not g.edges:
-        return False
-    covered = set()
-    for u, v in g.terminal_edges():
-        covered.update((u, v))
-    return covered == set(g.vertices)
-
-
-def is_whisker_graph(g):
-    """Whether g is a base graph with exactly one pendant edge attached to
-    each base vertex; returns (bool, base graph or None).
-
-    The base consists of the non-terminal vertices; a bare edge has no
-    non-terminal vertex and is not considered a whisker graph (its base
-    would be empty).
-    """
-    nonterm = [v for v in g.vertices if g.degree(v) > 1]
-    term = [v for v in g.vertices if g.degree(v) <= 1]
-    if not nonterm:
-        return False, None
-    for t in term:
-        if g.degree(t) == 0 or g.degree(next(iter(g.adj[t]))) == 1:
-            return False, None
-    for v in nonterm:
-        pendants = [w for w in g.neighbors(v) if g.degree(w) == 1]
-        if len(pendants) != 1:
-            return False, None
-    return True, g.induced(nonterm)
 
 
 def proposition42_bound(base, attachments, limit=covers.DEFAULT_VERTEX_LIMIT):
@@ -144,7 +108,6 @@ def proposition42_bound(base, attachments, limit=covers.DEFAULT_VERTEX_LIMIT):
 
     Returns (BoundReport, constructed graph).
     """
-    from .constructions import WHISKER, build_attached_graph
     g, _ = build_attached_graph(base, attachments)
     lengths = [a for a in attachments.values() if a != WHISKER]
     m = sum(1 for ell in lengths if ell % 3 == 1)
@@ -199,7 +162,7 @@ def _check(cond, msg, **numbers):
 def _node_bound(g, limit):
     if not g.edges:
         return 0
-    return covers.big_height(g, limit=limit) + cycle_count(g)
+    return covers.big_height(g, limit=limit) + graphs.cycle_count(g)
 
 
 def _budget_check(node):
@@ -254,7 +217,7 @@ def _trace(g, limit):
                                  children=(child,))
                 return _budget_check(node)
 
-    if is_fully_whiskered(g):
+    if graphs.is_fully_whiskered(g):
         return TraceNode(g, "Base-FullyWhiskered", bound)
 
     on_terminal = set()
@@ -302,11 +265,11 @@ def _split(g, x, bound, limit):
         numbers["b2_bar"] = b2bar
         if two_branch:
             _check(b1p <= b1 + 1, "2-branch: b1' <= b1 + 1 fails", **numbers)
-            _check(cycle_count(g2bar) == cycle_count(g2) - 1,
+            _check(graphs.cycle_count(g2bar) == graphs.cycle_count(g2) - 1,
                    "2-branch removal must open exactly one cycle")
         else:
             _check(b1p == b1, "1-branch: b1' = b1 fails", **numbers)
-            _check(cycle_count(g2bar) == cycle_count(g2),
+            _check(graphs.cycle_count(g2bar) == graphs.cycle_count(g2),
                    "1-branch removal must not change the cycle count")
         _check(b2bar <= b2 - 1, "b2bar <= b2 - 1 fails", **numbers)
         return g1p, g2bar

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import networkx as nx
 
-from .graphs import Graph
+from .graphs import Graph, cycles
 
 
 def from_networkx(nxg, prefix="v"):
@@ -88,7 +88,6 @@ def girth_at_least_6_upto(max_vertices):
     """
     if max_vertices > 8:
         raise ValueError("constructive generation covers <= 8 vertices")
-    from .graphs import cycles
     out = list(trees_upto(max_vertices))
     for g in unicyclic_upto(max_vertices):
         (cyc,) = cycles(g)

@@ -2,15 +2,19 @@
 
 Covers the unicyclic characterization (five structural cases), the chordal /
 no-C4-C5 equivalence, the girth-at-least-6 characterization, and a dispatcher
-that returns the strongest applicable verdict with its citation tag.
+that returns the strongest applicable verdict with its citation tag.  The
+structural recognizers it applies (cactus, cycles, chordality, whisker
+graphs and trees, short-cycle screens) live in `graphs`; the case matchers
+here (`_match_case`, `_prop42_tail`) combine them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import bounds, covers, graphs
-from .graphs import Graph, GraphError
+from . import covers, graphs
+from .constructions import WHISKER
+from .graphs import GraphError
 
 CM = "CM"
 NOT_CM = "NotCM"
@@ -34,33 +38,6 @@ class CmVerdict:
             assert self.status == CM
 
 
-def is_whisker_tree(g):
-    """Whether g is the whisker graph of a tree; returns (bool, decomposition).
-
-    Equivalently: g is a tree in which every non-terminal vertex has exactly
-    one terminal neighbour and every terminal vertex has a non-terminal
-    neighbour.  A bare edge does not qualify (empty base).  The decomposition
-    maps each base vertex to its whisker.
-    """
-    if not g.vertices or not g.edges:
-        return False, None
-    if not g.is_connected() or len(g.edges) != len(g.vertices) - 1:
-        return False, None
-    base = [v for v in g.vertices if g.degree(v) > 1]
-    if not base:
-        return False, None
-    whiskers = {}
-    for v in base:
-        pendants = [w for w in g.neighbors(v) if g.degree(w) == 1]
-        if len(pendants) != 1:
-            return False, None
-        whiskers[v] = pendants[0]
-    for t in g.vertices:
-        if g.degree(t) == 1 and g.degree(next(iter(g.adj[t]))) == 1:
-            return False, None
-    return True, {"base": g.induced(base), "whiskers": whiskers}
-
-
 def simplex_partition_check(g):
     """True iff every vertex lies in exactly one simplex (a maximal clique
     containing a simplicial vertex); returns (bool, partition)."""
@@ -78,13 +55,8 @@ def _whisker_trees_and_edges(h):
     """Every component of h is a whisker tree or a single edge.  Isolated
     vertices are permitted: in context they are cycle whiskers, not
     components of their own."""
-    for comp in h.drop_isolated().component_graphs():
-        if len(comp.edges) == 1:
-            continue
-        ok, _ = is_whisker_tree(comp)
-        if not ok:
-            return False
-    return True
+    return all(len(comp.edges) == 1 or graphs.is_whisker_tree(comp)[0]
+               for comp in h.drop_isolated().component_graphs())
 
 
 def _case5_split(g, cycle):
@@ -105,8 +77,7 @@ def _case5_split(g, cycle):
         if not h1.edges or not h2.edges:
             continue
         bridge = h1.union(h2).with_edges([(x1, x2)])
-        ok, _ = is_whisker_tree(bridge)
-        if ok:
+        if graphs.is_whisker_tree(bridge)[0]:
             return {"x1": x1, "x2": x2, "h1": h1, "h2": h2}
     return None
 
@@ -123,7 +94,7 @@ def _match_case(g, cycle):
     if set(g.vertices) == on_cycle and ell in (3, 5):
         return "Thm 5.1 case 1", {"cycle": cycle.vertices}
 
-    ok, dec = bounds.is_whisker_graph(g)
+    ok, dec = graphs.is_whisker_graph(g)
     if ok:
         return "Thm 5.1 case 2", {"base": dec}
 
@@ -213,7 +184,7 @@ def corollary61(g, limit=covers.DEFAULT_VERTEX_LIMIT):
         raise HypothesisError("hypothesis not met: graph has a minimal cycle "
                               "of length less than 6")
     stats = covers.cover_stats(g, limit=limit)
-    whisker, base = bounds.is_whisker_graph(g)
+    whisker, base = graphs.is_whisker_graph(g)
     if stats.unmixed != whisker:
         raise GraphError("internal invariant violation: purity and the "
                          "whisker decomposition must agree under the "
@@ -231,7 +202,6 @@ def _prop42_tail(g):
     """Recognize g as a base graph with a whisker or a 3-/5-cycle attached to
     every base vertex (in which case the edge ideal is a set-theoretic
     complete intersection).  Returns (base, attachments) or None."""
-    from .constructions import WHISKER
     if not graphs.is_cactus(g) or not g.edges:
         return None
     interiors = {}   # root -> frozenset of attachment-interior vertices

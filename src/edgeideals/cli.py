@@ -269,7 +269,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphError, OSError, json.JSONDecodeError) as exc:
+    except (GraphError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

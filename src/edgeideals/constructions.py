@@ -10,7 +10,7 @@ from __future__ import annotations
 from . import covers
 from .certificates import (CertBuilder, Certificate, GeneratorSet,
                            LinearStep, PowerStep, SVStep)
-from .graphs import Graph, GraphError, edge
+from .graphs import Graph, GraphError, edge, is_whisker_tree
 from .polynomials import Monomial, Polynomial
 
 
@@ -331,6 +331,8 @@ def sv_layer_search(g, max_layers=None, budget=None, first=None):
     if budget is not None:
         starts = starts[:budget]
     cap = max_layers if max_layers is not None else len(monomials)
+    if cap < 1:
+        raise ConstructionError("max_layers must be at least 1")
     best = None
     for p0 in starts:
         depth = (len(best) - 1) if best is not None else cap
@@ -374,9 +376,7 @@ def gens_whisker_tree(t, anchor_edge, budget=None):
     """n polynomials (n = number of non-terminal vertices) generating the
     edge ideal of a whisker tree up to radical, with the anchor edge as a
     standalone monomial generator.  Errors when the bounded search fails."""
-    from .classify import is_whisker_tree
-    ok, _ = is_whisker_tree(t)
-    if not ok:
+    if not is_whisker_tree(t)[0]:
         raise ConstructionError("graph is not a whisker tree")
     u, v = anchor_edge
     if edge(u, v) not in t.edges:
@@ -503,7 +503,6 @@ def _attachment_case(att, root):
     neighbour of the root, stripped is the induced graph off the root, and
     case is 'A' (e non-terminal in stripped) or 'B' (the whole attachment is
     a tree with e a whisker endpoint)."""
-    from .classify import is_whisker_tree
     if root not in att.vertices:
         raise ConstructionError("attachment does not contain %r" % root)
     nbrs = sorted(att.neighbors(root))
@@ -512,8 +511,7 @@ def _attachment_case(att, root):
                                 "attachment")
     e = nbrs[0]
     stripped = att.without_vertex(root)
-    ok, _ = is_whisker_tree(stripped)
-    if not ok:
+    if not is_whisker_tree(stripped)[0]:
         raise ConstructionError("attachment minus the root is not a whisker "
                                 "tree")
     return e, stripped, ("B" if stripped.degree(e) == 1 else "A")
@@ -586,7 +584,6 @@ def gens_lemma54(h1, h2, x=("x1", "x2", "x3", "x4"), budget=None):
     """Generator set for the 4-cycle with non-empty trees attached at the two
     adjacent vertices x1, x2 (x3, x4 having degree 2), under the hypothesis
     that h1 + the edge x1x2 + h2 is a whisker tree.  Size |C1| + |C2| + 1."""
-    from .classify import is_whisker_tree
     x1, x2, x3, x4 = x
     for xi, h in ((x1, h1), (x2, h2)):
         if xi not in h.vertices or not h.edges:
@@ -597,8 +594,7 @@ def gens_lemma54(h1, h2, x=("x1", "x2", "x3", "x4"), budget=None):
     if {x3, x4} & (set(h1.vertices) | set(h2.vertices)):
         raise ConstructionError("x3/x4 cannot appear in the attachments")
     bridge = h1.union(h2).with_edges([(x1, x2)])
-    ok, _ = is_whisker_tree(bridge)
-    if not ok:
+    if not is_whisker_tree(bridge)[0]:
         raise ConstructionError("hypothesis fails: h1 + x1x2 + h2 is not a "
                                 "whisker tree")
 
@@ -608,8 +604,7 @@ def gens_lemma54(h1, h2, x=("x1", "x2", "x3", "x4"), budget=None):
             (e,) = h.edges
             yi = e[0] if e[1] == xi else e[1]
         else:
-            ok_i, _ = is_whisker_tree(h)
-            if not ok_i:
+            if not is_whisker_tree(h)[0]:
                 raise ConstructionError("attachment at %r is neither a single "
                                         "edge nor a whisker tree" % xi)
             cand = sorted(w for w in h.neighbors(xi) if h.degree(w) > 1)

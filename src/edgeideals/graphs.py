@@ -1,13 +1,17 @@
-"""Immutable finite simple graphs and the structural queries used everywhere else.
+"""Immutable finite simple graphs and every structural recognizer the rest
+of the package uses: cactus, cycles and branches, chordality, cliques,
+whisker graphs and whisker trees, and the short-cycle screens.
 
 Vertices are nonempty whitespace-free string labels, ordered lexicographically.
 All outputs are canonically sorted so that every operation is deterministic.
 
-The exponential kernels run on vertex bitmasks: vertex i in sorted order is
-bit i, and `Graph.masks` holds each neighbourhood as an int.  One DFS over
-simple paths (`_cycles`) answers both cycle screens, and one pivoting
-Bron-Kerbosch (`bron_kerbosch`) enumerates maximal cliques here and maximal
-independent sets in `covers`.
+The kernels run on vertex bitmasks: vertex i in sorted order is bit i, and
+`Graph.masks` holds each neighbourhood as an int.  One DFS-forest pass
+(`_cactus_cycles`) decides the cactus property and lists the cycles; maximum
+cardinality search decides chordality; one DFS over simple paths (`_cycles`)
+answers both cycle screens; and one pivoting Bron-Kerbosch (`bron_kerbosch`)
+enumerates maximal cliques here and maximal independent sets in `covers`.
+This module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import networkx as nx
 
 
 class GraphError(ValueError):
@@ -33,6 +35,14 @@ def edge(u, v):
 def _check_label(v):
     if not isinstance(v, str) or not v or any(c.isspace() for c in v):
         raise GraphError("bad vertex label %r" % (v,))
+
+
+def _bits(mask):
+    """The indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -194,12 +204,6 @@ class Graph:
     def component_graphs(self):
         return [self.induced(c) for c in self.components()]
 
-    def to_networkx(self):
-        g = nx.Graph()
-        g.add_nodes_from(self.vertices)
-        g.add_edges_from(self.edges)
-        return g
-
     def relabel(self, mapping):
         return Graph.build(((mapping[u], mapping[v]) for u, v in self.edges),
                            isolated=(mapping[v] for v in self.vertices))
@@ -223,23 +227,6 @@ class Cycle:
         vs = self.vertices
         return [edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
-    @staticmethod
-    def from_vertex_set(g, vset):
-        """Canonical cycle through exactly the vertices of vset (which must
-        induce a single cycle in g's edge set restricted to them)."""
-        start = min(vset)
-        nbrs = sorted(g.adj[start] & vset)
-        walk = [start, nbrs[0]]
-        while True:
-            nxt = (g.adj[walk[-1]] & vset) - {walk[-2]}
-            (v,) = nxt
-            if v == start:
-                break
-            walk.append(v)
-        if len(walk) != len(vset):
-            raise GraphError("vertex set does not induce a single cycle")
-        return Cycle(tuple(walk))
-
 
 ONE_BRANCH = "OneBranch"
 TWO_BRANCH = "TwoBranch"
@@ -257,49 +244,66 @@ class Branch:
         return tuple(self.subgraph.vertices)
 
 
-# -- biconnectivity and the cactus property ---------------------------
+# -- the cactus property ----------------------------------------------
 
 
-def biconnected_components(g):
-    """Edge sets of the maximal 2-connected blocks (bridges are singleton
-    blocks), canonically sorted."""
-    blocks = [frozenset(edge(u, v) for u, v in block)
-              for block in nx.biconnected_component_edges(g.to_networkx())]
-    return sorted(blocks, key=lambda b: min(b))
+def _cactus_cycles(g):
+    """The cycles of g as vertex-index walks, or None when g is not a cactus.
 
-
-def _block_is_cycle(g, block):
-    vs = {w for e in block for w in e}
-    deg = {v: 0 for v in vs}
-    for u, v in block:
-        deg[u] += 1
-        deg[v] += 1
-    return all(d == 2 for d in deg.values())
+    In a DFS forest every non-tree edge joins a vertex to an ancestor, and
+    walking it up the tree gives its fundamental cycle.  These are pairwise
+    edge-disjoint exactly when g is a cactus (any other cycle is a sum of
+    several of them), and then they are all of its cycles.
+    """
+    masks = g.masks
+    parent = list(range(len(masks)))
+    depth = [-1] * len(masks)
+    for root in range(len(masks)):
+        stack = [(root, root, 0)] if depth[root] < 0 else []
+        while stack:
+            v, p, d = stack.pop()
+            if depth[v] < 0:
+                parent[v], depth[v] = p, d
+                stack.extend((w, v, d + 1) for w in _bits(masks[v])
+                             if depth[w] < 0)
+    used = 0   # bit v: the tree edge from v to its parent lies on a cycle
+    out = []
+    for u, nbrs in enumerate(masks):
+        for top in _bits(nbrs):
+            if depth[top] < depth[u] - 1:
+                walk = [u]
+                while walk[-1] != top:
+                    v = walk[-1]
+                    if used >> v & 1:
+                        return None
+                    used |= 1 << v
+                    walk.append(parent[v])
+                out.append(walk)
+    return out
 
 
 def is_cactus(g):
-    """True iff every biconnected block is a single edge or a cycle."""
-    return all(len(b) == 1 or _block_is_cycle(g, b)
-               for b in biconnected_components(g))
+    """True iff no two cycles of g share an edge."""
+    return _cactus_cycles(g) is not None
 
 
 def cycles(g):
-    """The cycle blocks of a cactus, as Cycle values.  Errors on non-cacti."""
+    """The cycles of a cactus, as Cycle values.  Errors on non-cacti."""
+    found = _cactus_cycles(g)
+    if found is None:
+        raise GraphError("graph is not a cactus")
     out = []
-    for block in biconnected_components(g):
-        if len(block) == 1:
-            continue
-        if not _block_is_cycle(g, block):
-            raise GraphError("graph is not a cactus")
-        vset = frozenset(w for e in block for w in e)
-        out.append(Cycle.from_vertex_set(g, vset))
+    for walk in found:   # start at the least vertex, then its lesser side
+        i = walk.index(min(walk))
+        walk = walk[i:] + walk[:i]
+        if walk[1] > walk[-1]:
+            walk[1:] = walk[:0:-1]
+        out.append(Cycle(tuple(g.vertices[j] for j in walk)))
     return sorted(out, key=lambda c: c.vertices)
 
 
 def cycle_count(g):
-    if not is_cactus(g):
-        raise GraphError("graph is not a cactus")
-    return len(g.edges) - len(g.vertices) + len(g.components())
+    return len(cycles(g))
 
 
 def branches_at(g, x):
@@ -331,19 +335,48 @@ def branches_at(g, x):
     return sorted(out, key=Branch.sort_key)
 
 
+# -- whisker recognizers ----------------------------------------------
+
+
+def is_fully_whiskered(g):
+    """Every vertex lies on some terminal edge.  (Then ara = bight.)"""
+    covered = {w for e in g.terminal_edges() for w in e}
+    return bool(g.edges) and covered == set(g.vertices)
+
+
+def is_whisker_graph(g):
+    """Whether g is a base graph with exactly one pendant edge attached to
+    each base vertex; returns (bool, base graph or None).
+
+    The base consists of the non-terminal vertices; a bare edge has no
+    non-terminal vertex and is not considered a whisker graph (its base
+    would be empty).  Distinct base vertices have distinct pendants, so
+    the pendants are all the other vertices iff there are as many.
+    """
+    base = [v for v in g.vertices if g.degree(v) > 1]
+    if base and 2 * len(base) == len(g.vertices) and all(
+            sum(g.degree(w) == 1 for w in g.adj[v]) == 1 for v in base):
+        return True, g.induced(base)
+    return False, None
+
+
+def is_whisker_tree(g):
+    """Whether g is the whisker graph of a tree: a tree and a whisker graph.
+    Returns (bool, decomposition), where the decomposition maps "base" to
+    the base tree and "whiskers" each base vertex to its pendant."""
+    ok, base = is_whisker_graph(g)
+    if not ok or not g.is_connected() or len(g.edges) >= len(g.vertices):
+        return False, None   # connected with fewer edges than vertices: tree
+    whiskers = {v: next(w for w in g.adj[v] if g.degree(w) == 1)
+                for v in base.vertices}
+    return True, {"base": base, "whiskers": whiskers}
+
+
 # -- cliques, chordality, small cycles --------------------------------
 
 
 def is_clique(g, vs):
     return all(g.has_edge(u, v) for u, v in itertools.combinations(sorted(vs), 2))
-
-
-def _bits(mask):
-    """The indices of the set bits of mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def bron_kerbosch(vertices, masks, candidates):
@@ -391,7 +424,20 @@ def simplexes(g):
 
 
 def is_chordal(g):
-    return nx.is_chordal(g.to_networkx())
+    """Maximum cardinality search (Tarjan-Yannakakis 1984): visit next a
+    vertex with the most visited neighbours; g is chordal iff the visited
+    neighbours of each vertex form a clique when it is reached."""
+    masks = g.masks
+    visited, unvisited = 0, (1 << len(masks)) - 1
+    while unvisited:
+        v = max(_bits(unvisited),
+                key=lambda u: (masks[u] & visited).bit_count())
+        earlier = masks[v] & visited
+        if any(earlier & ~masks[u] & ~(1 << u) for u in _bits(earlier)):
+            return False
+        visited |= 1 << v
+        unvisited ^= 1 << v
+    return True
 
 
 def _cycles(masks, max_len, induced):

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own fast paths: minimal
 covers, maximal cliques and short cycles are re-derived by brute-force subset
 enumeration over labels, so agreement with the bitmask kernels (Bron-Kerbosch
-and the cycle DFS) is a genuine cross-check.
+and the cycle DFS) is a genuine cross-check.  The cactus and chordality
+oracles go through networkx (biconnected blocks, `nx.is_chordal`), and the
+whisker-tree oracle checks the degree conditions directly.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import copy
 import itertools
 
+import networkx as nx
 import pytest
 
 from edgeideals.graphs import Cycle, Graph, parse_edge_list
@@ -70,6 +73,21 @@ def cycle_subgraph_oracle(g, length):
     return False
 
 
+def cycle_from_vertex_set(g, vset):
+    """The canonical Cycle through exactly the vertices of vset, which must
+    induce a single cycle of g: start at the least vertex and step first to
+    its lesser neighbour."""
+    start = min(vset)
+    walk = [start, min(g.adj[start] & vset)]
+    while True:
+        (v,) = (g.adj[walk[-1]] & vset) - {walk[-2]}
+        if v == start:
+            break
+        walk.append(v)
+    assert len(walk) == len(vset), "vertex set does not induce one cycle"
+    return Cycle(tuple(walk))
+
+
 def induced_cycles_oracle(g, k):
     """Induced cycles of length < k: every vertex set whose induced subgraph
     is connected and 2-regular, as a canonical Cycle."""
@@ -79,8 +97,57 @@ def induced_cycles_oracle(g, k):
             sub = g.induced(vs)
             if (all(sub.degree(v) == 2 for v in vs)
                     and sub.is_connected()):
-                out.append(Cycle.from_vertex_set(g, frozenset(vs)))
+                out.append(cycle_from_vertex_set(g, frozenset(vs)))
     return sorted(out, key=lambda c: c.vertices)
+
+
+def to_networkx(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(g.vertices)
+    nxg.add_edges_from(g.edges)
+    return nxg
+
+
+def cactus_oracle(g):
+    """(is_cactus, cycles) from networkx's biconnected blocks: g is a cactus
+    when every block is a bridge or a cycle (as many edges as vertices), and
+    its cycles are then the cycle blocks, as canonical Cycles; None for a
+    non-cactus."""
+    blocks = [(len(b), frozenset(w for e in b for w in e))
+              for b in nx.biconnected_component_edges(to_networkx(g))]
+    if any(size > 1 and size != len(vs) for size, vs in blocks):
+        return False, None
+    return True, sorted((cycle_from_vertex_set(g, vs)
+                         for size, vs in blocks if size > 1),
+                        key=lambda c: c.vertices)
+
+
+def chordal_oracle(g):
+    return nx.is_chordal(to_networkx(g))
+
+
+def whisker_tree_oracle(g):
+    """Whether g is the whisker graph of a tree, by the degree conditions: g
+    is a tree in which every non-terminal vertex has exactly one terminal
+    neighbour and every terminal vertex has a non-terminal neighbour (a bare
+    edge does not qualify).  Returns (bool, {"base", "whiskers"})."""
+    if not g.vertices or not g.edges:
+        return False, None
+    if not g.is_connected() or len(g.edges) != len(g.vertices) - 1:
+        return False, None
+    base = [v for v in g.vertices if g.degree(v) > 1]
+    if not base:
+        return False, None
+    whiskers = {}
+    for v in base:
+        pendants = [w for w in g.neighbors(v) if g.degree(w) == 1]
+        if len(pendants) != 1:
+            return False, None
+        whiskers[v] = pendants[0]
+    for t in g.vertices:
+        if g.degree(t) == 1 and g.degree(next(iter(g.adj[t]))) == 1:
+            return False, None
+    return True, {"base": g.induced(base), "whiskers": whiskers}
 
 
 # -- certificate tampering --------------------------------------------

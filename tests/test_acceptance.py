@@ -9,7 +9,7 @@ import itertools
 import random
 
 from edgeideals import (bounds, catalog, classify, constructions as cons,
-                        covers, homology)
+                        covers, graphs, homology)
 from edgeideals.certificates import (certified_set_from_data,
                                      certified_set_to_data,
                                      verify_certificate)
@@ -113,8 +113,7 @@ def test_criterion_06_corollary44_chordal():
     for g in catalog.connected_graphs_upto(7):
         if not g.edges:
             continue
-        from edgeideals.graphs import is_chordal
-        if not is_chordal(g):
+        if not graphs.is_chordal(g):
             continue
         checked += 1
         pure = covers.cover_stats(g).unmixed
@@ -155,7 +154,7 @@ def test_criterion_08_corollary61_girth6():
             continue  # single edge / C7, excluded by the statement
         checked += 1
         pure = covers.cover_stats(g).unmixed
-        whisker, _ = bounds.is_whisker_graph(g)
+        whisker, _ = graphs.is_whisker_graph(g)
         if pure != whisker or (verdict.status == classify.CM) != pure:
             exceptions.append(g.sorted_edges())
     _report(8, checked > 0 and not exceptions,

@@ -64,12 +64,12 @@ def test_corollary41_requires_consecutive_high_vertices():
 
 
 def test_whisker_recognizers():
-    assert bounds.is_fully_whiskered(WHISKER_P3)
-    assert not bounds.is_fully_whiskered(TRI_2W)
-    ok, base = bounds.is_whisker_graph(WHISKER_P3)
+    assert graphs.is_fully_whiskered(WHISKER_P3)
+    assert not graphs.is_fully_whiskered(TRI_2W)
+    ok, base = graphs.is_whisker_graph(WHISKER_P3)
     assert ok and set(base.vertices) == {"a", "b", "c"}
-    assert not bounds.is_whisker_graph(TRIANGLE)[0]
-    assert not bounds.is_whisker_graph(Graph.build([("a", "b")]))[0]
+    assert not graphs.is_whisker_graph(TRIANGLE)[0]
+    assert not graphs.is_whisker_graph(Graph.build([("a", "b")]))[0]
 
 
 def test_proposition42_bound():

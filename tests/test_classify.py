@@ -3,7 +3,7 @@ the two corollary equivalences, and the dispatcher."""
 
 import pytest
 
-from edgeideals import classify, covers
+from edgeideals import classify, covers, graphs
 from edgeideals.classify import CM, NOT_CM, UNKNOWN, HypothesisError
 from edgeideals.graphs import Graph, GraphError, parse_edge_list
 
@@ -11,18 +11,18 @@ from conftest import BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, cycle, path_graph
 
 
 def test_is_whisker_tree():
-    ok, dec = classify.is_whisker_tree(WHISKER_P3)
+    ok, dec = graphs.is_whisker_tree(WHISKER_P3)
     assert ok and set(dec["base"].vertices) == {"a", "b", "c"}
     assert dec["whiskers"] == {"a": "aw", "b": "bw", "c": "cw"}
-    assert not classify.is_whisker_tree(Graph.build([("a", "b")]))[0]
+    assert not graphs.is_whisker_tree(Graph.build([("a", "b")]))[0]
     # P4 is the whisker tree over a single edge; P5 is not a whisker tree
     # (its middle vertex has no pendant neighbour).
-    assert classify.is_whisker_tree(path_graph(4))[0]
-    assert not classify.is_whisker_tree(path_graph(5))[0]
-    assert not classify.is_whisker_tree(TRIANGLE)[0]
+    assert graphs.is_whisker_tree(path_graph(4))[0]
+    assert not graphs.is_whisker_tree(path_graph(5))[0]
+    assert not graphs.is_whisker_tree(TRIANGLE)[0]
     # Two whiskers on one base vertex disqualify.
     g = parse_edge_list("a b\na u\na v\nb bw")
-    assert not classify.is_whisker_tree(g)[0]
+    assert not graphs.is_whisker_tree(g)[0]
 
 
 def test_simplex_partition():

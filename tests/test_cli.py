@@ -187,3 +187,16 @@ def test_verify_non_object_certificate_exits_2(tmp_path, capsys):
     out = tmp_path / "cert.json"
     out.write_text("[1, 2, 3]")
     input_error(["verify", str(out)], capsys)
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, command):
+    f = tmp_path / "bad.txt"
+    f.write_bytes(b"\xff\xfe a b\n")
+    input_error([command, str(f)], capsys)
+
+
+def test_gens_svsearch_layer_cap_below_one_exits_2(graph_file, capsys):
+    f = graph_file("p4.txt", "a b\nb c\nc d\n")
+    input_error(["gens", "--family", "svsearch", f, "--max-layers", "0"],
+                capsys)

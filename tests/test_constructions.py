@@ -99,6 +99,12 @@ def test_sv_layer_search_budget_limits_starts():
         cons.sv_layer_search(WHISKER_P3, first=("a", "c"))  # not an edge
 
 
+def test_sv_layer_search_rejects_a_cap_below_one():
+    for cap in (0, -1):
+        with pytest.raises(cons.ConstructionError):
+            cons.sv_layer_search(path_graph(4), max_layers=cap)
+
+
 def test_build_attached_graph():
     base = parse_edge_list("a b")
     g, labels = cons.build_attached_graph(base, {"a": cons.WHISKER, "b": 3})

@@ -1,17 +1,19 @@
 """Structural graph machinery: construction, cactus decomposition, cliques,
-chordality, and the edge-list text format."""
+chordality, whisker recognizers, and the edge-list text format."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgeideals import graphs
+from edgeideals import catalog, graphs
 from edgeideals.graphs import (Cycle, Graph, GraphError, edge,
                                format_edge_list, parse_edge_list)
 
 from conftest import (BOWTIE, TRIANGLE, WHISKER_P3,
-                      brute_force_maximal_cliques, cycle,
-                      cycle_subgraph_oracle, induced_cycles_oracle,
-                      path_graph)
+                      brute_force_maximal_cliques, cactus_oracle,
+                      chordal_oracle, cycle, cycle_subgraph_oracle,
+                      induced_cycles_oracle, path_graph, whisker_tree_oracle)
 
 
 def test_build_canonicalizes_edges():
@@ -205,3 +207,66 @@ def test_induced_cycles_match_oracle(g):
 @given(random_graphs(max_n=8))
 def test_maximal_cliques_match_oracle(g):
     assert graphs.maximal_cliques(g) == brute_force_maximal_cliques(g)
+
+
+@st.composite
+def sparse_graphs(draw, max_n=9):
+    """Graphs with at most a few edges more than vertices, so that cacti and
+    near-cacti come up often."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    labels = ["v%d" % i for i in range(n)]
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=n + 3)) \
+        if pairs else []
+    return Graph.build(chosen, isolated=labels)
+
+
+@st.composite
+def cactus_unions(draw):
+    """Two disjoint random cacti, sometimes joined by a few edges."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    a, b = (catalog.random_cactus(rng, max_vertices=9) for _ in range(2))
+    g = a.relabel({v: "a" + v for v in a.vertices}).union(
+        b.relabel({v: "b" + v for v in b.vertices}))
+    bridges = draw(st.integers(min_value=0, max_value=3))
+    return g.with_edges(("a" + rng.choice(a.vertices),
+                         "b" + rng.choice(b.vertices))
+                        for _ in range(bridges))
+
+
+def _assert_cactus_matches_oracle(g):
+    cactus, cycles = cactus_oracle(g)
+    assert graphs.is_cactus(g) == cactus
+    if cactus:
+        assert graphs.cycles(g) == cycles
+        assert graphs.cycle_count(g) == len(cycles)
+    else:
+        with pytest.raises(GraphError):
+            graphs.cycles(g)
+        with pytest.raises(GraphError):
+            graphs.cycle_count(g)
+
+
+@settings(deadline=None)
+@given(st.one_of(random_graphs(max_n=9), sparse_graphs(), cactus_unions()))
+def test_cactus_and_cycles_match_oracle(g):
+    _assert_cactus_matches_oracle(g)
+
+
+@settings(deadline=None)
+@given(st.one_of(random_graphs(max_n=9), sparse_graphs(), cactus_unions()))
+def test_chordality_matches_oracle(g):
+    assert graphs.is_chordal(g) == chordal_oracle(g)
+
+
+def test_recognizers_match_oracles_on_connected_graphs():
+    for g in catalog.connected_graphs_upto(7):
+        _assert_cactus_matches_oracle(g)
+        assert graphs.is_chordal(g) == chordal_oracle(g)
+
+
+def test_whisker_tree_matches_oracle():
+    corpus = catalog.connected_graphs_upto(7) + catalog.trees_upto(9)
+    assert sum(graphs.is_whisker_tree(g)[0] for g in corpus) > 0
+    for g in corpus:
+        assert graphs.is_whisker_tree(g) == whisker_tree_oracle(g)

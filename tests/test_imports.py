@@ -1,0 +1,53 @@
+"""Import structure of the package: every import at module level, no import
+cycle between the modules, and networkx left to `edgeideals.catalog`."""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import edgeideals
+
+SRC = pathlib.Path(edgeideals.__file__).parent
+MODULES = sorted(SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    tree = ast.parse(path.read_text())
+    local = [node.lineno
+             for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert local == []
+
+
+def test_package_imports_are_acyclic():
+    deps = {}
+    for path in MODULES:
+        deps[path.stem] = set()
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps[path.stem].update(
+                    [node.module] if node.module
+                    else (a.name for a in node.names))
+    done = set()
+    while len(done) < len(deps):
+        ready = {m for m in deps if m not in done and deps[m] <= done}
+        assert ready, "import cycle among %s" % sorted(set(deps) - done)
+        done |= ready
+
+
+def test_cli_import_leaves_networkx_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, edgeideals.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
