@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph, GraphError
-from .polynomials import (Monomial, Polynomial, edge_monomial,
+from .polynomials import (Monomial, Polynomial, _json_int, edge_monomial,
                           monomial_from_data, monomial_to_data,
                           poly_from_data, poly_to_data)
 
@@ -241,12 +241,13 @@ def step_to_data(step):
 def step_from_data(d):
     kind = d["kind"]
     if kind == "sv":
-        return SVStep(int(d["rho"]), int(d["sum"]))
+        return SVStep(_json_int(d["rho"]), _json_int(d["sum"]))
     if kind == "linear":
-        return LinearStep(int(d["target"]), tuple(int(r) for r in d["subtract"]))
+        return LinearStep(_json_int(d["target"]),
+                          tuple(_json_int(r) for r in d["subtract"]))
     if kind == "power":
-        return PowerStep(monomial_from_data(d["target"]), int(d["k"]),
-                         tuple((poly_from_data(cd), int(r))
+        return PowerStep(monomial_from_data(d["target"]), _json_int(d["k"]),
+                         tuple((poly_from_data(cd), _json_int(r))
                                for cd, r in d["combination"]))
     raise ValueError("unknown step kind %r" % kind)
 
@@ -262,7 +263,8 @@ def certified_set_to_data(gs: GeneratorSet, cert: Certificate):
 
 def certified_set_from_data(d):
     """Inverse of certified_set_to_data.  Data of any other shape (a
-    missing key, a wrong type, a bad label or step kind) raises
+    missing key, a wrong type, a ref, k, exponent or coefficient that is not
+    a JSON integer, a bad label or step kind) raises
     CertificateFormatError."""
     try:
         g = Graph.build(((u, v) for u, v in d["edges"]),

@@ -13,8 +13,8 @@ import json
 import sys
 
 from . import bounds, classify, constructions, covers, graphs, homology
-from .certificates import (certified_set_from_data, certified_set_to_data,
-                           verify_certificate)
+from .certificates import (CertificateFormatError, certified_set_from_data,
+                           certified_set_to_data, verify_certificate)
 from .graphs import GraphError, parse_edge_list
 
 
@@ -160,7 +160,12 @@ def cmd_gens(args):
 
 def cmd_verify(args):
     with open(args.certificate) as fh:
-        gs, cert = certified_set_from_data(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (RecursionError, ValueError) as exc:
+            raise CertificateFormatError("unreadable certificate: %s"
+                                         % exc) from None
+    gs, cert = certified_set_from_data(data)
     verdict = verify_certificate(gs, cert)
     _emit({
         "command": "verify",
@@ -269,8 +274,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphError, OSError, json.JSONDecodeError,
-            UnicodeDecodeError) as exc:
+    except (GraphError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

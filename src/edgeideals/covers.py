@@ -10,6 +10,11 @@ complement graph, found by `graphs.bron_kerbosch` on complement bitmasks.
 used (graph, limit) pairs; `height`, `big_height` and
 `maximum_minimal_covers` read from that memo.  A Graph is an immutable
 value, so equal graphs share an entry.
+
+The paper's cover-union lemmas are checked where they are used:
+`bounds.theorem34_trace` re-verifies the inequalities of each proof step
+from these enumerations, and asks `is_redundant_neighbor` for its Case 1.2
+split.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, bron_kerbosch, edge
+from .graphs import Graph, GraphError, bron_kerbosch
 
 # Worst-case enumeration is exponential; this keeps interactive use under
 # seconds.  Raise via the `limit` argument when you know what you are doing.
@@ -117,17 +122,6 @@ def vertex_in_every_maximum_cover(g, x, limit=DEFAULT_VERTEX_LIMIT):
     return all(x in c.vertices for c in maximum_minimal_covers(g, limit=limit))
 
 
-def is_cover(g, vs):
-    return all(u in vs or v in vs for u, v in g.edges)
-
-
-def is_minimal_cover(g, vs):
-    vs = frozenset(vs)
-    if not is_cover(g, vs):
-        return False
-    return all(not is_cover(g, vs - {v}) for v in vs)
-
-
 def is_redundant_neighbor(g, c: MinimalCover, x, y):
     """Def: y (a neighbour of x, with x outside the cover) is redundant in c
     when every neighbour of y other than x lies in c."""
@@ -136,105 +130,3 @@ def is_redundant_neighbor(g, c: MinimalCover, x, y):
     if y not in g.neighbors(x):
         raise GraphError("y must be a neighbour of x")
     return all(z in c.vertices for z in g.neighbors(y) if z != x)
-
-
-def redundancy_remark_check(g, c: MinimalCover, x, y):
-    """Oracle for the redundancy remark: y is redundant in c exactly when
-    c minus y is a minimal vertex cover of g minus the edge xy.  Returns
-    whether the two sides agree (they always should)."""
-    lhs = is_redundant_neighbor(g, c, x, y)
-    g_minus = g.without_edges([edge(x, y)])
-    rhs = is_minimal_cover(g_minus, c.vertices - {y})
-    return lhs == rhs
-
-
-def induced_cover(c: MinimalCover, h: Graph):
-    """The (possibly empty, possibly non-minimal) cover induced by c on a
-    subgraph h of c's host."""
-    if not h.is_subgraph(c.host):
-        raise GraphError("h is not a subgraph of the cover's host")
-    return frozenset(c.vertices & set(h.vertices))
-
-
-def _split_overlap(g, g1):
-    """Check g1 is a subgraph of g meeting its complement in one vertex x."""
-    if not g1.is_subgraph(g):
-        raise GraphError("g1 is not a subgraph of g")
-    rest = g.edge_subgraph(g.edges - g1.edges)
-    overlap = set(g1.vertices) & set(rest.vertices)
-    if len(overlap) != 1:
-        raise GraphError("vertex sets must overlap in exactly one vertex, "
-                         "got %s" % sorted(overlap))
-    return overlap.pop(), rest
-
-
-def lemma26_check(g, g1, x, limit=DEFAULT_VERTEX_LIMIT):
-    """Induced-cover size bound at an articulation vertex.
-
-    With V(g1) and V(g minus g1) meeting exactly in x, and x in every maximum
-    minimal cover of g1: for every maximum minimal cover C of g the cover
-    induced on g1 has at most b1 elements, with equality when x is in C.
-    Verified by enumeration; returns True when every instance checks.
-    """
-    ov, _ = _split_overlap(g, g1)
-    if ov != x:
-        raise GraphError("overlap vertex is %r, not %r" % (ov, x))
-    if not vertex_in_every_maximum_cover(g1, x, limit=limit):
-        raise GraphError("hypothesis not satisfied: some maximum minimal "
-                         "cover of g1 avoids %r" % (x,))
-    b1 = big_height(g1, limit=limit)
-    for c in maximum_minimal_covers(g, limit=limit):
-        d1 = induced_cover(c, g1)
-        if len(d1) > b1:
-            return False
-        if x in c.vertices and len(d1) != b1:
-            return False
-    return True
-
-
-def lemma27_union(g1, g2, x, case, limit=DEFAULT_VERTEX_LIMIT):
-    """Build a maximum minimal cover of g1 union g2 from maximum covers of the
-    parts, per the three cover-union cases:
-
-      (i)   x lies in every maximum cover of both parts;
-      (ii)  some maximum cover of each part avoids x;
-      (iii) x forced in g1, and some maximum cover of g2 avoids x with no
-            redundant neighbour of x in it.
-
-    The case hypothesis is checked by full enumeration and a failure is an
-    error, never a silent skip.  Returns the union cover (asserted maximum).
-    """
-    overlap = set(g1.vertices) & set(g2.vertices)
-    if overlap != {x}:
-        raise GraphError("vertex sets must overlap exactly in {%r}" % (x,))
-    max1 = maximum_minimal_covers(g1, limit=limit)
-    max2 = maximum_minimal_covers(g2, limit=limit)
-    if case == "i":
-        if not all(x in c.vertices for c in max1 + max2):
-            raise GraphError("case (i) hypothesis not satisfied")
-        c1, c2 = max1[0], max2[0]
-    elif case == "ii":
-        picks1 = [c for c in max1 if x not in c.vertices]
-        picks2 = [c for c in max2 if x not in c.vertices]
-        if not picks1 or not picks2:
-            raise GraphError("case (ii) hypothesis not satisfied")
-        c1, c2 = picks1[0], picks2[0]
-    elif case == "iii":
-        if not all(x in c.vertices for c in max1):
-            raise GraphError("case (iii) hypothesis not satisfied on g1")
-        picks2 = [c for c in max2
-                  if x not in c.vertices
-                  and not any(is_redundant_neighbor(g2, c, x, y)
-                              for y in g2.neighbors(x))]
-        if not picks2:
-            raise GraphError("case (iii) hypothesis not satisfied on g2")
-        c1, c2 = max1[0], picks2[0]
-    else:
-        raise GraphError("case must be 'i', 'ii' or 'iii'")
-    union_graph = g1.union(g2)
-    union_cover = frozenset(c1.vertices | c2.vertices)
-    maxima = maximum_minimal_covers(union_graph, limit=limit)
-    if union_cover not in {c.vertices for c in maxima}:
-        raise GraphError("internal invariant violation: union cover is not a "
-                         "maximum minimal cover")
-    return MinimalCover(union_cover, union_graph)

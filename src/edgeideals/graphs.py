@@ -7,10 +7,11 @@ All outputs are canonically sorted so that every operation is deterministic.
 
 The kernels run on vertex bitmasks: vertex i in sorted order is bit i, and
 `Graph.masks` holds each neighbourhood as an int.  One DFS-forest pass
-(`_cactus_cycles`) decides the cactus property and lists the cycles; maximum
-cardinality search decides chordality; one DFS over simple paths (`_cycles`)
-answers both cycle screens; and one pivoting Bron-Kerbosch (`bron_kerbosch`)
-enumerates maximal cliques here and maximal independent sets in `covers`.
+(`Graph._cactus_cycles`, cached on the Graph like `masks`) decides the
+cactus property and lists the cycles; maximum cardinality search decides
+chordality; one DFS over simple paths (`_cycles`) answers both cycle
+screens; and one pivoting Bron-Kerbosch (`bron_kerbosch`) enumerates
+maximal cliques here and maximal independent sets in `covers`.
 This module imports no other module of the package.
 """
 
@@ -99,6 +100,49 @@ class Graph:
             out[j] |= 1 << i
         return tuple(out)
 
+    @cached_property
+    def _cactus_cycles(self):
+        """The cycles of the graph as a sorted tuple of canonical Cycles, or
+        None when it is not a cactus; is_cactus, cycles, cycle_count and
+        branches_at read this one pass.
+
+        In a DFS forest every non-tree edge joins a vertex to an ancestor,
+        and walking it up the tree gives its fundamental cycle.  These are
+        pairwise edge-disjoint exactly when the graph is a cactus (any other
+        cycle is a sum of several of them), and then they are all of its
+        cycles.
+        """
+        masks = self.masks
+        parent = list(range(len(masks)))
+        depth = [-1] * len(masks)
+        for root in range(len(masks)):
+            stack = [(root, root, 0)] if depth[root] < 0 else []
+            while stack:
+                v, p, d = stack.pop()
+                if depth[v] < 0:
+                    parent[v], depth[v] = p, d
+                    stack.extend((w, v, d + 1) for w in _bits(masks[v])
+                                 if depth[w] < 0)
+        used = 0   # bit v: the tree edge from v to its parent lies on a cycle
+        out = []
+        for u, nbrs in enumerate(masks):
+            for top in _bits(nbrs):
+                if depth[top] < depth[u] - 1:
+                    walk = [u]
+                    while walk[-1] != top:
+                        v = walk[-1]
+                        if used >> v & 1:
+                            return None
+                        used |= 1 << v
+                        walk.append(parent[v])
+                    # start at the least vertex, then its lesser side
+                    i = walk.index(min(walk))
+                    walk = walk[i:] + walk[:i]
+                    if walk[1] > walk[-1]:
+                        walk[1:] = walk[:0:-1]
+                    out.append(Cycle(tuple(self.vertices[j] for j in walk)))
+        return tuple(sorted(out, key=lambda c: c.vertices))
+
     # -- basic queries -------------------------------------------------
 
     def degree(self, v):
@@ -120,9 +164,6 @@ class Graph:
     @property
     def non_isolated(self):
         return tuple(v for v in self.vertices if self.adj[v])
-
-    def is_terminal(self, v):
-        return self.degree(v) == 1
 
     def terminal_edges(self):
         """Edges with at least one endpoint of degree 1."""
@@ -172,10 +213,6 @@ class Graph:
 
     def drop_isolated(self):
         return Graph(self.non_isolated, self.edges)
-
-    def is_subgraph(self, host):
-        return (set(self.vertices) <= set(host.vertices)
-                and self.edges <= host.edges)
 
     # -- connectivity --------------------------------------------------
 
@@ -247,59 +284,16 @@ class Branch:
 # -- the cactus property ----------------------------------------------
 
 
-def _cactus_cycles(g):
-    """The cycles of g as vertex-index walks, or None when g is not a cactus.
-
-    In a DFS forest every non-tree edge joins a vertex to an ancestor, and
-    walking it up the tree gives its fundamental cycle.  These are pairwise
-    edge-disjoint exactly when g is a cactus (any other cycle is a sum of
-    several of them), and then they are all of its cycles.
-    """
-    masks = g.masks
-    parent = list(range(len(masks)))
-    depth = [-1] * len(masks)
-    for root in range(len(masks)):
-        stack = [(root, root, 0)] if depth[root] < 0 else []
-        while stack:
-            v, p, d = stack.pop()
-            if depth[v] < 0:
-                parent[v], depth[v] = p, d
-                stack.extend((w, v, d + 1) for w in _bits(masks[v])
-                             if depth[w] < 0)
-    used = 0   # bit v: the tree edge from v to its parent lies on a cycle
-    out = []
-    for u, nbrs in enumerate(masks):
-        for top in _bits(nbrs):
-            if depth[top] < depth[u] - 1:
-                walk = [u]
-                while walk[-1] != top:
-                    v = walk[-1]
-                    if used >> v & 1:
-                        return None
-                    used |= 1 << v
-                    walk.append(parent[v])
-                out.append(walk)
-    return out
-
-
 def is_cactus(g):
     """True iff no two cycles of g share an edge."""
-    return _cactus_cycles(g) is not None
+    return g._cactus_cycles is not None
 
 
 def cycles(g):
     """The cycles of a cactus, as Cycle values.  Errors on non-cacti."""
-    found = _cactus_cycles(g)
-    if found is None:
+    if g._cactus_cycles is None:
         raise GraphError("graph is not a cactus")
-    out = []
-    for walk in found:   # start at the least vertex, then its lesser side
-        i = walk.index(min(walk))
-        walk = walk[i:] + walk[:i]
-        if walk[1] > walk[-1]:
-            walk[1:] = walk[:0:-1]
-        out.append(Cycle(tuple(g.vertices[j] for j in walk)))
-    return sorted(out, key=lambda c: c.vertices)
+    return list(g._cactus_cycles)
 
 
 def cycle_count(g):
@@ -508,9 +502,3 @@ def parse_edge_list(text):
         except GraphError as exc:
             raise GraphError("line %d: %s" % (lineno, exc)) from None
     return Graph.build(edges, isolated)
-
-
-def format_edge_list(g):
-    lines = ["%s %s" % e for e in g.sorted_edges()]
-    lines += [v for v in g.vertices if not g.adj[v]]
-    return "\n".join(lines) + "\n"

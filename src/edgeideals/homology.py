@@ -14,15 +14,17 @@ some v in W has no neighbour in W, adding v to an independent set of G[W]
 keeps it independent, so the restricted complex is a cone with apex v; a
 cone is contractible, its reduced homology is zero in every degree, and
 beta_{i,W} = 0 for every i.  Skipping such W is therefore exact.
+
+`projective_dimension` is the only entry point: it lists the faces of each
+restricted complex as vertex bitmasks (`_independent_faces`) and ranks them
+with one F2 eliminator (`_reduced_ranks`).  The module imports only `graphs`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .covers import maximal_independent_sets
-from .graphs import Graph, GraphError
+from .graphs import GraphError
 
 MAX_VERTICES = 14  # 2^14 subsets is the hard cap
 
@@ -31,34 +33,12 @@ class SizeGuardError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    vertices: tuple
-    facets: tuple  # maximal faces, frozensets, pairwise non-contained
-
-    def faces(self):
-        out = set()
-        for f in self.facets:
-            for k in range(len(f) + 1):
-                out.update(map(frozenset, itertools.combinations(sorted(f),
-                                                                 k)))
-        return out
-
-
 def _guard(g):
     active = g.non_isolated
     if len(active) > MAX_VERTICES:
         raise SizeGuardError("%d non-isolated vertices exceeds the oracle "
                              "guard (%d)" % (len(active), MAX_VERTICES))
     return active
-
-
-def independence_complex(g):
-    """Faces are the independent sets of g (on the non-isolated vertices);
-    facets are the maximal independent sets."""
-    active = _guard(g)
-    facets = tuple(sorted(maximal_independent_sets(g), key=sorted))
-    return SimplicialComplex(tuple(active), facets)
 
 
 def _reduced_ranks(levels):
@@ -93,15 +73,6 @@ def _reduced_ranks(levels):
         if r:
             ranks[k - 1] = r
     return ranks
-
-
-def reduced_homology_ranks(cx: SimplicialComplex):
-    """Reduced F2 homology ranks of a complex, {degree: rank}."""
-    bit = {v: 1 << i for i, v in enumerate(set().union(*cx.facets))}
-    levels = [[] for _ in range(max(map(len, cx.facets), default=0) + 1)]
-    for f in cx.faces():
-        levels[len(f)].append(sum(bit[v] for v in f))
-    return _reduced_ranks(levels)
 
 
 def _independent_faces(nbr, w):

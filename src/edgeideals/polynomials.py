@@ -186,8 +186,16 @@ def monomial_to_data(m):
     return [[v, e] for v, e in m.exps]
 
 
+def _json_int(x):
+    """x itself if it is an integer; a bool, a float or a string is a
+    PolyError, so that 1.9, true and 1e400 never pass as integers."""
+    if type(x) is not int:
+        raise PolyError("expected an integer, got %r" % (x,))
+    return x
+
+
 def monomial_from_data(data):
-    return Monomial(tuple((str(v), int(e)) for v, e in data))
+    return Monomial(tuple((str(v), _json_int(e)) for v, e in data))
 
 
 def poly_to_data(p):
@@ -195,4 +203,5 @@ def poly_to_data(p):
 
 
 def poly_from_data(data):
-    return Polynomial(tuple((monomial_from_data(md), int(c)) for md, c in data))
+    return Polynomial(tuple((monomial_from_data(md), _json_int(c))
+                            for md, c in data))

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import networkx as nx
 
-from .graphs import Graph, cycles
+from edgeideals.graphs import Graph, cycles
 
 
 def from_networkx(nxg, prefix="v"):

@@ -2,10 +2,11 @@
 
 import pytest
 
-from edgeideals import bounds, catalog, covers, graphs
+from edgeideals import bounds, covers, graphs
 from edgeideals.bounds import TraceInvariantError
 from edgeideals.graphs import Graph, GraphError, parse_edge_list
 
+import catalog
 from conftest import BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, cycle, path_graph
 
 

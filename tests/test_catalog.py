@@ -2,8 +2,10 @@
 
 import pytest
 
-from edgeideals import catalog, graphs
+from edgeideals import graphs
 from edgeideals.graphs import Graph
+
+import catalog
 
 
 def test_connected_counts_match_oeis():

@@ -7,6 +7,8 @@ import pytest
 
 from edgeideals.cli import main
 
+INF = float("inf")
+
 
 @pytest.fixture
 def run(capsys):
@@ -152,7 +154,7 @@ def input_error(argv, capsys):
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: ")
-    assert "Traceback" not in out.err
+    assert out.err.count("\n") == 1 and "Traceback" not in out.err
 
 
 def test_gens_non_integer_attachment_exits_2(graph_file, capsys):
@@ -171,15 +173,41 @@ def test_gens_non_integer_attachment_exits_2(graph_file, capsys):
     lambda d: d["steps"].append({"kind": "teleport"}),
     lambda d: d["steps"].append(["sv", 0, 1]),
     lambda d: d["edges"].append(["a", 1]),
+    lambda d: d["steps"].append({"kind": "sv", "rho": INF, "sum": 0}),
+    lambda d: d["steps"].append({"kind": "sv", "rho": 1.9, "sum": 0}),
+    lambda d: d["steps"].append({"kind": "sv", "rho": True, "sum": 0}),
+    lambda d: d["steps"].append({"kind": "linear", "target": 0,
+                                 "subtract": [INF]}),
+    lambda d: d["steps"].append({"kind": "power", "target": [["v0", 1]],
+                                 "k": INF, "combination": []}),
+    lambda d: d["steps"].append({"kind": "power", "target": [["v0", 1]],
+                                 "k": 1, "combination": [[[[[], 1]], INF]]}),
+    lambda d: d["generators"][0][0][0][0].__setitem__(1, INF),
+    lambda d: d["generators"][0][0].__setitem__(1, INF),
+    lambda d: d["generators"][0][0].__setitem__(1, 1.0),
 ], ids=["no-generators", "no-steps", "no-edges", "edges-int",
         "generators-str", "ref-str", "unknown-kind", "step-list",
-        "label-int"])
+        "label-int", "ref-1e400", "ref-float", "ref-bool",
+        "subtract-ref-1e400", "k-1e400", "combination-ref-1e400",
+        "exponent-1e400", "coefficient-1e400", "coefficient-float"])
 def test_verify_malformed_certificate_exits_2(run, tmp_path, capsys, mangle):
     out = tmp_path / "cert.json"
     run(["gens", "--family", "cycle", "--length", "5", "--out", str(out)])
     data = json.loads(out.read_text())
     mangle(data)
-    out.write_text(json.dumps(data))
+    # json writes an infinity as Infinity; put it back as the literal 1e400,
+    # which json reads as a float infinity too.
+    out.write_text(json.dumps(data).replace("Infinity", "1e400"))
+    input_error(["verify", str(out)], capsys)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 200_000 + "]" * 200_000,
+    '{"edges": [], "generators": [], "steps": [], "x": %s}' % ("9" * 5000),
+], ids=["nested-200000-deep", "integer-5000-digits"])
+def test_verify_unreadable_json_exits_2(tmp_path, capsys, text):
+    out = tmp_path / "cert.json"
+    out.write_text(text)
     input_error(["verify", str(out)], capsys)
 
 

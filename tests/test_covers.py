@@ -10,7 +10,9 @@ from edgeideals import covers
 from edgeideals.graphs import Graph, GraphError, parse_edge_list
 
 from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3,
-                      brute_force_minimal_covers, cycle, path_graph)
+                      brute_force_minimal_covers, cycle, induced_cover,
+                      is_minimal_cover, lemma26_check, lemma27_union,
+                      path_graph, redundancy_remark_check)
 
 SMALL = [TRIANGLE, TRI_2W, BOWTIE, WHISKER_P3, cycle(4), cycle(5), cycle(7),
          path_graph(2), path_graph(5), path_graph(6),
@@ -101,9 +103,9 @@ def test_cover_size_error_is_never_cached():
 
 
 def test_is_minimal_cover():
-    assert covers.is_minimal_cover(TRIANGLE, {"a", "b"})
-    assert not covers.is_minimal_cover(TRIANGLE, {"a"})
-    assert not covers.is_minimal_cover(TRIANGLE, {"a", "b", "c"})
+    assert is_minimal_cover(TRIANGLE, {"a", "b"})
+    assert not is_minimal_cover(TRIANGLE, {"a"})
+    assert not is_minimal_cover(TRIANGLE, {"a", "b", "c"})
 
 
 def test_maximum_covers_and_forcing():
@@ -136,15 +138,15 @@ def test_redundancy_remark(g):
         outside = [v for v in g.non_isolated if v not in c.vertices]
         for x in outside:
             for y in g.neighbors(x):
-                assert covers.redundancy_remark_check(g, c, x, y)
+                assert redundancy_remark_check(g, c, x, y)
 
 
 def test_induced_cover():
     c = covers.maximum_minimal_covers(WHISKER_P3)[0]
     sub = WHISKER_P3.edge_subgraph([("a", "b"), ("a", "aw")])
-    assert covers.induced_cover(c, sub) <= c.vertices
+    assert induced_cover(c, sub) <= c.vertices
     with pytest.raises(GraphError):
-        covers.induced_cover(c, TRIANGLE)
+        induced_cover(c, TRIANGLE)
 
 
 def test_lemma26_at_a_forced_vertex():
@@ -153,7 +155,7 @@ def test_lemma26_at_a_forced_vertex():
     g1 = parse_edge_list("a b\nb x\na x\na aw\nb bw")
     g2 = parse_edge_list("x d\nd e\ne x")
     g = g1.union(g2)
-    assert covers.lemma26_check(g, g1, "x")
+    assert lemma26_check(g, g1, "x")
 
 
 def test_lemma26_hypothesis_enforced():
@@ -161,24 +163,24 @@ def test_lemma26_hypothesis_enforced():
     g = cycle(5)
     g1 = g.edge_subgraph([("c0", "c1"), ("c1", "c2")])
     with pytest.raises(GraphError):
-        covers.lemma26_check(g, g1, "c0")
+        lemma26_check(g, g1, "c0")
 
 
 def test_lemma27_union_cases():
     tri = TRIANGLE
     tri2 = Graph.build([("a", "d"), ("d", "e"), ("e", "a")])
-    got = covers.lemma27_union(tri, tri2, "a", "ii")
+    got = lemma27_union(tri, tri2, "a", "ii")
     assert len(got) == covers.big_height(tri.union(tri2))
     # Parts that both force x: triangles with the other two vertices
     # whiskered.
     f1 = parse_edge_list("a b\nb x\na x\na aw\nb bw")
     f2 = parse_edge_list("c d\nd x\nc x\nc cw\nd dw")
-    got = covers.lemma27_union(f1, f2, "x", "i")
+    got = lemma27_union(f1, f2, "x", "i")
     assert len(got) == covers.big_height(f1.union(f2))
     with pytest.raises(GraphError):
-        covers.lemma27_union(tri, tri2, "a", "i")
+        lemma27_union(tri, tri2, "a", "i")
     with pytest.raises(GraphError):
-        covers.lemma27_union(tri, tri2, "b", "ii")  # wrong overlap
+        lemma27_union(tri, tri2, "b", "ii")  # wrong overlap
 
 
 @st.composite
@@ -217,4 +219,4 @@ def test_heights_are_relabeling_invariant(g, rng):
 @given(small_graphs())
 def test_every_enumerated_cover_is_minimal(g):
     for c in covers.enumerate_minimal_covers(g):
-        assert covers.is_minimal_cover(g, c.vertices) or not g.edges
+        assert is_minimal_cover(g, c.vertices) or not g.edges

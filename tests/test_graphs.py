@@ -6,14 +6,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgeideals import catalog, graphs
-from edgeideals.graphs import (Cycle, Graph, GraphError, edge,
-                               format_edge_list, parse_edge_list)
+from edgeideals import graphs
+from edgeideals.graphs import Cycle, Graph, GraphError, edge, parse_edge_list
 
+import catalog
 from conftest import (BOWTIE, TRIANGLE, WHISKER_P3,
                       brute_force_maximal_cliques, cactus_oracle,
                       chordal_oracle, cycle, cycle_subgraph_oracle,
-                      induced_cycles_oracle, path_graph, whisker_tree_oracle)
+                      format_edge_list, induced_cycles_oracle, path_graph,
+                      whisker_tree_oracle)
 
 
 def test_build_canonicalizes_edges():
@@ -92,6 +93,21 @@ def test_cycle_edge_list_closes_the_walk():
     (cyc,) = graphs.cycles(cycle(5))
     assert len(cyc.edge_list()) == 5
     assert set(cyc.edge_list()) == cycle(5).edges
+
+
+def test_cactus_pass_is_kept_on_the_graph():
+    g = parse_edge_list("a b\nb c\nc a\nc d\nd e\ne c\ne f")
+    assert "_cactus_cycles" not in vars(g)
+    assert graphs.is_cactus(g)
+    kept = vars(g)["_cactus_cycles"]
+    assert isinstance(kept, tuple)
+    found = graphs.cycles(g)
+    found.clear()   # a caller's list is its own
+    assert graphs.cycle_count(g) == 2
+    assert len(graphs.branches_at(g, "c")) == 2
+    assert vars(g)["_cactus_cycles"] is kept
+    assert [c.vertices for c in graphs.cycles(g)] == [("a", "b", "c"),
+                                                      ("c", "d", "e")]
 
 
 def test_branches_at():

@@ -1,9 +1,11 @@
 """Import structure of the package: every import at module level, no import
-cycle between the modules, and networkx left to `edgeideals.catalog`."""
+cycle between the modules, and nothing imported from outside the standard
+library (networkx is a test dependency only)."""
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -13,6 +15,7 @@ import edgeideals
 
 SRC = pathlib.Path(edgeideals.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
+PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -40,6 +43,22 @@ def test_package_imports_are_acyclic():
         ready = {m for m in deps if m not in done and deps[m] <= done}
         assert ready, "import cycle among %s" % sorted(set(deps) - done)
         done |= ready
+
+
+def test_package_needs_only_the_standard_library():
+    outside = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += ["%s: %s" % (path.name, n) for n in names
+                        if n.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+    assert re.search(r"^dependencies = \[\]$", PYPROJECT.read_text(), re.M)
 
 
 def test_cli_import_leaves_networkx_out():
