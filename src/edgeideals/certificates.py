@@ -17,6 +17,9 @@ Step kinds:
                               a single +-1 term; establishes that monomial.
   PowerStep(m, k, combo)      checks m^k == sum(c_i * h_i) exactly, h_i
                               established; establishes m.
+
+The power steps of one certificate may ask for at most _MAX_POWER_PRODUCTS
+monomial products in all; past that, verification fails.
 """
 
 from __future__ import annotations
@@ -31,6 +34,13 @@ from .polynomials import (Monomial, Polynomial, _json_int, edge_monomial,
 
 class CertificateFormatError(GraphError):
     """Certificate data that does not have the serialized shape."""
+
+
+# Budget of monomial products, sum of |coeff terms| * |ref terms| over every
+# PowerStep combination, that one certificate may ask verify_certificate to
+# multiply out.  The constructions need at most 9 per step and 39 per
+# certificate, so a certificate over budget is hostile, not large.
+_MAX_POWER_PRODUCTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -106,6 +116,7 @@ def verify_certificate(gs: GeneratorSet, cert: Certificate) -> Verdict:
                                "edge monomial" % (i, m))
 
     established = list(gs.polys)
+    products = 0
 
     def fail(idx, why):
         return Verdict(False, idx, why)
@@ -148,10 +159,17 @@ def verify_certificate(gs: GeneratorSet, cert: Certificate) -> Verdict:
             elif isinstance(step, PowerStep):
                 if step.k < 1:
                     return fail(idx, "power must be positive")
-                acc = Polynomial.zero()
+                terms = []
                 for coeff, ref in step.combination:
-                    acc = acc + coeff * get(idx, ref)
-                if acc != Polynomial.term(step.target ** step.k):
+                    h = get(idx, ref)
+                    products += len(coeff.terms) * len(h.terms)
+                    if products > _MAX_POWER_PRODUCTS:
+                        return fail(idx, "power steps need more than %d "
+                                         "monomial products"
+                                    % _MAX_POWER_PRODUCTS)
+                    terms.extend((coeff * h).terms)
+                if Polynomial(tuple(terms)) != \
+                        Polynomial.term(step.target ** step.k):
                     return fail(idx, "identity %s^%d does not hold"
                                 % (step.target, step.k))
                 established.append(Polynomial.term(step.target))

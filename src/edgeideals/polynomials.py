@@ -195,7 +195,15 @@ def _json_int(x):
 
 
 def monomial_from_data(data):
-    return Monomial(tuple((str(v), _json_int(e)) for v, e in data))
+    """The monomial of [[var, exponent], ...] in any order: a repeated
+    variable's exponents add up and zero exponents drop out.  A negative
+    exponent is a PolyError."""
+    d = {}
+    for v, e in data:
+        if _json_int(e) < 0:
+            raise PolyError("bad exponent %r for %r" % (e, v))
+        d[str(v)] = d.get(str(v), 0) + e
+    return Monomial.from_dict(d)
 
 
 def poly_to_data(p):

@@ -2,6 +2,7 @@
 files, and error rendering."""
 
 import json
+import time
 
 import pytest
 
@@ -185,11 +186,15 @@ def test_gens_non_integer_attachment_exits_2(graph_file, capsys):
     lambda d: d["generators"][0][0][0][0].__setitem__(1, INF),
     lambda d: d["generators"][0][0].__setitem__(1, INF),
     lambda d: d["generators"][0][0].__setitem__(1, 1.0),
+    lambda d: d["generators"][0][0][0][0].__setitem__(1, -1),
+    lambda d: d["generators"][0][0].__setitem__(
+        0, [["x1", 2], ["x1", -1], ["x2", 1]]),
 ], ids=["no-generators", "no-steps", "no-edges", "edges-int",
         "generators-str", "ref-str", "unknown-kind", "step-list",
         "label-int", "ref-1e400", "ref-float", "ref-bool",
         "subtract-ref-1e400", "k-1e400", "combination-ref-1e400",
-        "exponent-1e400", "coefficient-1e400", "coefficient-float"])
+        "exponent-1e400", "coefficient-1e400", "coefficient-float",
+        "exponent-negative", "exponent-negative-in-a-repeat"])
 def test_verify_malformed_certificate_exits_2(run, tmp_path, capsys, mangle):
     out = tmp_path / "cert.json"
     run(["gens", "--family", "cycle", "--length", "5", "--out", str(out)])
@@ -199,6 +204,40 @@ def test_verify_malformed_certificate_exits_2(run, tmp_path, capsys, mangle):
     # which json reads as a float infinity too.
     out.write_text(json.dumps(data).replace("Infinity", "1e400"))
     input_error(["verify", str(out)], capsys)
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda d: d["generators"][0][0][0].reverse(),
+    lambda d: d["steps"][0]["combination"][2][0][0].__setitem__(
+        0, [["x5", 1], ["x5", 1]]),
+    lambda d: d["generators"][0][0][0].append(["x9", 0]),
+], ids=["reversed", "repeated", "zero"])
+def test_verify_reads_any_written_form_of_a_monomial(run, tmp_path, mangle):
+    # x2*x1 for x1*x2, x5*x5 for x5^2, and x1*x2*x9^0 are the same monomials.
+    out = tmp_path / "cert.json"
+    run(["gens", "--family", "cycle", "--length", "5", "--out", str(out)])
+    data = json.loads(out.read_text())
+    mangle(data)
+    out.write_text(json.dumps(data))
+    assert run(["verify", str(out)])["verified"]
+
+
+def test_verify_caps_power_step_work(run, tmp_path):
+    # One edge, a generator of n terms and a power step whose coefficient
+    # has n terms: n * n = 2,560,000 distinct products to multiply out.
+    n = 1600
+    data = {"edges": [["x1", "x2"]],
+            "generators": [[[[["x1", 1], ["x2", 1], ["y%d" % i, 1]], 1]
+                            for i in range(n)]],
+            "steps": [{"kind": "power", "target": [["x1", 1], ["x2", 1]],
+                       "k": 1, "combination": [[[[[["z%d" % j, 1]], 1]
+                                                 for j in range(n)], 0]]}]}
+    out = tmp_path / "cert.json"
+    out.write_text(json.dumps(data))
+    start = time.perf_counter()
+    rep = run(["verify", str(out)], expect=1)
+    assert time.perf_counter() - start < 2
+    assert not rep["verified"] and "monomial products" in rep["reason"]
 
 
 @pytest.mark.parametrize("text", [

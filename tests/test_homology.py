@@ -3,6 +3,11 @@ homology ranks, the height/big-height inequality chain, and an independent
 test-local Hochster oracle."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 from edgeideals import covers, homology
 from edgeideals.graphs import Graph, parse_edge_list
 
+import catalog
 from conftest import BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, cycle, path_graph
 
 
@@ -19,6 +25,16 @@ def faces_by_cardinality(g):
     them for W = V (bit i is g.vertices[i])."""
     nbr = {1 << i: m for i, m in enumerate(g.masks)}
     return homology._independent_faces(nbr, (1 << len(g.vertices)) - 1)
+
+
+def ranks_by_subset(g):
+    """homology's ranks table for g, keyed by vertex tuples W (in the order
+    of g.vertices) instead of bitmasks."""
+    n = len(g.vertices)
+    nbr = {1 << i: m for i, m in enumerate(g.masks)}
+    table = homology._ranks_table(nbr, n)
+    return {tuple(v for i, v in enumerate(g.vertices) if w >> i & 1): ranks
+            for w, ranks in enumerate(table)}
 
 
 def test_independence_complex_of_path():
@@ -194,9 +210,88 @@ def test_betti_table_matches_oracle(g):
 @settings(max_examples=40, deadline=None)
 @given(small_graphs())
 def test_isolated_vertex_subsets_have_no_homology(g):
-    # Justifies skipping every W whose induced graph has an isolated vertex.
+    # The cone case of the fold: an isolated vertex of G[W] leaves no homology.
     active = g.non_isolated
     for k in range(1, len(active) + 1):
         for w in itertools.combinations(active, k):
             if any(not g.adj[v] & set(w) for v in w):
                 assert oracle_reduced_ranks(g, w) == {}
+
+
+# -- fold, split and the ranks table ------------------------------------
+
+
+def assert_ranks_table_matches_oracle(g):
+    for w, ranks in ranks_by_subset(g).items():
+        assert ranks == oracle_reduced_ranks(g, w), (sorted(g.edges), w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_folded_split_ranks_match_oracle(g):
+    assert_ranks_table_matches_oracle(g)
+
+
+@pytest.mark.parametrize("family", [
+    lambda: catalog.trees_upto(9),
+    lambda: catalog.unicyclic_upto(8),
+    lambda: catalog.random_cacti(seed=2027, count=40, max_vertices=9),
+], ids=["trees-9", "unicyclic-8", "cacti-9"])
+def test_folded_split_ranks_match_oracle_on_catalog(family):
+    for g in family():
+        assert_ranks_table_matches_oracle(g)
+
+
+@pytest.mark.parametrize("k, ranks", [(2, {1: 1}), (3, {2: 1})])
+def test_matching_complex_is_a_sphere(k, ranks):
+    # Ind(K2) is two points, S^0; Ind(kK2) is the join of k copies, S^(k-1).
+    g = Graph.build(("a%d" % i, "b%d" % i) for i in range(k))
+    assert ranks_by_subset(g)[g.vertices] == ranks
+    assert oracle_reduced_ranks(g, g.vertices) == ranks
+    # I(kK2) is a complete intersection of k quadrics.
+    pd, table = homology.projective_dimension(g)
+    assert pd == k and table.entries[(k, 2 * k)] == 1
+
+
+# A 12-vertex flag triangulation of RP^2.  Its independence complex is RP^2
+# in the complement of its 1-skeleton, whose F2 homology (H~_1 = H~_2 = 1)
+# differs from the rational one (zero): the answer must stay over F2 through
+# the fold, which is a homotopy equivalence.
+RP2_TRIANGLES = ("1 2 3, 1 2 6, 1 3 4, 1 4 7, 1 6 7, 2 3 10, 2 5 8, 2 5 10, "
+                 "2 6 8, 3 4 11, 3 9 10, 3 9 11, 4 5 7, 4 5 8, 4 8 12, "
+                 "4 11 12, 5 7 9, 5 9 10, 6 7 9, 6 8 12, 6 9 11, 6 11 12")
+
+
+def rp2_complement():
+    skeleton = {frozenset(pair) for t in RP2_TRIANGLES.split(", ")
+                for pair in itertools.combinations(t.split(), 2)}
+    labels = [str(i) for i in range(1, 13)]
+    return Graph.build((u, v) for u, v in itertools.combinations(labels, 2)
+                       if frozenset((u, v)) not in skeleton)
+
+
+def test_rp2_complement_keeps_its_f2_torsion():
+    g = rp2_complement()
+    assert len(g.vertices) == 12 and len(g.edges) == 33
+    assert oracle_reduced_ranks(g, g.vertices) == {1: 1, 2: 1}
+    assert ranks_by_subset(g)[g.vertices] == {1: 1, 2: 1}
+    pd, table = homology.projective_dimension(g)
+    assert pd == 10
+    assert table.entries[(10, 12)] == 1 and table.entries[(9, 12)] == 1
+
+
+def test_pd_output_does_not_depend_on_the_hash_seed(tmp_path):
+    f = tmp_path / "rp2.txt"
+    f.write_text("".join("%s %s\n" % e
+                         for e in rp2_complement().sorted_edges()))
+    src = Path(homology.__file__).resolve().parents[1]
+    outs = []
+    for seed in ("0", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        outs.append(subprocess.run(
+            [sys.executable, "-m", "edgeideals.cli", "pd", str(f)],
+            capture_output=True, text=True, check=True, env=env).stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["pd"] == 10
