@@ -18,8 +18,8 @@ Step kinds:
   PowerStep(m, k, combo)      checks m^k == sum(c_i * h_i) exactly, h_i
                               established; establishes m.
 
-The power steps of one certificate may ask for at most _MAX_POWER_PRODUCTS
-monomial products in all; past that, verification fails.
+The power and linear steps of one certificate may ask for at most
+_MAX_TERM_WORK units of monomial work in all; past that, verification fails.
 """
 
 from __future__ import annotations
@@ -36,11 +36,15 @@ class CertificateFormatError(GraphError):
     """Certificate data that does not have the serialized shape."""
 
 
-# Budget of monomial products, sum of |coeff terms| * |ref terms| over every
-# PowerStep combination, that one certificate may ask verify_certificate to
-# multiply out.  The constructions need at most 9 per step and 39 per
-# certificate, so a certificate over budget is hostile, not large.
-_MAX_POWER_PRODUCTS = 100_000
+# Budget of monomial work that one certificate may ask verify_certificate
+# for.  Each monomial product of a PowerStep combination (coeff term times ref
+# term) and each divisibility test of a LinearStep (subtract monomial against
+# target term) costs one unit plus one per variable of its two monomials.
+# The constructions need at most 252 per certificate (a gens_prop42 set),
+# so a certificate over budget is hostile, not large.
+_MAX_TERM_WORK = 1_000_000
+_OVER_BUDGET = ("steps need more than %d units of work on monomial products"
+                % _MAX_TERM_WORK)
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,12 @@ def _unit_monomial(p):
     return m if c in (1, -1) else None
 
 
+def _pair_work(ms, ns):
+    """Work units of meeting every monomial of ms with every one of ns."""
+    return (len(ms) * len(ns) + len(ns) * sum(len(m.exps) for m in ms)
+            + len(ms) * sum(len(m.exps) for m in ns))
+
+
 def verify_certificate(gs: GeneratorSet, cert: Certificate) -> Verdict:
     """Check a certificate against a generator set.
 
@@ -116,7 +126,7 @@ def verify_certificate(gs: GeneratorSet, cert: Certificate) -> Verdict:
                                "edge monomial" % (i, m))
 
     established = list(gs.polys)
-    products = 0
+    work = 0
 
     def fail(idx, why):
         return Verdict(False, idx, why)
@@ -151,6 +161,9 @@ def verify_certificate(gs: GeneratorSet, cert: Certificate) -> Verdict:
                         return fail(idx, "subtract ref %d is not a unit "
                                          "monomial" % r)
                     subs.append(m)
+                work += _pair_work(target.monomials(), subs)
+                if work > _MAX_TERM_WORK:
+                    return fail(idx, _OVER_BUDGET)
                 rest = [(m, c) for m, c in target.terms
                         if not any(s.divides(m) for s in subs)]
                 if len(rest) != 1 or abs(rest[0][1]) != 1:
@@ -162,11 +175,9 @@ def verify_certificate(gs: GeneratorSet, cert: Certificate) -> Verdict:
                 terms = []
                 for coeff, ref in step.combination:
                     h = get(idx, ref)
-                    products += len(coeff.terms) * len(h.terms)
-                    if products > _MAX_POWER_PRODUCTS:
-                        return fail(idx, "power steps need more than %d "
-                                         "monomial products"
-                                    % _MAX_POWER_PRODUCTS)
+                    work += _pair_work(coeff.monomials(), h.monomials())
+                    if work > _MAX_TERM_WORK:
+                        return fail(idx, _OVER_BUDGET)
                     terms.extend((coeff * h).terms)
                 if Polynomial(tuple(terms)) != \
                         Polynomial.term(step.target ** step.k):

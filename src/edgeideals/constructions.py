@@ -7,6 +7,8 @@ code never trusts itself: tests re-verify every emitted certificate.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from . import covers
 from .certificates import (CertBuilder, Certificate, GeneratorSet,
                            LinearStep, PowerStep, SVStep)
@@ -245,19 +247,40 @@ def gens_lemma52(r, s, x=None, r_paths=None, s_paths=None):
 
 
 # -- Schmitt-Vogel layer search ---------------------------------------
+#
+# Edge i is bit i of a mask, over the edge monomials in sort_key order.
+# witnesses[i][j] is the mask of the edges with both ends among the ends of
+# edges i and j: for square-free degree-2 monomials, exactly the d with
+# d | e*f.  Two remaining edges can share a layer when an earlier edge, one
+# outside the remaining mask, is such a witness.
 
 
-def _compatible_cliques(remaining, earlier):
-    """Maximal sets of remaining monomials that can share a layer: pairwise,
-    some earlier monomial must divide the product (Bron-Kerbosch on the
-    compatibility graph)."""
-    rem = sorted(remaining, key=lambda m: m.sort_key())
-    compat = {m: set() for m in rem}
-    for i, e in enumerate(rem):
-        for f in rem[i + 1:]:
-            if any(d.divides(e * f) for d in earlier):
-                compat[e].add(f)
-                compat[f].add(e)
+def _bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _witness_table(monomials):
+    bit = {frozenset(v for v, _ in m.exps): 1 << i
+           for i, m in enumerate(monomials)}
+    ends = list(bit)
+    return [[sum(bit.get(frozenset(d), 0)
+                 for d in combinations(e | f, 2)) for f in ends]
+            for e in ends]
+
+
+def _compatible_cliques(remaining, monomials, witnesses):
+    """Maximal sets of remaining edges that can share a layer, as masks,
+    largest first (Bron-Kerbosch on the compatibility graph).  The recursion
+    runs on frozensets of Monomials, so its pivot ties and hence the clique
+    order follow string-hash order."""
+    earlier = ~remaining
+    idx = _bits(remaining)
+    # Every set is filled in sort_key order, which fixes its iteration order
+    # for a given hash seed.
+    rem = [monomials[i] for i in idx]
+    compat = {monomials[i]: {monomials[j] for j in idx
+                             if j != i and witnesses[i][j] & earlier}
+              for i in idx}
     out = []
 
     def bk(r, p, x):
@@ -271,13 +294,15 @@ def _compatible_cliques(remaining, earlier):
             x = x | {m}
 
     bk(frozenset(), frozenset(rem), frozenset())
-    return sorted(out, key=len, reverse=True)
+    bit = {monomials[i]: 1 << i for i in idx}
+    return [sum(bit[m] for m in c)
+            for c in sorted(out, key=len, reverse=True)]
 
 
-def _search_layers(monomials, p0, max_layers):
-    """Exact search for a layered partition of at most max_layers layers
-    starting with the singleton layer {p0}.  Layers are maximal compatible
-    sets; states are memoized on the remaining-monomial set."""
+def _search_layers(n, p0, max_layers, cliques):
+    """Exact search for a layered partition of the n edges into at most
+    max_layers layer masks, starting with the singleton layer {p0}.  Layers
+    are maximal compatible sets; cliques(remaining) gives them."""
     dead = set()
 
     def go(remaining, depth):
@@ -285,31 +310,37 @@ def _search_layers(monomials, p0, max_layers):
             return []
         if depth == 0 or remaining in dead:
             return None
-        earlier = [m for m in monomials if m not in remaining]
-        for layer in _compatible_cliques(remaining, earlier):
-            tail = go(remaining - layer, depth - 1)
+        for layer in cliques(remaining):
+            tail = go(remaining & ~layer, depth - 1)
             if tail is not None:
-                return [sorted(layer, key=lambda m: m.sort_key())] + tail
+                return [layer] + tail
         dead.add(remaining)
         return None
 
-    rest = go(frozenset(m for m in monomials if m != p0), max_layers - 1)
+    rest = go(((1 << n) - 1) & ~(1 << p0), max_layers - 1)
     if rest is None:
         return None
-    return [[p0]] + rest
+    return [1 << p0] + rest
 
 
-def _layer_witnesses(layers):
+def _layer_witnesses(layers, monomials, witnesses):
+    """For each pair e, f of a layer, the least earlier d with d | e*f."""
     witness = {}
-    earlier = []
+    earlier = 0
     for layer in layers:
-        for i, e in enumerate(layer):
-            for f in layer[i + 1:]:
-                witness[(e, f)] = min(
-                    (d for d in earlier if d.divides(e * f)),
-                    key=lambda m: m.sort_key())
-        earlier.extend(layer)
+        idx = _bits(layer)
+        for a, i in enumerate(idx):
+            for j in idx[a + 1:]:
+                w = witnesses[i][j] & earlier
+                witness[(monomials[i], monomials[j])] = \
+                    monomials[(w & -w).bit_length() - 1]
+        earlier |= layer
     return witness
+
+
+def _edge_monomials(g):
+    """The edge monomials of g in sort_key order, the bit order of masks."""
+    return [Monomial.of(u, v) for u, v in g.sorted_edges()]
 
 
 def sv_layer_search(g, max_layers=None, budget=None, first=None):
@@ -321,27 +352,47 @@ def sv_layer_search(g, max_layers=None, budget=None, first=None):
     Returns a (GeneratorSet, Certificate) pair whose generators are the
     layer sums, or None when no layering within max_layers is found.
     Absence of a result is a normal outcome.
+
+    Among equally short layerings the search returns the first it meets,
+    in an order that follows the string hashes of the vertex labels, so the
+    generators can differ between PYTHONHASHSEED values.  The minimal layer
+    count does not depend on that order: the count found was the same
+    under eight seeds on every tree of at most 9 vertices and on 40 random
+    cacti.
     """
-    monomials = [Monomial.of(u, v) for u, v in g.sorted_edges()]
+    monomials = _edge_monomials(g)
     if not monomials:
         raise ConstructionError("graph has no edges")
-    starts = [Monomial.of(*first)] if first else list(monomials)
-    if first and starts[0] not in monomials:
-        raise ConstructionError("first layer monomial is not an edge")
+    starts = list(range(len(monomials)))
+    if first:
+        if Monomial.of(*first) not in monomials:
+            raise ConstructionError("first layer monomial is not an edge")
+        starts = [monomials.index(Monomial.of(*first))]
     if budget is not None:
         starts = starts[:budget]
     cap = max_layers if max_layers is not None else len(monomials)
     if cap < 1:
         raise ConstructionError("max_layers must be at least 1")
+    witnesses = _witness_table(monomials)
+    table = {}
+
+    def cliques(remaining):
+        if remaining not in table:
+            table[remaining] = _compatible_cliques(remaining, monomials,
+                                                   witnesses)
+        return table[remaining]
+
     best = None
     for p0 in starts:
         depth = (len(best) - 1) if best is not None else cap
-        layers = _search_layers(monomials, p0, depth)
+        layers = _search_layers(len(monomials), p0, depth, cliques)
         if layers is not None and (best is None or len(layers) < len(best)):
             best = layers
     if best is None:
         return None
-    return _layers_to_certificate(g, best, _layer_witnesses(best))
+    return _layers_to_certificate(
+        g, [[monomials[i] for i in _bits(layer)] for layer in best],
+        _layer_witnesses(best, monomials, witnesses))
 
 
 def _layers_to_certificate(g, layers, witness):

@@ -19,10 +19,12 @@ import itertools
 import networkx as nx
 import pytest
 
+from edgeideals.constructions import _layers_to_certificate, sv_layer_search
 from edgeideals.covers import (DEFAULT_VERTEX_LIMIT, MinimalCover, big_height,
                                is_redundant_neighbor, maximum_minimal_covers,
                                vertex_in_every_maximum_cover)
 from edgeideals.graphs import Cycle, Graph, GraphError, edge, parse_edge_list
+from edgeideals.polynomials import Monomial
 
 
 def path_graph(n, prefix="p"):
@@ -278,6 +280,97 @@ def lemma27_union(g1, g2, x, case, limit=DEFAULT_VERTEX_LIMIT):
         raise GraphError("internal invariant violation: union cover is not a "
                          "maximum minimal cover")
     return MinimalCover(union_cover, union_graph)
+
+
+# -- the layer search as it was before witness masks -------------------
+#
+# A verbatim copy of the Monomial-level search that `sv_layer_search` used to
+# run: every state rebuilt its compatibility graph by multiplying monomials.
+# The mask search must return the very same (GeneratorSet, Certificate).
+
+
+def _old_compatible_cliques(remaining, earlier):
+    rem = sorted(remaining, key=lambda m: m.sort_key())
+    compat = {m: set() for m in rem}
+    for i, e in enumerate(rem):
+        for f in rem[i + 1:]:
+            if any(d.divides(e * f) for d in earlier):
+                compat[e].add(f)
+                compat[f].add(e)
+    out = []
+
+    def bk(r, p, x):
+        if not p and not x:
+            out.append(frozenset(r))
+            return
+        pivot = max(p | x, key=lambda m: len(compat[m] & p))
+        for m in sorted(p - compat[pivot], key=lambda m: m.sort_key()):
+            bk(r | {m}, p & compat[m], x & compat[m])
+            p = p - {m}
+            x = x | {m}
+
+    bk(frozenset(), frozenset(rem), frozenset())
+    return sorted(out, key=len, reverse=True)
+
+
+def _old_search_layers(monomials, p0, max_layers):
+    dead = set()
+
+    def go(remaining, depth):
+        if not remaining:
+            return []
+        if depth == 0 or remaining in dead:
+            return None
+        earlier = [m for m in monomials if m not in remaining]
+        for layer in _old_compatible_cliques(remaining, earlier):
+            tail = go(remaining - layer, depth - 1)
+            if tail is not None:
+                return [sorted(layer, key=lambda m: m.sort_key())] + tail
+        dead.add(remaining)
+        return None
+
+    rest = go(frozenset(m for m in monomials if m != p0), max_layers - 1)
+    if rest is None:
+        return None
+    return [[p0]] + rest
+
+
+def _old_layer_witnesses(layers):
+    witness = {}
+    earlier = []
+    for layer in layers:
+        for i, e in enumerate(layer):
+            for f in layer[i + 1:]:
+                witness[(e, f)] = min(
+                    (d for d in earlier if d.divides(e * f)),
+                    key=lambda m: m.sort_key())
+        earlier.extend(layer)
+    return witness
+
+
+def old_sv_layer_search(g, max_layers=None, budget=None, first=None):
+    """The pre-mask `sv_layer_search`, for comparison in the tests."""
+    monomials = [Monomial.of(u, v) for u, v in g.sorted_edges()]
+    starts = [Monomial.of(*first)] if first else list(monomials)
+    if budget is not None:
+        starts = starts[:budget]
+    cap = max_layers if max_layers is not None else len(monomials)
+    best = None
+    for p0 in starts:
+        depth = (len(best) - 1) if best is not None else cap
+        layers = _old_search_layers(monomials, p0, depth)
+        if layers is not None and (best is None or len(layers) < len(best)):
+            best = layers
+    if best is None:
+        return None
+    return _layers_to_certificate(g, best, _old_layer_witnesses(best))
+
+
+def layer_search_mismatches(cases):
+    """The (edges, options) of every (graph, options) case on which
+    sv_layer_search and the old search return different results."""
+    return [(g.sorted_edges(), kw) for g, kw in cases
+            if sv_layer_search(g, **kw) != old_sv_layer_search(g, **kw)]
 
 
 # -- certificate tampering --------------------------------------------

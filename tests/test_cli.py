@@ -232,12 +232,47 @@ def test_verify_caps_power_step_work(run, tmp_path):
             "steps": [{"kind": "power", "target": [["x1", 1], ["x2", 1]],
                        "k": 1, "combination": [[[[[["z%d" % j, 1]], 1]
                                                  for j in range(n)], 0]]}]}
+    _verify_fails_fast(run, tmp_path, data, 2)
+
+
+def _verify_fails_fast(run, tmp_path, data, seconds):
     out = tmp_path / "cert.json"
     out.write_text(json.dumps(data))
     start = time.perf_counter()
     rep = run(["verify", str(out)], expect=1)
-    assert time.perf_counter() - start < 2
+    assert time.perf_counter() - start < seconds
     assert not rep["verified"] and "monomial products" in rep["reason"]
+
+
+def test_verify_caps_linear_step_work(run, tmp_path):
+    # n unit generators x1*x2*y_i subtracted from a generator of n terms
+    # x1*x2*z_j: n * n = 4,000,000 divisibility tests (a 180 KB file).
+    n = 2000
+    data = {"edges": [["x1", "x2"]],
+            "generators": [[[[["x1", 1], ["x2", 1], ["y%d" % i, 1]], 1]]
+                           for i in range(n)]
+            + [[[[["x1", 1], ["x2", 1], ["z%d" % j, 1]], 1]
+                for j in range(n)]],
+            "steps": [{"kind": "linear", "target": n,
+                       "subtract": list(range(n))}]}
+    _verify_fails_fast(run, tmp_path, data, 1)
+
+
+def test_verify_weighs_power_step_products_by_size(run, tmp_path):
+    # 316 * 316 = 99,856 products, fewer than the 100,000 products that the
+    # budget once counted, but each joins two monomials of about 300
+    # variables (a 3 MB file).
+    n, width = 316, 298
+    shared = [["vertex%d" % k, 1] for k in range(width)]
+    data = {"edges": [["x1", "x2"]],
+            "generators": [[[[["x1", 1], ["x2", 1], ["y%d" % i, 1]] + shared,
+                             1] for i in range(n)]],
+            "steps": [{"kind": "power", "target": [["x1", 1], ["x2", 1]],
+                       "k": 1,
+                       "combination": [[[[[["z%d" % j, 1]] + shared, 1]
+                                         for j in range(n)], 0]]}]}
+    assert len(json.dumps(data)) > 3_000_000
+    _verify_fails_fast(run, tmp_path, data, 2)
 
 
 @pytest.mark.parametrize("text", [

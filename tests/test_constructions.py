@@ -1,5 +1,14 @@
 """Explicit generator constructions: every family verifies, counts match the
-stated formulas, and hypothesis violations are loud errors."""
+stated formulas, and hypothesis violations are loud errors.  The mask layer
+search returns exactly what the old Monomial-level search returned."""
+
+import collections
+import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +17,10 @@ from edgeideals import covers
 from edgeideals.certificates import verify_certificate
 from edgeideals.constructions import ConstructionError
 from edgeideals.graphs import Graph, parse_edge_list
+from edgeideals.polynomials import Monomial
 
-from conftest import WHISKER_P3, cycle, path_graph
+import catalog
+from conftest import WHISKER_P3, cycle, layer_search_mismatches, path_graph
 
 
 def _check(gs, cert):
@@ -103,6 +114,95 @@ def test_sv_layer_search_rejects_a_cap_below_one():
     for cap in (0, -1):
         with pytest.raises(cons.ConstructionError):
             cons.sv_layer_search(path_graph(4), max_layers=cap)
+
+
+def _random_graph(rng, labels, count):
+    pairs = list(itertools.combinations(labels, 2))
+    return Graph.build(rng.sample(pairs, count))
+
+
+def test_edge_monomials_follow_sort_key_order():
+    # Mask bit i is the i-th edge monomial, and the least witness is the
+    # lowest set bit, so the list must be in sort_key order.
+    labels = ["a", "B", "a1", "a10", "a2", "aa", "b", "x_1", "Z9", "\u00e9"]
+    rng = random.Random(5)
+    for _ in range(50):
+        g = _random_graph(rng, labels, rng.randint(1, 20))
+        mons = cons._edge_monomials(g)
+        assert mons == sorted(mons, key=Monomial.sort_key)
+        assert len(set(mons)) == len(g.edges)
+
+
+def test_witness_masks_are_the_dividing_edges():
+    rng = random.Random(6)
+    for _ in range(20):
+        g = _random_graph(rng, "abcdefg", rng.randint(1, 12))
+        mons = cons._edge_monomials(g)
+        table = cons._witness_table(mons)
+        for (i, e), (j, f) in itertools.product(enumerate(mons), repeat=2):
+            assert table[i][j] == sum(1 << k for k, d in enumerate(mons)
+                                      if d.divides(e * f))
+
+
+def _tree_cases(short):
+    for t in catalog.trees_upto(9):
+        cap = covers.big_height(t) - short
+        if cap >= 1:
+            yield t, {"max_layers": cap}
+
+
+@pytest.mark.parametrize("short", [0, 1], ids=["big-height", "one-less"])
+def test_mask_search_matches_the_old_search_on_trees(short):
+    assert layer_search_mismatches(_tree_cases(short)) == []
+
+
+def test_mask_search_matches_the_old_search_on_pinned_starts():
+    trees = [t for t in catalog.trees_upto(8) if len(t.vertices) == 8]
+    cases = [(t, {"max_layers": covers.big_height(t), "first": e})
+             for t in trees[::4] for e in t.sorted_edges()]
+    cases += [(t, {"max_layers": covers.big_height(t) - short,
+                   "budget": budget})
+              for t in trees[::2] for short in (0, 1) for budget in (1, 3)]
+    cases += [(cycle(5), {"first": ("c0", "c1"), "budget": 1}),
+              (WHISKER_P3, {"budget": 0})]
+    assert layer_search_mismatches(cases) == []
+
+
+def test_mask_search_matches_the_old_search_on_cacti_under_hash_seed_4():
+    # Pivot ties follow string-hash order in both searches, so they agree
+    # under every seed, not just the one this process runs with.  The
+    # default cap is the edge count.
+    tests = Path(__file__).resolve().parent
+    src = Path(cons.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONHASHSEED="4")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), str(tests), env.get("PYTHONPATH")) if p)
+    script = ("import catalog, conftest\n"
+              "cases = [(g, {}) for g in catalog.random_cacti(2026, 40, 10)]\n"
+              "print(conftest.layer_search_mismatches(cases))\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env=env, cwd=tests).stdout
+    assert out.strip() == "[]"
+
+
+def test_layer_search_enumerates_each_remaining_mask_once(monkeypatch):
+    # The cliques of a remaining mask are enumerated once per search and
+    # shared by every start; searches capped one below big height fail, so
+    # every start runs to exhaustion.
+    calls = collections.Counter()
+    enumerate_cliques = cons._compatible_cliques
+
+    def counted(remaining, *args):
+        calls[remaining] += 1
+        return enumerate_cliques(remaining, *args)
+
+    monkeypatch.setattr(cons, "_compatible_cliques", counted)
+    trees = [t for t in catalog.trees_upto(9) if len(t.vertices) == 9]
+    for g, cap in [(t, covers.big_height(t) - 1) for t in trees[::8]] + \
+            [(g, None) for g in catalog.random_cacti(7, 5, 9)]:
+        calls.clear()
+        cons.sv_layer_search(g, max_layers=cap)
+        assert calls and max(calls.values()) == 1, g.sorted_edges()
 
 
 def test_build_attached_graph():
