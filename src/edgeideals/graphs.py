@@ -10,8 +10,9 @@ The kernels run on vertex bitmasks: vertex i in sorted order is bit i, and
 (`Graph._cactus_cycles`, cached on the Graph like `masks`) decides the
 cactus property and lists the cycles; maximum cardinality search decides
 chordality; one DFS over simple paths (`_cycles`) answers both cycle
-screens; and one pivoting Bron-Kerbosch (`bron_kerbosch`) enumerates
-maximal cliques here and maximal independent sets in `covers`.
+screens; and one pivoting Bron-Kerbosch (`bron_kerbosch`), which returns
+int masks, enumerates maximal cliques here and maximal independent sets in
+`covers`; `maximal_cliques` turns the masks into sorted frozensets.
 This module imports no other module of the package.
 """
 
@@ -161,7 +162,7 @@ class Graph:
     def sorted_edges(self):
         return sorted(self.edges)
 
-    @property
+    @cached_property
     def non_isolated(self):
         return tuple(v for v in self.vertices if self.adj[v])
 
@@ -373,15 +374,14 @@ def is_clique(g, vs):
     return all(g.has_edge(u, v) for u, v in itertools.combinations(sorted(vs), 2))
 
 
-def bron_kerbosch(vertices, masks, candidates):
-    """Every maximal clique, canonically sorted, of the graph on the bits of
-    the mask `candidates`, where bit i stands for vertices[i] (a sorted
-    tuple) and masks[i] is its neighbourhood (bits outside `candidates` are
-    never visited).
+def bron_kerbosch(masks, candidates):
+    """Every maximal clique, as an int mask in no particular order, of the
+    graph on the bits of the mask `candidates`, where masks[i] is the
+    neighbourhood of vertex i (bits outside `candidates` are never visited).
 
     Bron-Kerbosch with Tomita-Tanaka-Takahashi pivoting (TCS 363, 2006): the
-    pivot is the vertex of P | X with the most neighbours in P, and only the
-    vertices of P outside its neighbourhood are branched on.
+    pivot is the first vertex of P | X with the most neighbours in P, and
+    only the vertices of P outside its neighbourhood are branched on.
     """
     out = []
 
@@ -390,20 +390,38 @@ def bron_kerbosch(vertices, masks, candidates):
             if not x:
                 out.append(r)
             return
-        pivot = max(_bits(p | x), key=lambda u: (p & masks[u]).bit_count())
-        for v in _bits(p & ~masks[pivot]):
-            expand(r + (v,), p & masks[v], x & masks[v])
-            p ^= 1 << v
-            x |= 1 << v
+        most, pivot, rest = -1, 0, p | x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            n = (p & masks[u]).bit_count()
+            if n > most:
+                most, pivot = n, u
+        branch = p & ~masks[pivot]
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            nbrs = masks[low.bit_length() - 1]
+            expand(r | low, p & nbrs, x & nbrs)
+            p ^= low
+            x |= low
 
-    expand((), candidates, 0)
+    expand(0, candidates, 0)
+    return out
+
+
+def _vertex_sets(vertices, masks):
+    """The sets of vertices[i] over the bits i of each mask, as frozensets
+    sorted by their sorted members (vertices is a sorted tuple)."""
     return [frozenset(map(vertices.__getitem__, r))
-            for r in sorted(map(sorted, out))]
+            for r in sorted(list(_bits(m)) for m in masks)]
 
 
 def maximal_cliques(g):
     """All maximal cliques, canonically sorted."""
-    return bron_kerbosch(g.vertices, g.masks, (1 << len(g.vertices)) - 1)
+    return _vertex_sets(g.vertices,
+                        bron_kerbosch(g.masks, (1 << len(g.vertices)) - 1))
 
 
 def simplicial_vertices(g):

@@ -15,15 +15,18 @@ from __future__ import annotations
 
 import copy
 import itertools
+from dataclasses import dataclass
 
 import networkx as nx
 import pytest
 
 from edgeideals.constructions import _layers_to_certificate, sv_layer_search
-from edgeideals.covers import (DEFAULT_VERTEX_LIMIT, MinimalCover, big_height,
-                               is_redundant_neighbor, maximum_minimal_covers,
+from edgeideals.covers import (DEFAULT_VERTEX_LIMIT, CoverSizeError,
+                               MinimalCover, big_height, is_redundant_neighbor,
+                               maximum_minimal_covers,
                                vertex_in_every_maximum_cover)
-from edgeideals.graphs import Cycle, Graph, GraphError, edge, parse_edge_list
+from edgeideals.graphs import (Cycle, Graph, GraphError, _bits, edge,
+                               parse_edge_list)
 from edgeideals.polynomials import Monomial
 
 
@@ -280,6 +283,68 @@ def lemma27_union(g1, g2, x, case, limit=DEFAULT_VERTEX_LIMIT):
         raise GraphError("internal invariant violation: union cover is not a "
                          "maximum minimal cover")
     return MinimalCover(union_cover, union_graph)
+
+
+# -- cover statistics as they were before int masks --------------------
+#
+# A verbatim copy of the list-based path that `covers._cover_stats` used to
+# run: Bron-Kerbosch collected index tuples and sorted them, and every cover
+# became a MinimalCover at once; maximum covers were filtered from that list
+# and the forced-vertex test scanned them.  Patched into `covers`, it must
+# give the very same traces and cover lists as the mask path.
+
+
+def _old_bron_kerbosch(vertices, masks, candidates):
+    out = []
+
+    def expand(r, p, x):
+        if not p:
+            if not x:
+                out.append(r)
+            return
+        pivot = max(_bits(p | x), key=lambda u: (p & masks[u]).bit_count())
+        for v in _bits(p & ~masks[pivot]):
+            expand(r + (v,), p & masks[v], x & masks[v])
+            p ^= 1 << v
+            x |= 1 << v
+
+    expand((), candidates, 0)
+    return [frozenset(map(vertices.__getitem__, r))
+            for r in sorted(map(sorted, out))]
+
+
+@dataclass(frozen=True)
+class OldCoverStats:
+    height: int
+    big_height: int
+    unmixed: bool
+    all_covers: tuple
+
+
+def old_cover_stats(g, limit=DEFAULT_VERTEX_LIMIT):
+    active = g.non_isolated
+    if len(active) > limit:
+        raise CoverSizeError(
+            "%d non-isolated vertices exceeds the enumeration guard (%d)"
+            % (len(active), limit))
+    active_mask = sum(1 << i for i, m in enumerate(g.masks) if m)
+    non_adj = [active_mask & ~m & ~(1 << i) for i, m in enumerate(g.masks)]
+    covers = [MinimalCover(frozenset(active) - ind, g)
+              for ind in _old_bron_kerbosch(g.vertices, non_adj, active_mask)]
+    sizes = [len(c) for c in covers]
+    h, bh = min(sizes), max(sizes)
+    return OldCoverStats(height=h, big_height=bh, unmixed=(h == bh),
+                         all_covers=tuple(covers))
+
+
+def old_maximum_minimal_covers(g, limit=DEFAULT_VERTEX_LIMIT):
+    stats = old_cover_stats(g, limit)
+    return [c for c in stats.all_covers if len(c) == stats.big_height]
+
+
+def old_vertex_in_every_maximum_cover(g, x, limit=DEFAULT_VERTEX_LIMIT):
+    return all(x in c.vertices
+               for c in old_maximum_minimal_covers(g, limit=limit))
 
 
 # -- the layer search as it was before witness masks -------------------

@@ -1,5 +1,7 @@
 """Arithmetical-rank bounds and the proof-mirroring decomposition trace."""
 
+import random
+
 import pytest
 
 from edgeideals import bounds, covers, graphs
@@ -7,7 +9,9 @@ from edgeideals.bounds import TraceInvariantError
 from edgeideals.graphs import Graph, GraphError, parse_edge_list
 
 import catalog
-from conftest import BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, cycle, path_graph
+from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, cycle,
+                      old_cover_stats, old_maximum_minimal_covers,
+                      old_vertex_in_every_maximum_cover, path_graph)
 
 
 def test_theorem34_bound_values():
@@ -142,3 +146,25 @@ def test_trace_random_cacti():
 def test_bound_report_invariant():
     with pytest.raises(AssertionError):
         bounds.BoundReport(TRIANGLE, 1, 2, 99)
+
+
+def test_trace_matches_the_list_based_cover_path(monkeypatch):
+    rng = random.Random(2026)
+    cacti = [catalog.random_cactus(rng, rng.randint(3, 14)) for _ in range(40)]
+
+    def replay():
+        return [(bounds.theorem34_trace(g).to_data(),
+                 covers.cover_stats(g).all_covers) for g in cacti]
+
+    mask_path = replay()
+    monkeypatch.setattr(covers, "_cover_stats", old_cover_stats)
+    monkeypatch.setattr(covers, "maximum_minimal_covers",
+                        old_maximum_minimal_covers)
+    monkeypatch.setattr(covers, "vertex_in_every_maximum_cover",
+                        old_vertex_in_every_maximum_cover)
+    assert replay() == mask_path
+    # every split case is replayed, Case 1.2a (which reports a cover and so
+    # depends on the cover order) included
+    tags = {node.case_tag for g in cacti
+            for node in bounds.theorem34_trace(g).walk()}
+    assert {"Case1.1", "Case1.2a", "Case1.2b", "Case2"} <= tags

@@ -2,8 +2,9 @@
 kind of malformed step, and fails under tampering."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from edgeideals import covers
+from edgeideals import certificates, covers
 from edgeideals.certificates import (CertBuilder, Certificate, GeneratorSet,
                                      LinearStep, PowerStep, SVStep,
                                      certified_set_from_data,
@@ -46,6 +47,46 @@ def test_containment_rejected():
     v = verify_certificate(gs, Certificate())
     assert not v.ok and v.failed_step == -1
     assert "not divisible" in v.reason
+
+
+@st.composite
+def graphs_and_terms(draw):
+    """A graph on v0..v5 and monomials over its vertices and two others."""
+    labels = ["v%d" % i for i in range(6)]
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
+    g = Graph.build([p for p in pairs if draw(st.booleans())],
+                    isolated=labels)
+    variables = st.sampled_from(labels + ["w0", "w1"])
+    terms = st.dictionaries(variables, st.integers(1, 3), max_size=5)
+    return g, [Monomial.from_dict(d) for d in draw(st.lists(terms,
+                                                              max_size=4))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_and_terms())
+def test_containment_matches_edge_divisibility(case):
+    # a term passes iff some edge monomial divides it
+    g, terms = case
+    edges = [Monomial.of(u, v) for u, v in g.edges]
+    for m in terms:
+        v = verify_certificate(GeneratorSet(g, (Polynomial.term(m),)),
+                               Certificate())
+        assert ("not divisible" not in v.reason) == \
+            any(e.divides(m) for e in edges), (m, g.sorted_edges())
+
+
+def test_containment_probes_are_charged(monkeypatch):
+    # a star around a: each of the 5 terms a*b_i*w costs 1 + 3 units plus
+    # min(degree, 3) per vertex among its variables (3 + 1 + 0), 8 in all
+    g = Graph.build([("a", "b%d" % i) for i in range(5)])
+    gs = GeneratorSet(g, (Polynomial(tuple((_m("a", "b%d" % i, "w"), 1)
+                                           for i in range(5))),))
+    monkeypatch.setattr(certificates, "_MAX_TERM_WORK", 39)
+    v = verify_certificate(gs, Certificate())
+    assert not v.ok and v.failed_step == -1 and "units" in v.reason
+    monkeypatch.setattr(certificates, "_MAX_TERM_WORK", 40)
+    v = verify_certificate(gs, Certificate())
+    assert "not established" in v.reason
 
 
 def test_zero_generator_rejected():

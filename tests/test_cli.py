@@ -1,12 +1,19 @@
 """Command-line interface: subcommand reports, exit codes, certificate
 files, and error rendering."""
 
+import contextlib
+import copy
+import io
 import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from edgeideals import constructions
+from edgeideals.certificates import certified_set_to_data
 from edgeideals.cli import main
+from edgeideals.graphs import Graph
 
 INF = float("inf")
 
@@ -275,6 +282,39 @@ def test_verify_weighs_power_step_products_by_size(run, tmp_path):
     _verify_fails_fast(run, tmp_path, data, 2)
 
 
+def test_verify_containment_needs_no_scan_of_the_edges(run, tmp_path):
+    # n edges a_i*b_i and one generator of n terms a_i*b_i*z_i: each term is
+    # tested against its own variables, not against all n edges (n * n =
+    # 16,000,000 divisibility tests, a 270 KB file).
+    n = 4000
+    data = {"edges": [["a%d" % i, "b%d" % i] for i in range(n)],
+            "generators": [[[[["a%d" % i, 1], ["b%d" % i, 1],
+                              ["z%d" % i, 1]], 1] for i in range(n)]],
+            "steps": []}
+    out = tmp_path / "cert.json"
+    out.write_text(json.dumps(data))
+    start = time.perf_counter()
+    rep = run(["verify", str(out)], expect=1)
+    assert time.perf_counter() - start < 3
+    assert rep["failed_step"] == -1
+    assert rep["reason"].startswith("edge monomials not established")
+
+
+def test_verify_reports_a_failed_sv_step_with_huge_exponents(run, tmp_path):
+    # y^e * y^e has an exponent of 4,301 digits, past the int-to-str limit;
+    # the reason names the two factors instead of their product
+    e = 9 * 10 ** 4299
+    data = {"edges": [["x1", "x2"]],
+            "generators": [[[[["w", 1], ["x1", 1], ["x2", 1]], 1]],
+                           [[[["x1", 1], ["x2", 1], ["y", e]], 1],
+                            [[["x1", 1], ["x2", 1], ["y", e], ["z", 1]], 1]]],
+            "steps": [{"kind": "sv", "rho": 0, "sum": 1}]}
+    out = tmp_path / "cert.json"
+    out.write_text(json.dumps(data))
+    rep = run(["verify", str(out)], expect=1)
+    assert rep["failed_step"] == 0 and "does not divide" in rep["reason"]
+
+
 @pytest.mark.parametrize("text", [
     "[" * 200_000 + "]" * 200_000,
     '{"edges": [], "generators": [], "steps": [], "x": %s}' % ("9" * 5000),
@@ -302,3 +342,92 @@ def test_gens_svsearch_layer_cap_below_one_exits_2(graph_file, capsys):
     f = graph_file("p4.txt", "a b\nb c\nc d\n")
     input_error(["gens", "--family", "svsearch", f, "--max-layers", "0"],
                 capsys)
+
+
+# -- fuzzing verify: every certificate file gets exit 0, 1 or 2 ----------
+
+
+BASE_CERTIFICATES = [certified_set_to_data(*c) for c in (
+    constructions.gens_cycle(5), constructions.gens_lemma52(1, 1),
+    constructions.gens_prop42(Graph.build([("a", "b")]),
+                              {"a": constructions.WHISKER, "b": 4}))]
+HUGE = [10 ** 4299, -10 ** 4299, 2 ** 64, 10 ** 9, -1, 0, 1, 2]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from(HUGE)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _slots(node):
+    """Every (container, key) slot of a JSON tree, each parent's before its
+    children's."""
+    out = []
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        out.append((node, key))
+        out.extend(_slots(child))
+    return out
+
+
+def _mutate(data, draw):
+    """One structural mutation of a serialized certificate."""
+    slots = _slots(data)
+    if not slots:
+        return
+    node, key = slots[draw(st.integers(0, len(slots) - 1))]
+    how = draw(st.sampled_from(["replace", "delete", "extra-key", "kind",
+                                "ref"]))
+    if how == "replace":
+        node[key] = draw(JSON_VALUES)
+    elif how == "delete":
+        del node[key]
+    elif how == "extra-key":
+        target = node[key] if isinstance(node[key], dict) else data
+        target[draw(st.sampled_from(["kind", "rho", "sum", "target", "k",
+                                     "subtract", "combination", "isolated",
+                                     "extra"]))] = draw(JSON_VALUES)
+    elif how == "kind":
+        steps = data.get("steps")
+        if isinstance(steps, list) and steps and isinstance(steps[-1], dict):
+            steps[-1]["kind"] = draw(st.sampled_from(
+                ["sv", "linear", "power", "teleport", "", 0]))
+    else:
+        node[key] = draw(st.integers(-3, 60) | st.sampled_from(HUGE))
+
+
+def _grow(data, draw):
+    """A huge size: the first element of one list repeated up to 1,000 times
+    (once per example, so that repeats do not multiply)."""
+    lists = [(node, key) for node, key in _slots(data)
+             if isinstance(node[key], list) and node[key]]
+    if lists:
+        node, key = lists[draw(st.integers(0, len(lists) - 1))]
+        node[key] = node[key] + node[key][:1] * draw(st.integers(1, 1000))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_verify_survives_mutated_certificates(tmp_path_factory, data):
+    cert = copy.deepcopy(data.draw(st.sampled_from(BASE_CERTIFICATES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(cert, data.draw)
+    if data.draw(st.booleans()):
+        _grow(cert, data.draw)
+    path = tmp_path_factory.mktemp("fuzz") / "cert.json"
+    path.write_text(json.dumps(cert))
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])
+    assert time.perf_counter() - start < 10
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["verified"] == (code == 0)

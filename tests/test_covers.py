@@ -60,10 +60,10 @@ def test_enumeration_guard():
 
 def test_cover_stats_memo_is_by_value(monkeypatch):
     enumerated = []
-    real = covers.enumerate_minimal_covers
-    monkeypatch.setattr(covers, "enumerate_minimal_covers",
+    real = covers._independent_masks
+    monkeypatch.setattr(covers, "_independent_masks",
                         lambda g, limit: enumerated.append(g) or
-                        real(g, limit=limit))
+                        real(g, limit))
     covers._cover_stats.cache_clear()
     g1 = path_graph(7, prefix="memo")
     g2 = Graph.build(reversed(g1.sorted_edges()))
@@ -220,3 +220,29 @@ def test_heights_are_relabeling_invariant(g, rng):
 def test_every_enumerated_cover_is_minimal(g):
     for c in covers.enumerate_minimal_covers(g):
         assert is_minimal_cover(g, c.vertices) or not g.edges
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs(max_n=8))
+def test_forced_vertices_match_brute_force(g):
+    g = g.union(Graph.build(isolated=["zz"]))
+    brute = brute_force_minimal_covers(g)
+    top = max(len(c) for c in brute)
+    for x in g.vertices:
+        expected = all(x in c for c in brute if len(c) == top)
+        assert covers.vertex_in_every_maximum_cover(g, x) == expected
+    assert not covers.vertex_in_every_maximum_cover(g, "zz")
+    assert not covers.vertex_in_every_maximum_cover(g, "not-a-vertex")
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(max_n=8))
+def test_all_covers_are_ordered_by_their_independent_sets(g):
+    # the order of all_covers decides which avoiding cover Case 1.2a reports
+    stats = covers.cover_stats(g)
+    active = frozenset(g.non_isolated)
+    keys = [sorted(active - c.vertices) for c in stats.all_covers]
+    assert keys == sorted(keys)
+    assert sorted((c.vertices for c in stats.all_covers), key=sorted) == \
+        brute_force_minimal_covers(g)
+    assert stats.all_covers is covers.cover_stats(g).all_covers

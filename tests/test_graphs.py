@@ -3,6 +3,7 @@ chordality, whisker recognizers, and the edge-list text format."""
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +15,7 @@ from conftest import (BOWTIE, TRIANGLE, WHISKER_P3,
                       brute_force_maximal_cliques, cactus_oracle,
                       chordal_oracle, cycle, cycle_subgraph_oracle,
                       format_edge_list, induced_cycles_oracle, path_graph,
-                      whisker_tree_oracle)
+                      to_networkx, whisker_tree_oracle)
 
 
 def test_build_canonicalizes_edges():
@@ -223,6 +224,22 @@ def test_induced_cycles_match_oracle(g):
 @given(random_graphs(max_n=8))
 def test_maximal_cliques_match_oracle(g):
     assert graphs.maximal_cliques(g) == brute_force_maximal_cliques(g)
+
+
+@settings(deadline=None)
+@given(random_graphs(max_n=8))
+def test_maximal_cliques_match_networkx(g):
+    assert graphs.maximal_cliques(g) == sorted(
+        (frozenset(c) for c in nx.find_cliques(to_networkx(g))), key=sorted)
+
+
+def test_bron_kerbosch_returns_masks():
+    # a triangle 0-1-2 with a pendant 3 at 2: cliques {0,1,2} and {2,3}
+    masks = (0b0110, 0b0101, 0b1011, 0b0100)
+    assert sorted(graphs.bron_kerbosch(masks, 0b1111)) == [0b0111, 0b1100]
+    # bits outside the candidates are never visited
+    assert graphs.bron_kerbosch(masks, 0b1100) == [0b1100]
+    assert graphs.bron_kerbosch(masks, 0) == [0]
 
 
 @st.composite
