@@ -103,9 +103,9 @@ class Graph:
 
     @cached_property
     def _cactus_cycles(self):
-        """The cycles of the graph as a sorted tuple of canonical Cycles, or
-        None when it is not a cactus; is_cactus, cycles, cycle_count and
-        branches_at read this one pass.
+        """The cycles of the graph as a sorted tuple of canonical vertex
+        index tuples, or None when it is not a cactus; is_cactus, cycles,
+        cycle_count and branches_at read this one pass.
 
         In a DFS forest every non-tree edge joins a vertex to an ancestor,
         and walking it up the tree gives its fundamental cycle.  These are
@@ -141,8 +141,8 @@ class Graph:
                     walk = walk[i:] + walk[:i]
                     if walk[1] > walk[-1]:
                         walk[1:] = walk[:0:-1]
-                    out.append(Cycle(tuple(self.vertices[j] for j in walk)))
-        return tuple(sorted(out, key=lambda c: c.vertices))
+                    out.append(tuple(walk))
+        return tuple(sorted(out))
 
     # -- basic queries -------------------------------------------------
 
@@ -164,7 +164,7 @@ class Graph:
 
     @cached_property
     def non_isolated(self):
-        return tuple(v for v in self.vertices if self.adj[v])
+        return tuple(v for v, m in zip(self.vertices, self.masks) if m)
 
     def terminal_edges(self):
         """Edges with at least one endpoint of degree 1."""
@@ -218,23 +218,22 @@ class Graph:
     # -- connectivity --------------------------------------------------
 
     def components(self):
-        """Vertex sets of the connected components, canonically sorted."""
-        seen = set()
+        """Vertex sets of the connected components, sorted by least vertex:
+        each is grown from the lowest bit not yet reached."""
+        masks = self.masks
+        rest = (1 << len(masks)) - 1
         comps = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            stack = [start]
-            comp = set()
-            while stack:
-                v = stack.pop()
-                if v in comp:
-                    continue
-                comp.add(v)
-                stack.extend(self.adj[v] - comp)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return sorted(comps, key=lambda c: min(c))
+        while rest:
+            comp = todo = rest & -rest
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                new = masks[low.bit_length() - 1] & ~comp
+                comp |= new
+                todo |= new
+            comps.append(frozenset(map(self.vertices.__getitem__, _bits(comp))))
+            rest ^= comp
+        return comps
 
     def is_connected(self):
         return len(self.components()) <= 1
@@ -294,11 +293,14 @@ def cycles(g):
     """The cycles of a cactus, as Cycle values.  Errors on non-cacti."""
     if g._cactus_cycles is None:
         raise GraphError("graph is not a cactus")
-    return list(g._cactus_cycles)
+    return [Cycle(tuple(map(g.vertices.__getitem__, c)))
+            for c in g._cactus_cycles]
 
 
 def cycle_count(g):
-    return len(cycles(g))
+    if g._cactus_cycles is None:
+        raise GraphError("graph is not a cactus")
+    return len(g._cactus_cycles)
 
 
 def branches_at(g, x):

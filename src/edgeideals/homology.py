@@ -9,23 +9,30 @@ Theory Ser. A 113, 2006), shows that Betti numbers of edge ideals can depend
 on the characteristic from 11 vertices up, which is below the MAX_VERTICES
 guard.  An answer from this module is an answer over F2.
 
-`projective_dimension` visits every nonempty W of the non-isolated vertices
-in increasing bitmask order and keeps the ranks of each in a table indexed
-by mask, one table of 2^n entries per call.  Most W are settled from smaller
-masks already in the table, by two rules that are exact over any field:
+`projective_dimension` keeps the ranks of every nonempty W of the
+non-isolated vertices in a table indexed by mask, one table of 2^n entries
+per call.  Most W are settled from smaller masks by two rules that are
+exact over any field:
 
 - Fold.  If u != v in W have N_W(u) a subset of N_W(v), then Ind(G[W]) is
   homotopy equivalent to Ind(G[W - v]) (Engstrom, "Independence complexes of
   claw-free graphs", European J. Combin. 29, 2008).  A homotopy equivalence
   keeps every homology group and its degree, so W takes the entry of W - v,
-  which was itself folded: W ends with the ranks of its full fold.  A vertex
-  u with no neighbour in W is the case N_W(u) empty: Ind(G[W]) is a cone
-  with apex u, every other vertex folds away, and the point {u} that is left
-  has no reduced homology.
+  whichever fold is picked.  A vertex u with no neighbour in W is the case
+  N_W(u) empty: Ind(G[W]) is a cone with apex u and has no reduced
+  homology.
 - Split.  If no vertex of W folds and G[W] is disconnected, Ind(G[W]) is the
   join of its components' complexes, and over a field H~_n(X * Y) is the
   sum over a + b = n - 1 of H~_a(X) (x) H~_b(Y); the empty complex has rank
   1 in degree -1.  The components are smaller masks, already in the table.
+
+The cones and folds are found for all 2^n masks at once (`_screen`): with
+one bit per W, the member set of vertex i is the 2^n-bit int of the W that
+hold i, and the W in which i is isolated, or in which u folds v away, are
+ands and and-nots of member sets.  One byte per W then codes cone, fold
+(with the vertex folded) or neither.  A loop visits the non-cone W in
+increasing mask order: a folded W copies the entry of W - v, and any other
+W is split.
 
 Only a connected W in which no vertex folds is ranked from scratch: its
 faces are listed as vertex bitmasks (`_independent_faces`) and one F2
@@ -35,6 +42,8 @@ eliminator ranks them (`_reduced_ranks`).  The module imports only `graphs`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import compress
 
 from .graphs import GraphError
 
@@ -140,37 +149,102 @@ def _components(nbr, w):
         w &= ~comp
 
 
-def _subset_ranks(nbr, w, table):
-    """Reduced ranks of Ind(G[w]) by the fold and split rules of the module
-    docstring; table holds the ranks of every smaller mask."""
-    rest = w
-    while rest:
-        u = rest & -rest
-        rest ^= u
-        # v folds onto u when v != u is adjacent to every neighbour of u.
-        folds = w ^ u
-        nu = nbr[u] & w
-        while nu:
-            low = nu & -nu
-            nu ^= low
-            folds &= nbr[low]
+@cache
+def _members(n):
+    """Member sets: for each vertex bit i < n, the 2^n-bit int whose bit W
+    is set iff bit i of W is.  That bit has period 2^(i+1), so one period
+    is doubled up to 2^n bits."""
+    out = []
+    for i in range(n):
+        block, size = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while size < 1 << n:
+            block |= block << size
+            size *= 2
+        out.append(block)
+    return tuple(out)
+
+
+# Screen codes; a fold of vertex bit k is k + 1.  _CONE is 0 so that the
+# codes themselves select the W the loop of _ranks_table visits.
+_CONE, _SPLIT = 0, 255
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _avoiding(members, family, mask):
+    """The W of family that hold no vertex bit of mask."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        family &= ~members[low.bit_length() - 1]
+    return family
+
+
+def _digits(family, size):
+    """The size-bit family as the int whose base-256 digit W is 1 where bit
+    W of family is set and 0 elsewhere.  The bit set at `size` keeps the
+    leading zeros in the binary string; [3:] drops it and the "0b"."""
+    return int.from_bytes(bin(family | 1 << size)[3:].encode()
+                          .translate(_DIGITS), "big")
+
+
+def _screen(nbr, n):
+    """One code per mask W of the n vertex bits, as bytes: _CONE when some
+    vertex of W has no neighbour in W, k + 1 when vertex bit k folds away
+    (some u != k in W has N_W(u) within N_W(k)), and _SPLIT otherwise.
+
+    Each rule is evaluated for all 2^n masks at once on the member sets,
+    one bit per W; a W that several vertices fold gets the least of them.
+    """
+    size = 1 << n
+    members = _members(n)
+    settled = 0
+    for i in range(n):
+        settled |= _avoiding(members, members[i], nbr[1 << i])
+    codes = 0
+    for v in range(n):
+        nv = nbr[1 << v]
+        folds = 0
+        for u in range(n):
+            # u folds v away when W holds u and misses N(u) - N(v).  With no
+            # common neighbour, u is isolated and W is a cone already; a u
+            # adjacent to v, which W holds, never folds it.
+            nu = nbr[1 << u]
+            if u != v and nu & nv and not nu >> v & 1:
+                folds |= _avoiding(members, members[u], nu & ~nv)
+        folds &= members[v] & ~settled
         if folds:
-            return table[w ^ (folds & -folds)]
-    comps = list(_components(nbr, w))
-    if len(comps) == 1:
-        return _reduced_ranks(_independent_faces(nbr, w))
-    ranks = {-1: 1}
-    for c in comps:
-        ranks = _join(ranks, table[c])
-    return ranks
+            settled |= folds
+            codes += _digits(folds, size) * (v + 1)
+    codes += _digits(((1 << size) - 1) & ~settled, size) * _SPLIT
+    return codes.to_bytes(size, "little")
 
 
 def _ranks_table(nbr, n):
     """Reduced F2 ranks {degree: rank} of Ind(G[w]) for every mask w of the
-    n vertex bits, as a list indexed by w; entries may share one dict."""
-    table = [{-1: 1}] + [None] * ((1 << n) - 1)
-    for w in range(1, 1 << n):
-        table[w] = _subset_ranks(nbr, w, table)
+    n vertex bits, as a list indexed by w; entries may share one dict.
+
+    The screen settles each cone (no homology) and each fold (the entry
+    of w minus the folded vertex).  The loop visits the other w in
+    increasing order and splits each into its components, whose smaller
+    masks are already in the table, or, when G[w] is connected, ranks it
+    by F2 elimination.
+    """
+    codes = _screen(nbr, n)
+    table = [{}] * (1 << n)
+    table[0] = {-1: 1}
+    for w in compress(range(1, 1 << n), codes[1:]):
+        code = codes[w]
+        if code != _SPLIT:
+            table[w] = table[w ^ (1 << (code - 1))]
+            continue
+        comps = list(_components(nbr, w))
+        if len(comps) == 1:
+            table[w] = _reduced_ranks(_independent_faces(nbr, w))
+        else:
+            ranks = {-1: 1}
+            for c in comps:
+                ranks = _join(ranks, table[c])
+            table[w] = ranks
     return table
 
 
@@ -183,11 +257,13 @@ def projective_dimension(g):
     active = _guard(g)
     if not g.edges:
         return 0, BettiTable({}, 0)
-    bit = {v: 1 << i for i, v in enumerate(active)}
-    nbr = {bit[v]: sum(bit[u] for u in g.adj[v]) for v in active}
+    if len(active) < len(g.vertices):
+        g = g.drop_isolated()
+    nbr = {1 << i: m for i, m in enumerate(g.masks)}
+    table = _ranks_table(nbr, len(active))
     entries = {}
-    for w, ranks in enumerate(_ranks_table(nbr, len(active))):
-        if w and ranks:
+    for w, ranks in compress(enumerate(table), table):
+        if w:
             size = w.bit_count()
             for deg, r in ranks.items():
                 key = (size - deg - 1, size)

@@ -292,6 +292,15 @@ def test_chordality_matches_oracle(g):
     assert graphs.is_chordal(g) == chordal_oracle(g)
 
 
+@settings(deadline=None)
+@given(st.one_of(random_graphs(max_n=9), sparse_graphs(), cactus_unions()))
+def test_components_and_non_isolated_match_networkx(g):
+    nxg = to_networkx(g)
+    assert g.components() == sorted(
+        map(frozenset, nx.connected_components(nxg)), key=min)
+    assert g.non_isolated == tuple(v for v in g.vertices if nxg.degree(v))
+
+
 def test_recognizers_match_oracles_on_connected_graphs():
     for g in catalog.connected_graphs_upto(7):
         _assert_cactus_matches_oracle(g)

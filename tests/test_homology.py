@@ -5,6 +5,7 @@ test-local Hochster oracle."""
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -132,6 +133,15 @@ def test_pd_at_the_guard_edge():
     assert homology.projective_dimension(g)[0] == covers.big_height(g)
 
 
+def test_pd_at_the_guard_edge_with_a_cycle():
+    # The whisker graph of C7: 14 vertices, Cohen-Macaulay (every whisker
+    # graph is), so pd = height = 7.
+    g = cycle(7).with_edges(("c%d" % i, "w%d" % i) for i in range(7))
+    assert len(g.non_isolated) == homology.MAX_VERTICES
+    assert covers.height(g) == 7
+    assert homology.projective_dimension(g)[0] == 7
+
+
 # -- independent oracle -------------------------------------------------
 #
 # Hochster's formula by the book: every nonempty W (isolated vertices of
@@ -219,6 +229,59 @@ def test_isolated_vertex_subsets_have_no_homology(g):
 
 
 # -- fold, split and the ranks table ------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, homology.MAX_VERTICES])
+def test_member_sets(n):
+    members = homology._members(n)
+    assert len(members) == n
+    for i, m in enumerate(members):
+        assert m == int("".join("01"[w >> i & 1]
+                                for w in reversed(range(1 << n))), 2)
+
+
+def random_screen_masks(rng, n):
+    """Neighbourhood masks of a random graph on n vertex bits, of a random
+    density, with some vertices then made twins of others or isolated."""
+    density = rng.choice((0.15, 0.4, 0.7, 0.95))
+    pairs = {(i, j) for i, j in itertools.combinations(range(n), 2)
+             if rng.random() < density}
+    for _ in range(rng.randint(0, 2) if n > 1 else 0):
+        a, b = rng.sample(range(n), 2)   # b becomes a twin of a
+        pairs = {e for e in pairs if b not in e}
+        pairs |= {tuple(sorted((b, x))) for e in pairs if a in e
+                  for x in e if x != a}
+        if rng.random() < 0.5:
+            pairs.add(tuple(sorted((a, b))))
+    for c in rng.sample(range(n), rng.randint(0, n // 4)):
+        pairs = {e for e in pairs if c not in e}
+    masks = [0] * n
+    for i, j in pairs:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_screen_matches_each_subset(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    masks = random_screen_masks(rng, n)
+    codes = homology._screen({1 << i: m for i, m in enumerate(masks)}, n)
+    assert len(codes) == 1 << n
+    for w in range(1 << n):
+        inside = [i for i in range(n) if w >> i & 1]
+        hood = {i: masks[i] & w for i in inside}
+        cone = any(not hood[i] for i in inside)
+        assert (codes[w] == homology._CONE) == cone, (masks, w)
+        if cone:
+            continue
+        folds = {v for v in inside for u in inside
+                 if u != v and not hood[u] & ~hood[v]}
+        if codes[w] == homology._SPLIT:
+            assert not folds, (masks, w)
+        else:
+            assert codes[w] - 1 in folds, (masks, w)
 
 
 def assert_ranks_table_matches_oracle(g):

@@ -8,10 +8,12 @@ instead.
 
 import pytest
 
-from edgeideals import bounds, classify, covers, graphs
+from edgeideals import (bounds, certificates, classify, constructions, covers,
+                        graphs, homology, polynomials)
 
 
-@pytest.mark.parametrize("mod", [graphs, covers, bounds, classify],
+@pytest.mark.parametrize("mod", [graphs, covers, bounds, classify, homology,
+                                 constructions, certificates, polynomials],
                          ids=lambda m: m.__name__)
 def test_public_functions_have_code(mod):
     public = {name: obj for name, obj in vars(mod).items()
