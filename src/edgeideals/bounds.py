@@ -8,7 +8,7 @@ is a hard error: the inequalities are proved unconditionally, so a violation
 means an implementation bug.
 
 The structural questions (cactus, cycles, branches, fully whiskered) are
-answered by `graphs`; Prop 4.2 graphs are built by `constructions`.
+answered by `graphs`, which also builds the Prop 4.2 graphs.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import covers, graphs
-from .constructions import WHISKER, build_attached_graph
-from .graphs import TWO_BRANCH, Graph, GraphError, edge
+from .graphs import (TWO_BRANCH, WHISKER, Graph, GraphError,
+                     build_attached_graph, edge)
 
 
 class TraceInvariantError(GraphError):
@@ -45,10 +45,10 @@ def _require_cactus(g):
         raise GraphError("graph is not a cactus")
 
 
-def theorem34_bound(g, limit=covers.DEFAULT_VERTEX_LIMIT):
+def theorem34_bound(g):
     """ara I(G) <= bight I(G) + n for a cactus graph with n cycles."""
     n = graphs.cycle_count(g)
-    bh = covers.big_height(g, limit=limit)
+    bh = covers.big_height(g)
     return BoundReport(g, n, bh, bh + n)
 
 
@@ -77,7 +77,7 @@ def open_cycle(g, cycle, v):
     return g.without_edges([edge(xs, v)]).with_edges([(xs, y)])
 
 
-def corollary41_bound(g, limit=covers.DEFAULT_VERTEX_LIMIT):
+def corollary41_bound(g):
     """Improved bound bight + n - k, where k counts the cycles of length
     divisible by 3 in which all vertices have degree 2 except (at most) two
     consecutive ones."""
@@ -95,12 +95,12 @@ def corollary41_bound(g, limit=covers.DEFAULT_VERTEX_LIMIT):
             if j - i == 1 or (i == 0 and j == len(walk) - 1):
                 k += 1
     n = graphs.cycle_count(g)
-    bh = covers.big_height(g, limit=limit)
+    bh = covers.big_height(g)
     return BoundReport(g, n, bh, bh + n - k, improvement_k=k,
                        source="Cor 4.1")
 
 
-def proposition42_bound(base, attachments, limit=covers.DEFAULT_VERTEX_LIMIT):
+def proposition42_bound(base, attachments):
     """Bound for the graph obtained by attaching a whisker or a cycle to
     every vertex of a base graph: bight + m, where m counts the attached
     cycles of length congruent to 1 mod 3.  When every cycle has length 3
@@ -111,7 +111,7 @@ def proposition42_bound(base, attachments, limit=covers.DEFAULT_VERTEX_LIMIT):
     g, _ = build_attached_graph(base, attachments)
     lengths = [a for a in attachments.values() if a != WHISKER]
     m = sum(1 for ell in lengths if ell % 3 == 1)
-    stats = covers.cover_stats(g, limit=limit)
+    stats = covers.cover_stats(g)
     stci = all(ell in (3, 5) for ell in lengths)
     if stci and stats.height != stats.big_height:
         raise TraceInvariantError(
@@ -159,10 +159,10 @@ def _check(cond, msg, **numbers):
                                         for kv in sorted(numbers.items()))))
 
 
-def _node_bound(g, limit):
+def _node_bound(g):
     if not g.edges:
         return 0
-    return covers.big_height(g, limit=limit) + graphs.cycle_count(g)
+    return covers.big_height(g) + graphs.cycle_count(g)
 
 
 def _budget_check(node):
@@ -173,7 +173,7 @@ def _budget_check(node):
     return node
 
 
-def theorem34_trace(g, limit=covers.DEFAULT_VERTEX_LIMIT):
+def theorem34_trace(g):
     """Replay the inductive proof of the bight + n bound on g.
 
     The returned tree has one node per proof step: OpenCycle preprocessing,
@@ -188,14 +188,14 @@ def theorem34_trace(g, limit=covers.DEFAULT_VERTEX_LIMIT):
     if not g.vertices:
         return TraceNode(g, "Base-FullyWhiskered", 0)
     if not g.is_connected():
-        children = tuple(_trace(c, limit) for c in g.component_graphs())
-        return _budget_check(TraceNode(g, "Components", _node_bound(g, limit),
+        children = tuple(_trace(c) for c in g.component_graphs())
+        return _budget_check(TraceNode(g, "Components", _node_bound(g),
                                        children=children))
-    return _trace(g, limit)
+    return _trace(g)
 
 
-def _trace(g, limit):
-    bound = _node_bound(g, limit)
+def _trace(g):
+    bound = _node_bound(g)
 
     if len(g.edges) == 1:
         return TraceNode(g, "Base-SingleEdge", bound)
@@ -206,9 +206,8 @@ def _trace(g, limit):
         for v in sorted(cycle.vertices):
             if g.degree(v) == 2:
                 opened = open_cycle(g, cycle, v)
-                child = _trace(opened, limit)
-                bh, bh_child = covers.big_height(g, limit=limit), \
-                    covers.big_height(opened, limit=limit)
+                child = _trace(opened)
+                bh, bh_child = covers.big_height(g), covers.big_height(opened)
                 _check(bh <= bh_child <= bh + 1,
                        "opening a cycle must keep bight within +1",
                        before=bh, after=bh_child)
@@ -224,10 +223,10 @@ def _trace(g, limit):
     for u, v in g.terminal_edges():
         on_terminal.update((u, v))
     x = min(v for v in g.vertices if v not in on_terminal)
-    return _split(g, x, bound, limit)
+    return _split(g, x, bound)
 
 
-def _split(g, x, bound, limit):
+def _split(g, x, bound):
     """One inductive step at x: pick the branch G2, classify by which
     maximum minimal covers contain x, recurse on the two parts."""
     branches = graphs.branches_at(g, x)
@@ -237,7 +236,7 @@ def _split(g, x, bound, limit):
         _check(len(br.subgraph.edges) > 1, "no branch may be a single edge")
 
     def forced(h):
-        return covers.vertex_in_every_maximum_cover(h, x, limit=limit)
+        return covers.vertex_in_every_maximum_cover(h, x)
 
     unforced = [br for br in branches if not forced(br.subgraph)]
     g2_branch = max(unforced, key=lambda br: br.sort_key()) if unforced \
@@ -245,9 +244,9 @@ def _split(g, x, bound, limit):
     g2 = g2_branch.subgraph
     g1 = g.edge_subgraph(g.edges - g2.edges)
 
-    b = covers.big_height(g, limit=limit)
-    b1 = covers.big_height(g1, limit=limit)
-    b2 = covers.big_height(g2, limit=limit)
+    b = covers.big_height(g)
+    b1 = covers.big_height(g1)
+    b2 = covers.big_height(g2)
     numbers = {"b": b, "b1": b1, "b2": b2}
     ys = sorted(g2.neighbors(x))
     two_branch = g2_branch.kind == TWO_BRANCH
@@ -259,8 +258,8 @@ def _split(g, x, bound, limit):
         (and minus the then-isolated x)."""
         g1p = g1.with_edges((x, y) for y in ys)
         g2bar = g2.without_edges(edge(x, y) for y in ys).drop_isolated()
-        b1p = covers.big_height(g1p, limit=limit)
-        b2bar = covers.big_height(g2bar, limit=limit)
+        b1p = covers.big_height(g1p)
+        b2bar = covers.big_height(g2bar)
         numbers["b1_prime"] = b1p
         numbers["b2_bar"] = b2bar
         if two_branch:
@@ -284,8 +283,7 @@ def _split(g, x, bound, limit):
         else:
             # Some maximum cover of G2 avoids x; split a) / b) on whether
             # one of them leaves x without redundant neighbours.
-            avoiding = [c for c in covers.maximum_minimal_covers(g2,
-                                                                 limit=limit)
+            avoiding = [c for c in covers.maximum_minimal_covers(g2)
                         if x not in c.vertices]
             _check(bool(avoiding), "unforced branch must have an avoiding "
                                    "maximum cover")
@@ -315,5 +313,5 @@ def _split(g, x, bound, limit):
         children = (g1, g2)
 
     node = TraceNode(g, tag, bound, cover_numbers=numbers, detail=detail,
-                     children=tuple(_trace(c, limit) for c in children))
+                     children=tuple(_trace(c) for c in children))
     return _budget_check(node)

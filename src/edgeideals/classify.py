@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import covers, graphs
-from .constructions import WHISKER
-from .graphs import GraphError
+from .graphs import WHISKER, GraphError
 
 CM = "CM"
 NOT_CM = "NotCM"
@@ -118,7 +117,7 @@ def _match_case(g, cycle):
     return None
 
 
-def classify_unicyclic(g, limit=covers.DEFAULT_VERTEX_LIMIT):
+def classify_unicyclic(g):
     """Classify a connected unicyclic graph.  Cohen-Macaulayness is
     equivalent to being pure and different from the 4- and 7-cycles; every
     Cohen-Macaulay graph then matches one of five structural cases, each of
@@ -131,7 +130,7 @@ def classify_unicyclic(g, limit=covers.DEFAULT_VERTEX_LIMIT):
     (cycle,) = cycle_list
     ell = cycle.length
 
-    stats = covers.cover_stats(g, limit=limit)
+    stats = covers.cover_stats(g)
     if not stats.unmixed:
         return CmVerdict(NOT_CM, case_tag="Thm 5.1",
                          evidence={"cycle_length": ell,
@@ -150,14 +149,14 @@ def classify_unicyclic(g, limit=covers.DEFAULT_VERTEX_LIMIT):
     return CmVerdict(CM, "Yes", tag, evidence)
 
 
-def corollary44(g, limit=covers.DEFAULT_VERTEX_LIMIT):
+def corollary44(g):
     """For chordal graphs, or graphs without C4/C5 subgraphs: purity, CM,
     the simplex partition and STCI are all equivalent."""
     if not graphs.is_chordal(g) and (graphs.has_cycle_subgraph(g, 4)
                                      or graphs.has_cycle_subgraph(g, 5)):
         raise HypothesisError("hypothesis not met: graph is neither chordal "
                               "nor free of length-4/5 cycle subgraphs")
-    stats = covers.cover_stats(g, limit=limit)
+    stats = covers.cover_stats(g)
     part_ok, partition = simplex_partition_check(g)
     if stats.unmixed != part_ok:
         raise GraphError("internal invariant violation: purity and the "
@@ -170,7 +169,7 @@ def corollary44(g, limit=covers.DEFAULT_VERTEX_LIMIT):
                                "big_height": stats.big_height})
 
 
-def corollary61(g, limit=covers.DEFAULT_VERTEX_LIMIT):
+def corollary61(g):
     """For connected graphs of girth at least 6 that are neither a single
     edge nor a 7-cycle: pure <=> whisker graph <=> Cohen-Macaulay."""
     if not g.is_connected():
@@ -183,7 +182,7 @@ def corollary61(g, limit=covers.DEFAULT_VERTEX_LIMIT):
     if graphs.induced_cycles_shorter_than(g, 6):
         raise HypothesisError("hypothesis not met: graph has a minimal cycle "
                               "of length less than 6")
-    stats = covers.cover_stats(g, limit=limit)
+    stats = covers.cover_stats(g)
     whisker, base = graphs.is_whisker_graph(g)
     if stats.unmixed != whisker:
         raise GraphError("internal invariant violation: purity and the "
@@ -243,23 +242,23 @@ def _prop42_tail(g):
     return base, kinds
 
 
-def stci_verdict(g, limit=covers.DEFAULT_VERTEX_LIMIT):
+def stci_verdict(g):
     """Try each classification result in fixed order and return the strongest
     verdict; Unknown when nothing applies."""
     if g.edges and g.is_connected() and len(g.edges) == len(g.vertices):
-        return classify_unicyclic(g, limit=limit)
+        return classify_unicyclic(g)
     try:
-        return corollary44(g, limit=limit)
+        return corollary44(g)
     except HypothesisError:
         pass
     try:
-        return corollary61(g, limit=limit)
+        return corollary61(g)
     except HypothesisError:
         pass
     tail = _prop42_tail(g)
     if tail is not None:
         base, kinds = tail
-        stats = covers.cover_stats(g, limit=limit)
+        stats = covers.cover_stats(g)
         if stats.unmixed:
             return CmVerdict(CM, "Yes", "Prop 4.2 tail",
                              {"base_vertices": sorted(base.vertices),

@@ -10,9 +10,9 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import covers
-from .certificates import (CertBuilder, Certificate, GeneratorSet,
-                           LinearStep, PowerStep, SVStep)
-from .graphs import Graph, GraphError, edge, is_whisker_tree
+from .certificates import CertBuilder, LinearStep, PowerStep, SVStep
+from .graphs import (WHISKER, Graph, GraphError, _bits, build_attached_graph,
+                     cycle_graph, edge, is_whisker_tree)
 from .polynomials import Monomial, Polynomial
 
 
@@ -21,8 +21,8 @@ class ConstructionError(GraphError):
 
 
 class SearchBudgetError(ConstructionError):
-    """A bounded generator search ran out of budget (a normal, explicit
-    outcome; never silently worked around)."""
+    """A generator search found no layering within the layer cap (a normal,
+    explicit outcome; never silently worked around)."""
 
 
 def _m(*vs):
@@ -38,11 +38,6 @@ def _sum(*monomials):
 
 
 # -- cycles of length 3, 4, 5 -----------------------------------------
-
-
-def cycle_graph(labels):
-    n = len(labels)
-    return Graph.build((labels[i], labels[(i + 1) % n]) for i in range(n))
 
 
 def default_cycle_labels(length):
@@ -255,10 +250,6 @@ def gens_lemma52(r, s, x=None, r_paths=None, s_paths=None):
 # outside the remaining mask, is such a witness.
 
 
-def _bits(mask):
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 def _witness_table(monomials):
     bit = {frozenset(v for v, _ in m.exps): 1 << i
            for i, m in enumerate(monomials)}
@@ -274,7 +265,7 @@ def _compatible_cliques(remaining, monomials, witnesses):
     runs on frozensets of Monomials, so its pivot ties and hence the clique
     order follow string-hash order."""
     earlier = ~remaining
-    idx = _bits(remaining)
+    idx = list(_bits(remaining))
     # Every set is filled in sort_key order, which fixes its iteration order
     # for a given hash seed.
     rem = [monomials[i] for i in idx]
@@ -328,7 +319,7 @@ def _layer_witnesses(layers, monomials, witnesses):
     witness = {}
     earlier = 0
     for layer in layers:
-        idx = _bits(layer)
+        idx = list(_bits(layer))
         for a, i in enumerate(idx):
             for j in idx[a + 1:]:
                 w = witnesses[i][j] & earlier
@@ -343,7 +334,7 @@ def _edge_monomials(g):
     return [Monomial.of(u, v) for u, v in g.sorted_edges()]
 
 
-def sv_layer_search(g, max_layers=None, budget=None, first=None):
+def sv_layer_search(g, max_layers=None, first=None):
     """Search for a Schmitt-Vogel layering of the edge monomials of g.
 
     Tries each edge (or only `first`, when pinned) as the singleton bottom
@@ -368,8 +359,6 @@ def sv_layer_search(g, max_layers=None, budget=None, first=None):
         if Monomial.of(*first) not in monomials:
             raise ConstructionError("first layer monomial is not an edge")
         starts = [monomials.index(Monomial.of(*first))]
-    if budget is not None:
-        starts = starts[:budget]
     cap = max_layers if max_layers is not None else len(monomials)
     if cap < 1:
         raise ConstructionError("max_layers must be at least 1")
@@ -423,10 +412,10 @@ def _emit_layer_steps(b, layer, layer_ref, witness):
         b.power(mu, 2, combo)
 
 
-def gens_whisker_tree(t, anchor_edge, budget=None):
+def gens_whisker_tree(t, anchor_edge):
     """n polynomials (n = number of non-terminal vertices) generating the
     edge ideal of a whisker tree up to radical, with the anchor edge as a
-    standalone monomial generator.  Errors when the bounded search fails."""
+    standalone monomial generator.  Errors when the capped search fails."""
     if not is_whisker_tree(t)[0]:
         raise ConstructionError("graph is not a whisker tree")
     u, v = anchor_edge
@@ -435,7 +424,7 @@ def gens_whisker_tree(t, anchor_edge, budget=None):
     if t.degree(u) == 1 or t.degree(v) == 1:
         raise ConstructionError("anchor edge must be non-terminal")
     n = sum(1 for w in t.vertices if t.degree(w) > 1)
-    res = sv_layer_search(t, max_layers=n, budget=budget, first=(u, v))
+    res = sv_layer_search(t, max_layers=n, first=(u, v))
     if res is None:
         raise SearchBudgetError("no layering of size %d found" % n)
     return res
@@ -473,45 +462,7 @@ def _splice_steps(b, gen_refs, steps):
 # -- attaching whiskers/cycles to every vertex of a base graph --------
 
 
-WHISKER = "whisker"
-
-
-def build_attached_graph(base, attachments):
-    """The graph obtained by attaching, to each base vertex, a whisker or a
-    cycle of the given length.  Returns (graph, per-vertex attachment labels).
-
-    attachments: dict vertex -> WHISKER or an int cycle length (>= 3).
-    Fresh vertices are named <v>_w / <v>_c2.. and collision-checked.
-    """
-    if set(attachments) != set(base.vertices):
-        raise ConstructionError("need exactly one attachment per base vertex")
-    edges = list(base.edges)
-    labels = {}
-    taken = set(base.vertices)
-
-    def fresh(name):
-        if name in taken:
-            raise ConstructionError("fresh vertex label %r collides" % name)
-        taken.add(name)
-        return name
-
-    for v in base.vertices:
-        att = attachments[v]
-        if att == WHISKER:
-            w = fresh(v + "_w")
-            edges.append((v, w))
-            labels[v] = (v, w)
-        elif isinstance(att, int) and att >= 3:
-            ring = (v,) + tuple(fresh("%s_c%d" % (v, i))
-                                for i in range(2, att + 1))
-            edges += [(ring[i], ring[(i + 1) % att]) for i in range(att)]
-            labels[v] = ring
-        else:
-            raise ConstructionError("bad attachment %r for %r" % (att, v))
-    return Graph.build(edges), labels
-
-
-def gens_prop42(base, attachments, budget=None):
+def gens_prop42(base, attachments):
     """Generator set of size sum(a_i) for a base graph with a whisker or a
     cycle of length 3, 4 or 5 attached to each vertex (a_i = 1 for whiskers,
     2/3/3 for the cycles)."""
@@ -525,7 +476,7 @@ def gens_prop42(base, attachments, budget=None):
     whisker_edges = [(v, labels[v][1]) for v in base.vertices]
     wg = base.with_edges(whisker_edges)
     n = len(base.vertices)
-    s0 = sv_layer_search(wg, max_layers=n, budget=budget)
+    s0 = sv_layer_search(wg, max_layers=n)
     if s0 is None:
         raise SearchBudgetError(
             "no %d-layer generator set found for the whisker graph" % n)
@@ -568,7 +519,7 @@ def _attachment_case(att, root):
     return e, stripped, ("B" if stripped.degree(e) == 1 else "A")
 
 
-def gens_lemma53(r, s, attach_x1=(), attach_x3=(), x=None, budget=None):
+def gens_lemma53(r, s, attach_x1=(), attach_x3=(), x=None):
     """Extend the 5-cycle family with whisker-tree attachments at x1 / x3.
 
     Each attachment is a graph containing the root vertex (x1 or x3) with a
@@ -606,12 +557,12 @@ def gens_lemma53(r, s, attach_x1=(), attach_x3=(), x=None, budget=None):
     spliced = []
     for root in (x1, x3):
         for _, e, f, stripped in case_a[root]:
-            gs_i, cert_i = gens_whisker_tree(stripped, (e, f), budget=budget)
+            gs_i, cert_i = gens_whisker_tree(stripped, (e, f))
             refs = [b.gen(p) for p in gs_i.polys[1:]]
             spliced.append((gs_i, cert_i, refs, _m(e, f)))
     for att in case_b:
         bh = covers.big_height(att)
-        res = sv_layer_search(att, max_layers=bh, budget=budget)
+        res = sv_layer_search(att, max_layers=bh)
         if res is None:
             raise SearchBudgetError("no %d-layer set for a tree attachment"
                                     % bh)
@@ -631,7 +582,7 @@ def gens_lemma53(r, s, attach_x1=(), attach_x3=(), x=None, budget=None):
 # -- the 4-cycle with trees on two adjacent vertices ------------------
 
 
-def gens_lemma54(h1, h2, x=("x1", "x2", "x3", "x4"), budget=None):
+def gens_lemma54(h1, h2, x=("x1", "x2", "x3", "x4")):
     """Generator set for the 4-cycle with non-empty trees attached at the two
     adjacent vertices x1, x2 (x3, x4 having degree 2), under the hypothesis
     that h1 + the edge x1x2 + h2 is a whisker tree.  Size |C1| + |C2| + 1."""
@@ -676,7 +627,7 @@ def gens_lemma54(h1, h2, x=("x1", "x2", "x3", "x4"), budget=None):
     for xi, yi, h in ((x1, y1, h1), (x2, y2, h2)):
         if len(h.edges) == 1:
             continue
-        gs_i, cert_i = gens_whisker_tree(h, (xi, yi), budget=budget)
+        gs_i, cert_i = gens_whisker_tree(h, (xi, yi))
         refs = [b.gen(p) for p in gs_i.polys[1:]]
         spliced.append((cert_i, refs, _m(xi, yi)))
 

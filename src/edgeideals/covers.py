@@ -8,10 +8,11 @@ complement graph, found as int masks by `graphs.bron_kerbosch` on
 complement bitmasks.
 
 `cover_stats` memoises its results for the _COVER_MEMO_SIZE most recently
-used (graph, limit) pairs; `height`, `big_height`,
-`enumerate_minimal_covers`, `maximum_minimal_covers` and
-`vertex_in_every_maximum_cover` read from that memo.  A Graph is an
-immutable value, so equal graphs share an entry.  An entry holds the
+used graphs; `height`, `big_height`, `enumerate_minimal_covers`,
+`maximum_minimal_covers` and `vertex_in_every_maximum_cover` read through
+it.  A Graph is an immutable value, so equal graphs share an entry.  The
+size guard DEFAULT_VERTEX_LIMIT is checked by `cover_stats` on every call,
+outside the memo, so a CoverSizeError is never cached.  An entry holds the
 masks, the cover numbers counted from them and the union of the smallest
 sets (so a vertex is in every maximum cover iff it is non-isolated and
 outside that union); the MinimalCover values are built only when
@@ -31,7 +32,8 @@ from dataclasses import dataclass, field
 from .graphs import Graph, GraphError, _vertex_sets, bron_kerbosch
 
 # Worst-case enumeration is exponential; this keeps interactive use under
-# seconds.  Raise via the `limit` argument when you know what you are doing.
+# seconds.  It is the one size guard of the enumeration, read only by
+# `cover_stats`.
 DEFAULT_VERTEX_LIMIT = 26
 
 # theorem34_trace asks for the covers of the same subgraphs several times
@@ -82,28 +84,19 @@ class CoverStats:
                      for ind in _vertex_sets(g.vertices, self.independent))
 
 
-def _independent_masks(g, limit):
+def _independent_masks(g):
     """The masks of the maximal independent sets of the non-isolated part of
     g: Bron-Kerbosch with pivoting on the complement adjacency masks."""
-    if len(g.non_isolated) > limit:
-        raise CoverSizeError(
-            "%d non-isolated vertices exceeds the enumeration guard (%d)"
-            % (len(g.non_isolated), limit))
     active = sum(1 << i for i, m in enumerate(g.masks) if m)
     non_adj = [active & ~m & ~(1 << i) for i, m in enumerate(g.masks)]
     return bron_kerbosch(non_adj, active)
 
 
-def maximal_independent_sets(g, limit=DEFAULT_VERTEX_LIMIT):
-    """All maximal independent sets of the non-isolated part of g, sorted."""
-    return _vertex_sets(g.vertices, _independent_masks(g, limit))
-
-
 @functools.lru_cache(maxsize=_COVER_MEMO_SIZE)
-def _cover_stats(g, limit):
+def _cover_stats(g):
     # _independent_masks is looked up as a module global, so that a test can
     # count the enumerations that really run.
-    sets = _independent_masks(g, limit)
+    sets = _independent_masks(g)
     sizes = [s.bit_count() for s in sets]
     smallest, largest = min(sizes), max(sizes)
     avoidable = 0
@@ -116,40 +109,47 @@ def _cover_stats(g, limit):
                       independent=tuple(sets), avoidable=avoidable)
 
 
-def cover_stats(g, limit=DEFAULT_VERTEX_LIMIT):
+def cover_stats(g):
     """Height, big height, unmixedness and every minimal cover of g (memoised
-    per (g, limit); a CoverSizeError is raised again on every call)."""
-    return _cover_stats(g, limit)
+    per g; a CoverSizeError is raised again on every call)."""
+    # The vertex count comes first: it bounds the non-isolated count and
+    # needs no adjacency masks on a memo hit.
+    if len(g.vertices) > DEFAULT_VERTEX_LIMIT \
+            and len(g.non_isolated) > DEFAULT_VERTEX_LIMIT:
+        raise CoverSizeError(
+            "%d non-isolated vertices exceeds the enumeration guard (%d)"
+            % (len(g.non_isolated), DEFAULT_VERTEX_LIMIT))
+    return _cover_stats(g)
 
 
-def enumerate_minimal_covers(g, limit=DEFAULT_VERTEX_LIMIT):
+def enumerate_minimal_covers(g):
     """Every minimal vertex cover of g, canonically sorted and duplicate-free.
 
     Isolated vertices never appear in a minimal cover.  The edgeless graph
     has the empty cover as its only (and maximum) minimal cover.
     """
-    return list(_cover_stats(g, limit).all_covers)
+    return list(cover_stats(g).all_covers)
 
 
-def height(g, limit=DEFAULT_VERTEX_LIMIT):
-    return cover_stats(g, limit=limit).height
+def height(g):
+    return cover_stats(g).height
 
 
-def big_height(g, limit=DEFAULT_VERTEX_LIMIT):
-    return cover_stats(g, limit=limit).big_height
+def big_height(g):
+    return cover_stats(g).big_height
 
 
-def maximum_minimal_covers(g, limit=DEFAULT_VERTEX_LIMIT):
+def maximum_minimal_covers(g):
     """The minimal covers of maximum cardinality."""
-    stats = _cover_stats(g, limit)
+    stats = cover_stats(g)
     return [c for c in stats.all_covers if len(c) == stats.big_height]
 
 
-def vertex_in_every_maximum_cover(g, x, limit=DEFAULT_VERTEX_LIMIT):
+def vertex_in_every_maximum_cover(g, x):
     """Whether x lies in every maximum minimal cover of g: x is not isolated
     and no smallest maximal independent set holds it (False for a label
     that is not a vertex of g)."""
-    stats = _cover_stats(g, limit)
+    stats = cover_stats(g)
     return bool(g.adj.get(x)) and \
         not stats.avoidable >> g.vertices.index(x) & 1
 

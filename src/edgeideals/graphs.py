@@ -1,6 +1,7 @@
 """Immutable finite simple graphs and every structural recognizer the rest
 of the package uses: cactus, cycles and branches, chordality, cliques,
-whisker graphs and whisker trees, and the short-cycle screens.
+whisker graphs and whisker trees, and the short-cycle screens; also the
+cycle and attached-graph (Prop 4.2) builders.
 
 Vertices are nonempty whitespace-free string labels, ordered lexicographically.
 All outputs are canonically sorted so that every operation is deterministic.
@@ -367,6 +368,52 @@ def is_whisker_tree(g):
     whiskers = {v: next(w for w in g.adj[v] if g.degree(w) == 1)
                 for v in base.vertices}
     return True, {"base": base, "whiskers": whiskers}
+
+
+# -- cycles and attachments ------------------------------------------
+
+
+WHISKER = "whisker"
+
+
+def cycle_graph(labels):
+    n = len(labels)
+    return Graph.build((labels[i], labels[(i + 1) % n]) for i in range(n))
+
+
+def build_attached_graph(base, attachments):
+    """The graph obtained by attaching, to each base vertex, a whisker or a
+    cycle of the given length.  Returns (graph, per-vertex attachment labels).
+
+    attachments: dict vertex -> WHISKER or an int cycle length (>= 3).
+    Fresh vertices are named <v>_w / <v>_c2.. and collision-checked.
+    """
+    if set(attachments) != set(base.vertices):
+        raise GraphError("need exactly one attachment per base vertex")
+    edges = list(base.edges)
+    labels = {}
+    taken = set(base.vertices)
+
+    def fresh(name):
+        if name in taken:
+            raise GraphError("fresh vertex label %r collides" % name)
+        taken.add(name)
+        return name
+
+    for v in base.vertices:
+        att = attachments[v]
+        if att == WHISKER:
+            w = fresh(v + "_w")
+            edges.append((v, w))
+            labels[v] = (v, w)
+        elif isinstance(att, int) and att >= 3:
+            ring = (v,) + tuple(fresh("%s_c%d" % (v, i))
+                                for i in range(2, att + 1))
+            edges += [(ring[i], ring[(i + 1) % att]) for i in range(att)]
+            labels[v] = ring
+        else:
+            raise GraphError("bad attachment %r for %r" % (att, v))
+    return Graph.build(edges), labels
 
 
 # -- cliques, chordality, small cycles --------------------------------

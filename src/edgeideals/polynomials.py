@@ -95,11 +95,11 @@ class Polynomial:
     @staticmethod
     def of(*monomials):
         """Sum of monomials, each with coefficient +1."""
-        return Polynomial(_canon((m, 1) for m in monomials))
+        return Polynomial(tuple((m, 1) for m in monomials))
 
     @staticmethod
     def term(m, c=1):
-        return Polynomial(_canon([(m, c)]))
+        return Polynomial(((m, c),))
 
     @staticmethod
     def zero():

@@ -22,11 +22,11 @@ import pytest
 
 from edgeideals.constructions import _layers_to_certificate, sv_layer_search
 from edgeideals.covers import (DEFAULT_VERTEX_LIMIT, CoverSizeError,
-                               MinimalCover, big_height, is_redundant_neighbor,
-                               maximum_minimal_covers,
+                               MinimalCover, big_height, cover_stats,
+                               is_redundant_neighbor, maximum_minimal_covers,
                                vertex_in_every_maximum_cover)
-from edgeideals.graphs import (Cycle, Graph, GraphError, _bits, edge,
-                               parse_edge_list)
+from edgeideals.graphs import (Cycle, Graph, GraphError, _bits, _vertex_sets,
+                               edge, parse_edge_list)
 from edgeideals.polynomials import Monomial
 
 
@@ -76,6 +76,12 @@ def brute_force_maximal_cliques(g):
                if all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))]
     return sorted((c for c in cliques if not any(c < d for d in cliques)),
                   key=sorted)
+
+
+def maximal_independent_sets(g):
+    """The library's maximal independent sets of the non-isolated part of g
+    (the masks `cover_stats` keeps), as sorted vertex sets."""
+    return _vertex_sets(g.vertices, cover_stats(g).independent)
 
 
 def cycle_subgraph_oracle(g, length):
@@ -213,7 +219,7 @@ def _split_overlap(g, g1):
     return overlap.pop(), rest
 
 
-def lemma26_check(g, g1, x, limit=DEFAULT_VERTEX_LIMIT):
+def lemma26_check(g, g1, x):
     """Induced-cover size bound at an articulation vertex.
 
     With V(g1) and V(g minus g1) meeting exactly in x, and x in every maximum
@@ -224,11 +230,11 @@ def lemma26_check(g, g1, x, limit=DEFAULT_VERTEX_LIMIT):
     ov, _ = _split_overlap(g, g1)
     if ov != x:
         raise GraphError("overlap vertex is %r, not %r" % (ov, x))
-    if not vertex_in_every_maximum_cover(g1, x, limit=limit):
+    if not vertex_in_every_maximum_cover(g1, x):
         raise GraphError("hypothesis not satisfied: some maximum minimal "
                          "cover of g1 avoids %r" % (x,))
-    b1 = big_height(g1, limit=limit)
-    for c in maximum_minimal_covers(g, limit=limit):
+    b1 = big_height(g1)
+    for c in maximum_minimal_covers(g):
         d1 = induced_cover(c, g1)
         if len(d1) > b1:
             return False
@@ -237,7 +243,7 @@ def lemma26_check(g, g1, x, limit=DEFAULT_VERTEX_LIMIT):
     return True
 
 
-def lemma27_union(g1, g2, x, case, limit=DEFAULT_VERTEX_LIMIT):
+def lemma27_union(g1, g2, x, case):
     """Build a maximum minimal cover of g1 union g2 from maximum covers of the
     parts, per the three cover-union cases:
 
@@ -252,8 +258,8 @@ def lemma27_union(g1, g2, x, case, limit=DEFAULT_VERTEX_LIMIT):
     overlap = set(g1.vertices) & set(g2.vertices)
     if overlap != {x}:
         raise GraphError("vertex sets must overlap exactly in {%r}" % (x,))
-    max1 = maximum_minimal_covers(g1, limit=limit)
-    max2 = maximum_minimal_covers(g2, limit=limit)
+    max1 = maximum_minimal_covers(g1)
+    max2 = maximum_minimal_covers(g2)
     if case == "i":
         if not all(x in c.vertices for c in max1 + max2):
             raise GraphError("case (i) hypothesis not satisfied")
@@ -278,7 +284,7 @@ def lemma27_union(g1, g2, x, case, limit=DEFAULT_VERTEX_LIMIT):
         raise GraphError("case must be 'i', 'ii' or 'iii'")
     union_graph = g1.union(g2)
     union_cover = frozenset(c1.vertices | c2.vertices)
-    maxima = maximum_minimal_covers(union_graph, limit=limit)
+    maxima = maximum_minimal_covers(union_graph)
     if union_cover not in {c.vertices for c in maxima}:
         raise GraphError("internal invariant violation: union cover is not a "
                          "maximum minimal cover")
@@ -321,12 +327,12 @@ class OldCoverStats:
     all_covers: tuple
 
 
-def old_cover_stats(g, limit=DEFAULT_VERTEX_LIMIT):
+def old_cover_stats(g):
     active = g.non_isolated
-    if len(active) > limit:
+    if len(active) > DEFAULT_VERTEX_LIMIT:
         raise CoverSizeError(
             "%d non-isolated vertices exceeds the enumeration guard (%d)"
-            % (len(active), limit))
+            % (len(active), DEFAULT_VERTEX_LIMIT))
     active_mask = sum(1 << i for i, m in enumerate(g.masks) if m)
     non_adj = [active_mask & ~m & ~(1 << i) for i, m in enumerate(g.masks)]
     covers = [MinimalCover(frozenset(active) - ind, g)
@@ -337,14 +343,13 @@ def old_cover_stats(g, limit=DEFAULT_VERTEX_LIMIT):
                          all_covers=tuple(covers))
 
 
-def old_maximum_minimal_covers(g, limit=DEFAULT_VERTEX_LIMIT):
-    stats = old_cover_stats(g, limit)
+def old_maximum_minimal_covers(g):
+    stats = old_cover_stats(g)
     return [c for c in stats.all_covers if len(c) == stats.big_height]
 
 
-def old_vertex_in_every_maximum_cover(g, x, limit=DEFAULT_VERTEX_LIMIT):
-    return all(x in c.vertices
-               for c in old_maximum_minimal_covers(g, limit=limit))
+def old_vertex_in_every_maximum_cover(g, x):
+    return all(x in c.vertices for c in old_maximum_minimal_covers(g))
 
 
 # -- the layer search as it was before witness masks -------------------
@@ -413,12 +418,10 @@ def _old_layer_witnesses(layers):
     return witness
 
 
-def old_sv_layer_search(g, max_layers=None, budget=None, first=None):
+def old_sv_layer_search(g, max_layers=None, first=None):
     """The pre-mask `sv_layer_search`, for comparison in the tests."""
     monomials = [Monomial.of(u, v) for u, v in g.sorted_edges()]
     starts = [Monomial.of(*first)] if first else list(monomials)
-    if budget is not None:
-        starts = starts[:budget]
     cap = max_layers if max_layers is not None else len(monomials)
     best = None
     for p0 in starts:

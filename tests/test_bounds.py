@@ -78,11 +78,10 @@ def test_whisker_recognizers():
 
 
 def test_proposition42_bound():
-    from edgeideals.constructions import WHISKER
     base = parse_edge_list("a b")
-    r, g = bounds.proposition42_bound(base, {"a": WHISKER, "b": 5})
+    r, g = bounds.proposition42_bound(base, {"a": graphs.WHISKER, "b": 5})
     assert r.stci and r.bound == covers.height(g) == covers.big_height(g)
-    r, g = bounds.proposition42_bound(base, {"a": WHISKER, "b": 4})
+    r, g = bounds.proposition42_bound(base, {"a": graphs.WHISKER, "b": 4})
     assert not r.stci and r.bound == covers.big_height(g) + 1
 
 

@@ -123,9 +123,8 @@ def test_stci_verdict_dispatch():
 
 
 def test_stci_verdict_prop42_tail():
-    from edgeideals.constructions import WHISKER, build_attached_graph
     base = parse_edge_list("a b\nb c\nc a")
-    g, _ = build_attached_graph(base, {"a": 5, "b": 5, "c": 5})
+    g, _ = graphs.build_attached_graph(base, {"a": 5, "b": 5, "c": 5})
     v = classify.stci_verdict(g)
     assert (v.status, v.stci, v.case_tag) == (CM, "Yes", "Prop 4.2 tail")
 
@@ -134,9 +133,8 @@ def test_stci_verdict_unknown_fallthrough():
     # C4 with one C4 attached at each vertex: not unicyclic, not chordal,
     # contains C4 (fails both corollary hypotheses), cycles of length 4 in
     # the tail recognizer are not in {whisker, 3, 5}.
-    from edgeideals.constructions import build_attached_graph
     base = cycle(4)
-    g, _ = build_attached_graph(base, {v: 4 for v in base.vertices})
+    g, _ = graphs.build_attached_graph(base, {v: 4 for v in base.vertices})
     v = classify.stci_verdict(g)
     assert v.status == UNKNOWN
 

@@ -16,7 +16,7 @@ from edgeideals import constructions as cons
 from edgeideals import covers
 from edgeideals.certificates import verify_certificate
 from edgeideals.constructions import ConstructionError
-from edgeideals.graphs import Graph, parse_edge_list
+from edgeideals.graphs import Graph, GraphError, parse_edge_list
 from edgeideals.polynomials import Monomial
 
 import catalog
@@ -100,10 +100,7 @@ def test_sv_layer_search_pinned_first():
     assert gs.polys[0].single_term[0].as_dict() == {"a": 1, "b": 1}
 
 
-def test_sv_layer_search_budget_limits_starts():
-    # budget = 0 leaves no candidate bottom layers; the search reports
-    # absence rather than raising.
-    assert cons.sv_layer_search(WHISKER_P3, max_layers=3, budget=0) is None
+def test_sv_layer_search_rejects_edgeless_graphs_and_non_edge_starts():
     with pytest.raises(cons.ConstructionError):
         cons.sv_layer_search(Graph.build(isolated="z"))
     with pytest.raises(cons.ConstructionError):
@@ -160,11 +157,7 @@ def test_mask_search_matches_the_old_search_on_pinned_starts():
     trees = [t for t in catalog.trees_upto(8) if len(t.vertices) == 8]
     cases = [(t, {"max_layers": covers.big_height(t), "first": e})
              for t in trees[::4] for e in t.sorted_edges()]
-    cases += [(t, {"max_layers": covers.big_height(t) - short,
-                   "budget": budget})
-              for t in trees[::2] for short in (0, 1) for budget in (1, 3)]
-    cases += [(cycle(5), {"first": ("c0", "c1"), "budget": 1}),
-              (WHISKER_P3, {"budget": 0})]
+    cases += [(cycle(5), {"first": ("c0", "c1")})]
     assert layer_search_mismatches(cases) == []
 
 
@@ -211,7 +204,7 @@ def test_build_attached_graph():
     assert g.degree("a") == 2  # base edge + whisker
     assert g.degree("b") == 3  # base edge + two cycle edges
     assert set(labels) == {"a", "b"}
-    with pytest.raises(ConstructionError):
+    with pytest.raises(GraphError, match="one attachment per base vertex"):
         cons.build_attached_graph(base, {"a": cons.WHISKER})  # b uncovered
 
 

@@ -12,7 +12,8 @@ from edgeideals.graphs import Graph, GraphError, parse_edge_list
 from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3,
                       brute_force_minimal_covers, cycle, induced_cover,
                       is_minimal_cover, lemma26_check, lemma27_union,
-                      path_graph, redundancy_remark_check)
+                      maximal_independent_sets, path_graph,
+                      redundancy_remark_check)
 
 SMALL = [TRIANGLE, TRI_2W, BOWTIE, WHISKER_P3, cycle(4), cycle(5), cycle(7),
          path_graph(2), path_graph(5), path_graph(6),
@@ -51,19 +52,22 @@ def test_isolated_vertices_never_in_covers():
         assert "z" not in c.vertices
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(monkeypatch):
     big = Graph.build(("v%d" % i, "v%d" % (i + 1)) for i in range(30))
     with pytest.raises(covers.CoverSizeError):
         covers.enumerate_minimal_covers(big)
-    assert covers.height(big, limit=40) == 15
+    # Only non-isolated vertices count against the guard.
+    sparse = Graph.build([("a", "b")], isolated=["z%d" % i for i in range(30)])
+    assert covers.height(sparse) == 1
+    monkeypatch.setattr(covers, "DEFAULT_VERTEX_LIMIT", 40)
+    assert covers.height(big) == 15
 
 
 def test_cover_stats_memo_is_by_value(monkeypatch):
     enumerated = []
     real = covers._independent_masks
     monkeypatch.setattr(covers, "_independent_masks",
-                        lambda g, limit: enumerated.append(g) or
-                        real(g, limit))
+                        lambda g: enumerated.append(g) or real(g))
     covers._cover_stats.cache_clear()
     g1 = path_graph(7, prefix="memo")
     g2 = Graph.build(reversed(g1.sorted_edges()))
@@ -88,7 +92,7 @@ def test_memo_results_are_not_shared_lists():
                                                 if len(c) == 4]
 
 
-def test_cover_size_error_is_never_cached():
+def test_cover_size_error_is_never_cached(monkeypatch):
     big = path_graph(31, prefix="guard")
     for _ in range(2):
         with pytest.raises(covers.CoverSizeError):
@@ -97,9 +101,18 @@ def test_cover_size_error_is_never_cached():
             covers.big_height(big)
         with pytest.raises(covers.CoverSizeError):
             covers.maximum_minimal_covers(big)
-    assert covers.height(big, limit=40) == 15
+    # The memo is keyed by the graph alone: once the guard is back, the
+    # entry computed under the raised guard must not be handed out.
+    with monkeypatch.context() as m:
+        m.setattr(covers, "DEFAULT_VERTEX_LIMIT", 40)
+        assert covers.height(big) == 15
+    for read in (covers.cover_stats, covers.height,
+                 covers.enumerate_minimal_covers,
+                 covers.maximum_minimal_covers):
+        with pytest.raises(covers.CoverSizeError):
+            read(big)
     with pytest.raises(covers.CoverSizeError):
-        covers.cover_stats(big)
+        covers.vertex_in_every_maximum_cover(big, "guard0")
 
 
 def test_is_minimal_cover():
@@ -198,7 +211,7 @@ def test_covers_match_brute_force_random(g):
     got = sorted((c.vertices for c in covers.enumerate_minimal_covers(g)),
                  key=sorted)
     assert got == brute_force_minimal_covers(g)
-    independent = covers.maximal_independent_sets(g)
+    independent = maximal_independent_sets(g)
     assert independent == sorted(independent, key=sorted)
     active = frozenset(g.non_isolated)
     assert sorted((active - s for s in independent), key=sorted) == got

@@ -18,7 +18,8 @@ from edgeideals import covers, homology
 from edgeideals.graphs import Graph, parse_edge_list
 
 import catalog
-from conftest import BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, cycle, path_graph
+from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, cycle,
+                      maximal_independent_sets, path_graph)
 
 
 def faces_by_cardinality(g):
@@ -40,7 +41,7 @@ def ranks_by_subset(g):
 
 def test_independence_complex_of_path():
     # P3 a-b-c: maximal independent sets {a, c} and {b}.
-    assert set(covers.maximal_independent_sets(path_graph(3))) == {
+    assert set(maximal_independent_sets(path_graph(3))) == {
         frozenset({"p0", "p2"}), frozenset({"p1"})}
 
 

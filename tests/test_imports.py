@@ -29,7 +29,8 @@ def test_no_function_local_imports(path):
     assert local == []
 
 
-def test_package_imports_are_acyclic():
+def _package_imports():
+    """Module stem -> the package modules it imports at module level."""
     deps = {}
     for path in MODULES:
         deps[path.stem] = set()
@@ -38,11 +39,23 @@ def test_package_imports_are_acyclic():
                 deps[path.stem].update(
                     [node.module] if node.module
                     else (a.name for a in node.names))
+    return deps
+
+
+def test_package_imports_are_acyclic():
+    deps = _package_imports()
     done = set()
     while len(done) < len(deps):
         ready = {m for m in deps if m not in done and deps[m] <= done}
         assert ready, "import cycle among %s" % sorted(set(deps) - done)
         done |= ready
+
+
+def test_bounds_and_classify_import_only_covers_and_graphs():
+    # The cover-based results sit below the certificate stack: neither
+    # reaches constructions, certificates or polynomials.
+    deps = _package_imports()
+    assert deps["bounds"] == deps["classify"] == {"covers", "graphs"}
 
 
 def test_package_needs_only_the_standard_library():
