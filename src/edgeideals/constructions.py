@@ -314,21 +314,6 @@ def _search_layers(n, p0, max_layers, cliques):
     return [1 << p0] + rest
 
 
-def _layer_witnesses(layers, monomials, witnesses):
-    """For each pair e, f of a layer, the least earlier d with d | e*f."""
-    witness = {}
-    earlier = 0
-    for layer in layers:
-        idx = list(_bits(layer))
-        for a, i in enumerate(idx):
-            for j in idx[a + 1:]:
-                w = witnesses[i][j] & earlier
-                witness[(monomials[i], monomials[j])] = \
-                    monomials[(w & -w).bit_length() - 1]
-        earlier |= layer
-    return witness
-
-
 def _edge_monomials(g):
     """The edge monomials of g in sort_key order, the bit order of masks."""
     return [Monomial.of(u, v) for u, v in g.sorted_edges()]
@@ -379,36 +364,45 @@ def sv_layer_search(g, max_layers=None, first=None):
             best = layers
     if best is None:
         return None
-    return _layers_to_certificate(
-        g, [[monomials[i] for i in _bits(layer)] for layer in best],
-        _layer_witnesses(best, monomials, witnesses))
+    return _layers_to_certificate(g, best, monomials, witnesses)
 
 
-def _layers_to_certificate(g, layers, witness):
+def _layers_to_certificate(g, layers, monomials, witnesses):
+    """The certificate of a layering given as edge masks: bit i is
+    monomials[i], and witnesses is their _witness_table."""
     b = CertBuilder(g)
-    refs = [b.gen(_sum(*layer)) for layer in layers]
+    refs = [b.gen(_sum(*(monomials[i] for i in _bits(layer))))
+            for layer in layers]
+    earlier = layers[0]
     for layer, ref in zip(layers[1:], refs[1:]):
-        _emit_layer_steps(b, layer, ref, witness)
+        _emit_layer_steps(b, list(_bits(layer)), ref, earlier, monomials,
+                          witnesses)
+        earlier |= layer
     return b.result()
 
 
-def _emit_layer_steps(b, layer, layer_ref, witness):
+def _emit_layer_steps(b, layer, layer_ref, earlier, monomials, witnesses):
     """Establish every monomial of a layer sum, given all earlier-layer
-    monomials established."""
+    monomials established.  layer lists edge indices in increasing order,
+    earlier is the mask of the earlier edges, and the witness of a pair is
+    the least earlier edge dividing its product."""
+    def rho(i, j):
+        w = witnesses[i][j] & earlier
+        return monomials[(w & -w).bit_length() - 1]
+
     if len(layer) == 1:
         return  # the generator itself is the unit monomial
     if len(layer) == 2:
-        e, f = layer
-        rho = witness.get((e, f)) or witness.get((f, e))
-        b.sv(b.ref(rho), layer_ref)
+        b.sv(b.ref(rho(*layer)), layer_ref)
         return
-    for j, mu in enumerate(layer):
+    for i in layer:
+        mu = monomials[i]
         combo = [(Polynomial.term(mu), layer_ref)]
-        for k, nu in enumerate(layer):
-            if k == j:
-                continue
-            rho = witness.get((mu, nu)) or witness.get((nu, mu))
-            combo.append((-Polynomial.term((mu * nu) / rho), b.ref(rho)))
+        for j in layer:
+            if j != i:
+                d = rho(i, j)
+                combo.append((-Polynomial.term((mu * monomials[j]) / d),
+                              b.ref(d)))
         b.power(mu, 2, combo)
 
 

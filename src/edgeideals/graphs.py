@@ -7,19 +7,21 @@ Vertices are nonempty whitespace-free string labels, ordered lexicographically.
 All outputs are canonically sorted so that every operation is deterministic.
 
 The kernels run on vertex bitmasks: vertex i in sorted order is bit i, and
-`Graph.masks` holds each neighbourhood as an int.  One DFS-forest pass
-(`Graph._cactus_cycles`, cached on the Graph like `masks`) decides the
-cactus property and lists the cycles; maximum cardinality search decides
-chordality; one DFS over simple paths (`_cycles`) answers both cycle
-screens; and one pivoting Bron-Kerbosch (`bron_kerbosch`), which returns
-int masks, enumerates maximal cliques here and maximal independent sets in
-`covers`; `maximal_cliques` turns the masks into sorted frozensets.
+`Graph.masks` holds each neighbourhood as an int.  `masks` is the one
+adjacency built from the edge set (`Graph.adj` is read off it), and
+`_components` is the one component walk: components, connectivity,
+`branches_at` and the Hochster split in `homology` all run it.  One
+DFS-forest pass (`Graph._cactus_cycles`, cached on the Graph like `masks`)
+decides the cactus property and lists the cycles; maximum cardinality
+search decides chordality; one DFS over simple paths (`_cycles`) answers
+both cycle screens; and one pivoting Bron-Kerbosch (`bron_kerbosch`), which
+returns int masks, enumerates maximal cliques here and maximal independent
+sets in `covers`; `maximal_cliques` turns the masks into sorted frozensets.
 This module imports no other module of the package.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,6 +48,22 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _components(masks, w):
+    """The component masks of the graph on the bits of w, where masks[i] is
+    the neighbourhood of vertex i, ordered by least vertex: each is grown
+    from the lowest bit of w not yet reached."""
+    while w:
+        comp = todo = w & -w
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = masks[low.bit_length() - 1] & w & ~comp
+            comp |= new
+            todo |= new
+        yield comp
+        w ^= comp
 
 
 @dataclass(frozen=True)
@@ -84,11 +102,9 @@ class Graph:
 
     @cached_property
     def adj(self):
-        nbrs = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return {v: frozenset(ns) for v, ns in nbrs.items()}
+        vs = self.vertices
+        return {v: frozenset(map(vs.__getitem__, _bits(m)))
+                for v, m in zip(vs, self.masks)}
 
     @cached_property
     def masks(self):
@@ -219,25 +235,13 @@ class Graph:
     # -- connectivity --------------------------------------------------
 
     def components(self):
-        """Vertex sets of the connected components, sorted by least vertex:
-        each is grown from the lowest bit not yet reached."""
-        masks = self.masks
-        rest = (1 << len(masks)) - 1
-        comps = []
-        while rest:
-            comp = todo = rest & -rest
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                new = masks[low.bit_length() - 1] & ~comp
-                comp |= new
-                todo |= new
-            comps.append(frozenset(map(self.vertices.__getitem__, _bits(comp))))
-            rest ^= comp
-        return comps
+        """Vertex sets of the connected components, sorted by least vertex."""
+        return [frozenset(map(self.vertices.__getitem__, _bits(c)))
+                for c in _components(self.masks, (1 << len(self.vertices)) - 1)]
 
     def is_connected(self):
-        return len(self.components()) <= 1
+        full = (1 << len(self.vertices)) - 1
+        return next(_components(self.masks, full), full) == full
 
     def component_graphs(self):
         return [self.induced(c) for c in self.components()]
@@ -314,22 +318,22 @@ def branches_at(g, x):
         raise GraphError("graph is not a cactus")
     if not g.is_connected():
         raise GraphError("graph is not connected")
-    if x not in g.adj:
+    if x not in g.vertices:
         raise GraphError("unknown vertex %r" % (x,))
-    rest = g.without_vertex(x)
+    masks, i = g.masks, g.vertices.index(x)
     out = []
-    for comp in rest.components():
-        into = sorted(y for y in g.adj[x] if y in comp)
-        sub = g.induced(comp | {x})
-        if len(into) == 1:
+    for comp in _components(masks, ((1 << len(masks)) - 1) & ~(1 << i)):
+        into = (masks[i] & comp).bit_count()
+        sub = g.induced(map(g.vertices.__getitem__, _bits(comp | 1 << i)))
+        if into == 1:
             out.append(Branch(ONE_BRANCH, x, sub))
-        elif len(into) == 2:
+        elif into == 2:
             out.append(Branch(TWO_BRANCH, x, sub))
         else:
             # Three edges from x into one component would force two cycles
             # sharing an edge, impossible in a cactus.
             raise GraphError("internal invariant violation: %d edges from %r "
-                             "into one component of a cactus" % (len(into), x))
+                             "into one component of a cactus" % (into, x))
     return sorted(out, key=Branch.sort_key)
 
 
@@ -419,10 +423,6 @@ def build_attached_graph(base, attachments):
 # -- cliques, chordality, small cycles --------------------------------
 
 
-def is_clique(g, vs):
-    return all(g.has_edge(u, v) for u, v in itertools.combinations(sorted(vs), 2))
-
-
 def bron_kerbosch(masks, candidates):
     """Every maximal clique, as an int mask in no particular order, of the
     graph on the bits of the mask `candidates`, where masks[i] is the
@@ -473,9 +473,15 @@ def maximal_cliques(g):
                         bron_kerbosch(g.masks, (1 << len(g.vertices)) - 1))
 
 
+def _is_clique(masks, s):
+    """Whether the vertex bits of the mask s are pairwise adjacent."""
+    return not any(s & ~masks[u] & ~(1 << u) for u in _bits(s))
+
+
 def simplicial_vertices(g):
     """Vertices whose neighbourhood is a clique."""
-    return frozenset(v for v in g.vertices if is_clique(g, g.adj[v]))
+    return frozenset(v for v, m in zip(g.vertices, g.masks)
+                     if _is_clique(g.masks, m))
 
 
 def simplexes(g):
@@ -493,8 +499,7 @@ def is_chordal(g):
     while unvisited:
         v = max(_bits(unvisited),
                 key=lambda u: (masks[u] & visited).bit_count())
-        earlier = masks[v] & visited
-        if any(earlier & ~masks[u] & ~(1 << u) for u in _bits(earlier)):
+        if not _is_clique(masks, masks[v] & visited):
             return False
         visited |= 1 << v
         unvisited ^= 1 << v

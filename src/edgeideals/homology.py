@@ -32,7 +32,8 @@ hold i, and the W in which i is isolated, or in which u folds v away, are
 ands and and-nots of member sets.  One byte per W then codes cone, fold
 (with the vertex folded) or neither.  A loop visits the non-cone W in
 increasing mask order: a folded W copies the entry of W - v, and any other
-W is split.
+W is split into its components by the component walk of `graphs`, the one
+the graph queries run.
 
 Only a connected W in which no vertex folds is ranked from scratch: its
 faces are listed as vertex bitmasks (`_independent_faces`) and one F2
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress
 
-from .graphs import GraphError
+from .graphs import GraphError, _components
 
 MAX_VERTICES = 14  # 2^14 subsets is the hard cap
 
@@ -96,9 +97,9 @@ def _reduced_ranks(levels):
     return ranks
 
 
-def _independent_faces(nbr, w):
+def _independent_faces(masks, w):
     """Independent subsets of the bitmask w, as bitmasks grouped by
-    cardinality; nbr maps each vertex bit to its neighbour mask."""
+    cardinality; masks[i] is the neighbourhood of vertex i."""
     levels, frontier = [], [(0, w)]
     while frontier:
         levels.append([f for f, _ in frontier])
@@ -107,7 +108,8 @@ def _independent_faces(nbr, w):
             while allowed:
                 low = allowed & -allowed
                 allowed ^= low
-                grown.append((f | low, allowed & ~nbr[low]))
+                grown.append((f | low,
+                              allowed & ~masks[low.bit_length() - 1]))
         frontier = grown
     return levels
 
@@ -131,22 +133,6 @@ def _join(x, y):
         for b, s in y.items():
             out[a + b + 1] = out.get(a + b + 1, 0) + r * s
     return out
-
-
-def _components(nbr, w):
-    """The connected components of G[w], as bitmasks."""
-    while w:
-        comp = frontier = w & -w
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                reach |= nbr[low]
-            frontier = reach & w & ~comp
-            comp |= frontier
-        yield comp
-        w &= ~comp
 
 
 @cache
@@ -187,7 +173,7 @@ def _digits(family, size):
                           .translate(_DIGITS), "big")
 
 
-def _screen(nbr, n):
+def _screen(masks, n):
     """One code per mask W of the n vertex bits, as bytes: _CONE when some
     vertex of W has no neighbour in W, k + 1 when vertex bit k folds away
     (some u != k in W has N_W(u) within N_W(k)), and _SPLIT otherwise.
@@ -199,16 +185,16 @@ def _screen(nbr, n):
     members = _members(n)
     settled = 0
     for i in range(n):
-        settled |= _avoiding(members, members[i], nbr[1 << i])
+        settled |= _avoiding(members, members[i], masks[i])
     codes = 0
     for v in range(n):
-        nv = nbr[1 << v]
+        nv = masks[v]
         folds = 0
         for u in range(n):
             # u folds v away when W holds u and misses N(u) - N(v).  With no
             # common neighbour, u is isolated and W is a cone already; a u
             # adjacent to v, which W holds, never folds it.
-            nu = nbr[1 << u]
+            nu = masks[u]
             if u != v and nu & nv and not nu >> v & 1:
                 folds |= _avoiding(members, members[u], nu & ~nv)
         folds &= members[v] & ~settled
@@ -219,7 +205,7 @@ def _screen(nbr, n):
     return codes.to_bytes(size, "little")
 
 
-def _ranks_table(nbr, n):
+def _ranks_table(masks, n):
     """Reduced F2 ranks {degree: rank} of Ind(G[w]) for every mask w of the
     n vertex bits, as a list indexed by w; entries may share one dict.
 
@@ -229,7 +215,7 @@ def _ranks_table(nbr, n):
     masks are already in the table, or, when G[w] is connected, ranks it
     by F2 elimination.
     """
-    codes = _screen(nbr, n)
+    codes = _screen(masks, n)
     table = [{}] * (1 << n)
     table[0] = {-1: 1}
     for w in compress(range(1, 1 << n), codes[1:]):
@@ -237,9 +223,9 @@ def _ranks_table(nbr, n):
         if code != _SPLIT:
             table[w] = table[w ^ (1 << (code - 1))]
             continue
-        comps = list(_components(nbr, w))
+        comps = list(_components(masks, w))
         if len(comps) == 1:
-            table[w] = _reduced_ranks(_independent_faces(nbr, w))
+            table[w] = _reduced_ranks(_independent_faces(masks, w))
         else:
             ranks = {-1: 1}
             for c in comps:
@@ -259,8 +245,7 @@ def projective_dimension(g):
         return 0, BettiTable({}, 0)
     if len(active) < len(g.vertices):
         g = g.drop_isolated()
-    nbr = {1 << i: m for i, m in enumerate(g.masks)}
-    table = _ranks_table(nbr, len(active))
+    table = _ranks_table(g.masks, len(active))
     entries = {}
     for w, ranks in compress(enumerate(table), table):
         if w:

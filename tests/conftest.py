@@ -20,14 +20,15 @@ from dataclasses import dataclass
 import networkx as nx
 import pytest
 
-from edgeideals.constructions import _layers_to_certificate, sv_layer_search
+from edgeideals.certificates import CertBuilder
+from edgeideals.constructions import sv_layer_search
 from edgeideals.covers import (DEFAULT_VERTEX_LIMIT, CoverSizeError,
                                MinimalCover, big_height, cover_stats,
                                is_redundant_neighbor, maximum_minimal_covers,
                                vertex_in_every_maximum_cover)
 from edgeideals.graphs import (Cycle, Graph, GraphError, _bits, _vertex_sets,
                                edge, parse_edge_list)
-from edgeideals.polynomials import Monomial
+from edgeideals.polynomials import Monomial, Polynomial
 
 
 def path_graph(n, prefix="p"):
@@ -355,8 +356,10 @@ def old_vertex_in_every_maximum_cover(g, x):
 # -- the layer search as it was before witness masks -------------------
 #
 # A verbatim copy of the Monomial-level search that `sv_layer_search` used to
-# run: every state rebuilt its compatibility graph by multiplying monomials.
-# The mask search must return the very same (GeneratorSet, Certificate).
+# run: every state rebuilt its compatibility graph by multiplying monomials,
+# and the certificate looked each pair's witness up in a dict keyed by
+# Monomial pairs.  The mask search must return the very same
+# (GeneratorSet, Certificate).
 
 
 def _old_compatible_cliques(remaining, earlier):
@@ -431,7 +434,33 @@ def old_sv_layer_search(g, max_layers=None, first=None):
             best = layers
     if best is None:
         return None
-    return _layers_to_certificate(g, best, _old_layer_witnesses(best))
+    return _old_layers_to_certificate(g, best, _old_layer_witnesses(best))
+
+
+def _old_layers_to_certificate(g, layers, witness):
+    b = CertBuilder(g)
+    refs = [b.gen(Polynomial.of(*layer)) for layer in layers]
+    for layer, ref in zip(layers[1:], refs[1:]):
+        _old_emit_layer_steps(b, layer, ref, witness)
+    return b.result()
+
+
+def _old_emit_layer_steps(b, layer, layer_ref, witness):
+    if len(layer) == 1:
+        return
+    if len(layer) == 2:
+        e, f = layer
+        rho = witness.get((e, f)) or witness.get((f, e))
+        b.sv(b.ref(rho), layer_ref)
+        return
+    for j, mu in enumerate(layer):
+        combo = [(Polynomial.term(mu), layer_ref)]
+        for k, nu in enumerate(layer):
+            if k == j:
+                continue
+            rho = witness.get((mu, nu)) or witness.get((nu, mu))
+            combo.append((-Polynomial.term((mu * nu) / rho), b.ref(rho)))
+        b.power(mu, 2, combo)
 
 
 def layer_search_mismatches(cases):

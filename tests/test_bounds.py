@@ -5,7 +5,6 @@ import random
 import pytest
 
 from edgeideals import bounds, covers, graphs
-from edgeideals.bounds import TraceInvariantError
 from edgeideals.graphs import Graph, GraphError, parse_edge_list
 
 import catalog

@@ -3,7 +3,7 @@ the two corollary equivalences, and the dispatcher."""
 
 import pytest
 
-from edgeideals import classify, covers, graphs
+from edgeideals import classify, graphs
 from edgeideals.classify import CM, NOT_CM, UNKNOWN, HypothesisError
 from edgeideals.graphs import Graph, GraphError, parse_edge_list
 

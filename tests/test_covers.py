@@ -1,8 +1,6 @@
 """Minimal-cover enumeration against a brute-force subset oracle, plus the
 two cover-combination lemmas and the redundancy remark."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -301,6 +301,65 @@ def test_components_and_non_isolated_match_networkx(g):
     assert g.non_isolated == tuple(v for v in g.vertices if nxg.degree(v))
 
 
+@settings(deadline=None)
+@given(st.one_of(random_graphs(max_n=9), sparse_graphs(), cactus_unions()),
+       st.randoms(use_true_random=False))
+def test_component_walk_matches_networkx_on_subsets(g, rng):
+    w = rng.getrandbits(len(g.vertices))
+    inside = [v for i, v in enumerate(g.vertices) if w >> i & 1]
+    expected = sorted(map(frozenset, nx.connected_components(
+        to_networkx(g).subgraph(inside))), key=min)
+    assert [frozenset(g.vertices[i] for i in range(len(g.vertices))
+                      if c >> i & 1)
+            for c in graphs._components(g.masks, w)] == expected
+
+
+def test_is_connected_on_empty_and_isolated_graphs():
+    assert Graph().is_connected()
+    assert Graph.build(isolated=["a"]).is_connected()
+    assert not Graph.build(isolated=["a", "b"]).is_connected()
+    assert not Graph.build([("a", "b")], isolated=["c"]).is_connected()
+
+
+@settings(deadline=None)
+@given(st.one_of(random_graphs(max_n=9), sparse_graphs(), cactus_unions()))
+def test_is_connected_matches_networkx(g):
+    assert g.is_connected() == nx.is_connected(to_networkx(g))
+
+
+def test_branches_at_match_networkx_components():
+    for g in catalog.random_cacti(12, 40):
+        nxg = to_networkx(g)
+        for x in g.vertices:
+            expected = []
+            for comp in nx.connected_components(
+                    nxg.subgraph(set(g.vertices) - {x})):
+                into = sum(y in comp for y in nxg[x])
+                kind = {1: graphs.ONE_BRANCH, 2: graphs.TWO_BRANCH}[into]
+                expected.append((kind, x, g.induced(comp | {x})))
+            assert [(b.kind, b.root, b.subgraph)
+                    for b in graphs.branches_at(g, x)] \
+                == sorted(expected, key=lambda b: b[2].vertices)
+
+
+@given(random_graphs())
+def test_adj_matches_the_edge_set(g):
+    expected = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        expected[u].add(v)
+        expected[v].add(u)
+    assert g.adj == expected
+
+
+@settings(deadline=None)
+@given(st.one_of(random_graphs(max_n=8), sparse_graphs()))
+def test_simplicial_vertices_match_pairwise_check(g):
+    assert graphs.simplicial_vertices(g) == {
+        v for v in g.vertices
+        if all(g.has_edge(a, b) for a in g.neighbors(v)
+               for b in g.neighbors(v) if a < b)}
+
+
 def test_recognizers_match_oracles_on_connected_graphs():
     for g in catalog.connected_graphs_upto(7):
         _assert_cactus_matches_oracle(g)

@@ -25,16 +25,14 @@ from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, cycle,
 def faces_by_cardinality(g):
     """The faces of Ind(g) as bitmask levels, as projective_dimension lists
     them for W = V (bit i is g.vertices[i])."""
-    nbr = {1 << i: m for i, m in enumerate(g.masks)}
-    return homology._independent_faces(nbr, (1 << len(g.vertices)) - 1)
+    return homology._independent_faces(g.masks, (1 << len(g.vertices)) - 1)
 
 
 def ranks_by_subset(g):
     """homology's ranks table for g, keyed by vertex tuples W (in the order
     of g.vertices) instead of bitmasks."""
     n = len(g.vertices)
-    nbr = {1 << i: m for i, m in enumerate(g.masks)}
-    table = homology._ranks_table(nbr, n)
+    table = homology._ranks_table(g.masks, n)
     return {tuple(v for i, v in enumerate(g.vertices) if w >> i & 1): ranks
             for w, ranks in enumerate(table)}
 
@@ -268,7 +266,7 @@ def test_screen_matches_each_subset(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 12)
     masks = random_screen_masks(rng, n)
-    codes = homology._screen({1 << i: m for i, m in enumerate(masks)}, n)
+    codes = homology._screen(masks, n)
     assert len(codes) == 1 << n
     for w in range(1 << n):
         inside = [i for i in range(n) if w >> i & 1]

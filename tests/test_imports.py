@@ -15,6 +15,7 @@ import edgeideals
 
 SRC = pathlib.Path(edgeideals.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
@@ -27,6 +28,30 @@ def test_no_function_local_imports(path):
              for node in ast.walk(fn)
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert local == []
+
+
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=lambda p: "%s/%s" % (p.parent.name, p.name))
+def test_module_level_imports_are_read(path):
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                bound[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                bound[a.asname or a.name] = node.lineno
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:   # names re-exported through __all__
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read.update(c.value for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant))
+    assert sorted((line, name) for name, line in bound.items()
+                  if name not in read) == []
 
 
 def _package_imports():
