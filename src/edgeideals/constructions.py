@@ -329,6 +329,14 @@ def sv_layer_search(g, max_layers=None, first=None):
     layer sums, or None when no layering within max_layers is found.
     Absence of a result is a normal outcome.
 
+    No layering is shorter than the big height of g: its layer sums
+    generate the edge ideal up to radical, so layers >= ara >= pd >= bight,
+    the middle step by Lyubeznik (1984) for square-free monomial ideals.
+    So a cap below big height returns None before any clique is built, and
+    the starts stop once a layering of big height is found, since a later
+    start could only look for a shorter one.  Above the cover guard
+    (covers.DEFAULT_VERTEX_LIMIT) the floor is 1 and every start runs.
+
     Among equally short layerings the search returns the first it meets,
     in an order that follows the string hashes of the vertex labels, so the
     generators can differ between PYTHONHASHSEED values.  The minimal layer
@@ -347,6 +355,12 @@ def sv_layer_search(g, max_layers=None, first=None):
     cap = max_layers if max_layers is not None else len(monomials)
     if cap < 1:
         raise ConstructionError("max_layers must be at least 1")
+    try:
+        floor = covers.big_height(g)
+    except covers.CoverSizeError:
+        floor = 1
+    if cap < floor:
+        return None
     witnesses = _witness_table(monomials)
     table = {}
 
@@ -358,6 +372,8 @@ def sv_layer_search(g, max_layers=None, first=None):
 
     best = None
     for p0 in starts:
+        if best is not None and len(best) <= floor:
+            break
         depth = (len(best) - 1) if best is not None else cap
         layers = _search_layers(len(monomials), p0, depth, cliques)
         if layers is not None and (best is None or len(layers) < len(best)):

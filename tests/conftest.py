@@ -422,12 +422,23 @@ def _old_layer_witnesses(layers):
 
 
 def old_sv_layer_search(g, max_layers=None, first=None):
-    """The pre-mask `sv_layer_search`, for comparison in the tests."""
+    """The pre-mask `sv_layer_search`, for comparison in the tests.  It
+    carries the same big-height floor, which cannot change its answers: no
+    layering is shorter than big height (tests/test_constructions.py checks
+    the floor against the unfloored search on its own)."""
     monomials = [Monomial.of(u, v) for u, v in g.sorted_edges()]
     starts = [Monomial.of(*first)] if first else list(monomials)
     cap = max_layers if max_layers is not None else len(monomials)
+    try:
+        floor = big_height(g)
+    except CoverSizeError:
+        floor = 1
+    if cap < floor:
+        return None
     best = None
     for p0 in starts:
+        if best is not None and len(best) <= floor:
+            break
         depth = (len(best) - 1) if best is not None else cap
         layers = _old_search_layers(monomials, p0, depth)
         if layers is not None and (best is None or len(layers) < len(best)):

@@ -344,6 +344,23 @@ def test_gens_svsearch_layer_cap_below_one_exits_2(graph_file, capsys):
                 capsys)
 
 
+def test_gens_svsearch_cap_below_big_height_exits_2(graph_file, capsys):
+    f = graph_file("p4.txt", "a b\nb c\nc d\n")  # big height 2
+    assert main(["gens", "--family", "svsearch", f, "--max-layers", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: no layering within 1 layers found\n"
+
+
+def test_gens_svsearch_above_the_cover_guard(run, graph_file):
+    # A 14-edge perfect matching has 28 vertices, above the cover guard; the
+    # search runs without a big-height floor.
+    f = graph_file("matching.txt", "".join("a%d b%d\n" % (i, i)
+                                           for i in range(14)))
+    rep = run(["gens", "--family", "svsearch", f])
+    assert rep["verified"] and rep["count"] == 14
+
+
 # -- fuzzing verify: every certificate file gets exit 0, 1 or 2 ----------
 
 

@@ -178,10 +178,16 @@ def test_mask_search_matches_the_old_search_on_cacti_under_hash_seed_4():
     assert out.strip() == "[]"
 
 
+def _no_floor(monkeypatch):
+    """Turn the big-height floor of sv_layer_search off: every start runs,
+    and a cap below big height is searched."""
+    monkeypatch.setattr(covers, "big_height", lambda g: 1)
+
+
 def test_layer_search_enumerates_each_remaining_mask_once(monkeypatch):
     # The cliques of a remaining mask are enumerated once per search and
-    # shared by every start; searches capped one below big height fail, so
-    # every start runs to exhaustion.
+    # shared by every start.  With the floor off, searches capped one below
+    # big height fail, so every start runs to exhaustion.
     calls = collections.Counter()
     enumerate_cliques = cons._compatible_cliques
 
@@ -189,13 +195,109 @@ def test_layer_search_enumerates_each_remaining_mask_once(monkeypatch):
         calls[remaining] += 1
         return enumerate_cliques(remaining, *args)
 
-    monkeypatch.setattr(cons, "_compatible_cliques", counted)
     trees = [t for t in catalog.trees_upto(9) if len(t.vertices) == 9]
-    for g, cap in [(t, covers.big_height(t) - 1) for t in trees[::8]] + \
-            [(g, None) for g in catalog.random_cacti(7, 5, 9)]:
+    cases = [(t, covers.big_height(t) - 1) for t in trees[::8]] + \
+        [(g, None) for g in catalog.random_cacti(7, 5, 9)]
+    monkeypatch.setattr(cons, "_compatible_cliques", counted)
+    _no_floor(monkeypatch)
+    for g, cap in cases:
         calls.clear()
         cons.sv_layer_search(g, max_layers=cap)
         assert calls and max(calls.values()) == 1, g.sorted_edges()
+
+
+def _floor_cases():
+    for t in catalog.trees_upto(8):
+        bh = covers.big_height(t)
+        for cap in (bh, bh - 1, None):
+            if cap is None or cap >= 1:
+                yield t, cap
+    for g in catalog.random_cacti(13, 6, 9):
+        yield g, None
+
+
+def test_floor_changes_no_answer(monkeypatch):
+    # The oracle in conftest carries the floor too, so this compares the
+    # search with and without it directly.
+    cases = list(_floor_cases())
+    floored = [cons.sv_layer_search(g, max_layers=cap) for g, cap in cases]
+    _no_floor(monkeypatch)
+    for (g, cap), res in zip(cases, floored):
+        unfloored = cons.sv_layer_search(g, max_layers=cap)
+        assert unfloored == res, (g.sorted_edges(), cap)
+        if unfloored is not None:
+            # Layers >= ara >= pd >= big height.
+            assert len(unfloored[0]) >= covers.cover_stats(g).big_height
+
+
+def test_cap_below_big_height_builds_no_clique(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cons, "_compatible_cliques",
+                        lambda *args: calls.append(args))
+    for t in catalog.trees_upto(9):
+        for cap in range(1, covers.big_height(t)):
+            assert cons.sv_layer_search(t, max_layers=cap) is None
+    assert cons.sv_layer_search(cycle(5), max_layers=2) is None
+    assert calls == []
+
+
+def _recorded_starts(monkeypatch, g):
+    """The (start, depth, layer count) of every _search_layers call that
+    sv_layer_search(g) makes."""
+    starts = []
+    search = cons._search_layers
+
+    def recorded(n, p0, depth, cliques):
+        layers = search(n, p0, depth, cliques)
+        starts.append((p0, depth, None if layers is None else len(layers)))
+        return layers
+
+    with monkeypatch.context() as m:
+        m.setattr(cons, "_search_layers", recorded)
+        res = cons.sv_layer_search(g)
+    return res, starts
+
+
+def test_search_stops_at_the_first_start_of_big_height(monkeypatch):
+    # The floored starts are the unfloored ones up to and including the
+    # first that finds a layering of big height.
+    stopped_early = 0
+    for g in [t for t in catalog.trees_upto(8) if len(t.vertices) >= 5] + \
+            catalog.random_cacti(17, 6, 9):
+        bh = covers.big_height(g)
+        res, floored = _recorded_starts(monkeypatch, g)
+        with monkeypatch.context() as m:
+            _no_floor(m)
+            res_all, unfloored = _recorded_starts(m, g)
+        assert res == res_all
+        hit = [k for k, (_, _, count) in enumerate(unfloored) if count == bh]
+        assert floored == unfloored[:hit[0] + 1 if hit else None]
+        stopped_early += len(floored) < len(unfloored)
+    assert stopped_early
+
+
+def test_errors_come_before_the_floor(monkeypatch):
+    def unread(g):
+        raise AssertionError("big height read before the argument checks")
+
+    monkeypatch.setattr(covers, "big_height", unread)
+    with pytest.raises(ConstructionError, match="no edges"):
+        cons.sv_layer_search(Graph.build(isolated="z"), max_layers=0)
+    with pytest.raises(ConstructionError, match="not an edge"):
+        cons.sv_layer_search(WHISKER_P3, max_layers=0, first=("a", "c"))
+    with pytest.raises(ConstructionError, match="at least 1"):
+        cons.sv_layer_search(WHISKER_P3, max_layers=0)
+
+
+def test_search_above_the_cover_guard_has_floor_one():
+    # 28 vertices: big_height raises CoverSizeError, so every start runs.
+    g = Graph.build(("a%d" % i, "b%d" % i) for i in range(14))
+    assert len(g.vertices) > covers.DEFAULT_VERTEX_LIMIT
+    with pytest.raises(covers.CoverSizeError):
+        covers.big_height(g)
+    gs, cert = cons.sv_layer_search(g)
+    _check(gs, cert)
+    assert len(gs) == 14
 
 
 def test_build_attached_graph():
