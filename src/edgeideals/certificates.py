@@ -214,12 +214,18 @@ def verify_certificate(gs: GeneratorSet, cert: Certificate) -> Verdict:
 
 class CertBuilder:
     """Accumulates generators and derivation steps, tracking established
-    elements by index so constructions can cross-reference them."""
+    elements by ref so constructions can cross-reference them.
+
+    Generators and steps may come in any interleaving.  Refs are handed out
+    in call order, and ref(m) gives the first element registered as the unit
+    monomial m.  result() numbers the generators first, in call order, then
+    the step outputs, as a Certificate requires, and rewrites every step's
+    refs to that numbering."""
 
     def __init__(self, graph):
         self.graph = graph
-        self.gens = []
-        self.steps = []
+        self.gen_refs = []
+        self.steps = []  # functions of the final numbering
         self.established = []
         self.by_monomial = {}  # unit monomial -> ref
 
@@ -231,24 +237,24 @@ class CertBuilder:
         return len(self.established) - 1
 
     def gen(self, p):
-        if self.steps:
-            raise ValueError("generators must come before steps")
-        self.gens.append(p)
-        return self._register(p)
+        self.gen_refs.append(self._register(p))
+        return self.gen_refs[-1]
 
     def ref(self, m):
         """Reference to an established unit monomial."""
         return self.by_monomial[m]
 
     def sv(self, rho_ref, sum_ref):
-        self.steps.append(SVStep(rho_ref, sum_ref))
+        self.steps.append(lambda f: SVStep(f[rho_ref], f[sum_ref]))
         s = self.established[sum_ref]
         (m1, c1), (m2, c2) = s.terms
         return (self._register(Polynomial.term(m1, c1)),
                 self._register(Polynomial.term(m2, c2)))
 
     def linear(self, target_ref, subtract_refs):
-        self.steps.append(LinearStep(target_ref, tuple(subtract_refs)))
+        subtract_refs = tuple(subtract_refs)
+        self.steps.append(lambda f: LinearStep(
+            f[target_ref], tuple(f[r] for r in subtract_refs)))
         target = self.established[target_ref]
         subs = [_unit_monomial(self.established[r]) for r in subtract_refs]
         rest = [(m, c) for m, c in target.terms
@@ -257,12 +263,18 @@ class CertBuilder:
         return self._register(Polynomial.term(m, c))
 
     def power(self, target, k, combination):
-        self.steps.append(PowerStep(target, k, tuple(combination)))
+        combination = tuple(combination)
+        self.steps.append(lambda f: PowerStep(
+            target, k, tuple((c, f[r]) for c, r in combination)))
         return self._register(Polynomial.term(target))
 
     def result(self):
-        return (GeneratorSet(self.graph, tuple(self.gens)),
-                Certificate(tuple(self.steps)))
+        final = {r: i for i, r in enumerate(self.gen_refs)}
+        for r in range(len(self.established)):
+            final.setdefault(r, len(final))
+        return (GeneratorSet(self.graph, tuple(self.established[r]
+                                               for r in self.gen_refs)),
+                Certificate(tuple(step(final) for step in self.steps)))
 
 
 # -- serialization ----------------------------------------------------

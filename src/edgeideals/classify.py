@@ -54,7 +54,7 @@ def _whisker_trees_and_edges(h):
     """Every component of h is a whisker tree or a single edge.  Isolated
     vertices are permitted: in context they are cycle whiskers, not
     components of their own."""
-    return all(len(comp.edges) == 1 or graphs.is_whisker_tree(comp)[0]
+    return all(len(comp.edges) == 1 or graphs.is_whisker_tree(comp)
                for comp in h.drop_isolated().component_graphs())
 
 
@@ -76,7 +76,7 @@ def _case5_split(g, cycle):
         if not h1.edges or not h2.edges:
             continue
         bridge = h1.union(h2).with_edges([(x1, x2)])
-        if graphs.is_whisker_tree(bridge)[0]:
+        if graphs.is_whisker_tree(bridge):
             return {"x1": x1, "x2": x2, "h1": h1, "h2": h2}
     return None
 

@@ -3,6 +3,12 @@
 Every constructor returns a (GeneratorSet, Certificate) pair; the verifier in
 `certificates` is the single source of truth for correctness.  Construction
 code never trusts itself: tests re-verify every emitted certificate.
+
+Each constructor writes into one CertBuilder.  The pieces it glues together
+(cycles, path cascades, Schmitt-Vogel layerings) are emitters that take the
+builder and add their generators and steps in any interleaving: refs are
+handed out in call order, and CertBuilder.result numbers the generators
+first.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import covers
-from .certificates import CertBuilder, LinearStep, PowerStep, SVStep
+from .certificates import CertBuilder
 from .graphs import (WHISKER, Graph, GraphError, _bits, build_attached_graph,
                      cycle_graph, edge, is_whisker_tree)
 from .polynomials import Monomial, Polynomial
@@ -44,48 +50,30 @@ def default_cycle_labels(length):
     return tuple("x%d" % (i + 1) for i in range(length))
 
 
-def _cycle_plan(v):
-    """Generators (beyond the standalone v1v2 monomial) and a step emitter
-    for a cycle on the labels v; the emitter receives the builder, the refs
-    of these generators and the ref of the established v1v2 monomial."""
+def _cycle(b, v, base_ref):
+    """Emit the generators and steps of a cycle on the labels v, given the
+    ref of its established v1v2 monomial."""
     if len(v) == 3:
-        polys = [_sum(_m(v[1], v[2]), _m(v[0], v[2]))]
-
-        def emit(b, refs, base_ref):
-            b.sv(base_ref, refs[0])
-
+        b.sv(base_ref, b.gen(_sum(_m(v[1], v[2]), _m(v[0], v[2]))))
     elif len(v) == 4:
-        polys = [_sum(_m(v[0], v[3]), _m(v[1], v[2])), _p(v[2], v[3])]
-
-        def emit(b, refs, base_ref):
-            b.sv(base_ref, refs[0])
-
+        g1 = b.gen(_sum(_m(v[0], v[3]), _m(v[1], v[2])))
+        b.gen(_p(v[2], v[3]))
+        b.sv(base_ref, g1)
     elif len(v) == 5:
-        polys = [_sum(_m(v[1], v[2]), _m(v[3], v[4])),
-                 _sum(_m(v[0], v[4]), _m(v[2], v[3]))]
-
-        def emit(b, refs, base_ref):
-            _c5_tail(b, v, base_ref, refs[0], refs[1])
-
+        # g2 = v2v3 + v4v5 and g3 = v1v5 + v3v4
+        v1, v2, v3, v4, v5 = v
+        g2 = b.gen(_sum(_m(v2, v3), _m(v4, v5)))
+        g3 = b.gen(_sum(_m(v1, v5), _m(v3, v4)))
+        # (v2v3)^2 = v2v3*g2 - v2v5*g3 + v5^2*(v1v2)
+        r23 = b.power(_m(v2, v3), 2, [(_p(v2, v3), g2), (-_p(v2, v5), g3),
+                                      (_p(v5, v5), base_ref)])
+        r45 = b.linear(g2, [r23])
+        # (v1v5)^2 = v1v5*g3 - v1v3*(v4v5)
+        r15 = b.power(_m(v1, v5), 2, [(_p(v1, v5), g3), (-_p(v1, v3), r45)])
+        b.linear(g3, [r15])
     else:
         raise ConstructionError("explicit cycle constructions cover lengths "
                                 "3, 4 and 5 only (got %d)" % len(v))
-    return polys, emit
-
-
-def _c5_tail(b, v, ref_v1v2, g2_ref, g3_ref):
-    """Establish the four remaining edges of a 5-cycle from
-    g2 = v2v3 + v4v5 and g3 = v1v5 + v3v4, given v1v2 established."""
-    v1, v2, v3, v4, v5 = v
-    # (v2v3)^2 = v2v3*g2 - v2v5*g3 + v5^2*(v1v2)
-    r23 = b.power(_m(v2, v3), 2, [(_p(v2, v3), g2_ref),
-                                  (-_p(v2, v5), g3_ref),
-                                  (_p(v5, v5), ref_v1v2)])
-    r45 = b.linear(g2_ref, [r23])
-    # (v1v5)^2 = v1v5*g3 - v1v3*(v4v5)
-    r15 = b.power(_m(v1, v5), 2, [(_p(v1, v5), g3_ref),
-                                  (-_p(v1, v3), r45)])
-    b.linear(g3_ref, [r15])
 
 
 def gens_cycle(length, labels=None):
@@ -93,12 +81,8 @@ def gens_cycle(length, labels=None):
     v = tuple(labels) if labels else default_cycle_labels(length)
     if len(v) != length:
         raise ConstructionError("expected %d labels" % length)
-    g = cycle_graph(v)
-    b = CertBuilder(g)
-    base_ref = b.gen(_p(v[0], v[1]))
-    polys, emit = _cycle_plan(v)
-    refs = [b.gen(p) for p in polys]
-    emit(b, refs, base_ref)
+    b = CertBuilder(cycle_graph(v))
+    _cycle(b, v, b.gen(_p(v[0], v[1])))
     return b.result()
 
 
@@ -117,101 +101,68 @@ def lemma52_graph(x=None, r_paths=(), s_paths=()):
     return Graph.build(edges)
 
 
-def _chain_plan(root, paths):
-    """Generators x_root a_1, h_i = root*a_{i+1} + a_i b_i for a cascade of
-    length-2 paths, plus an emitter establishing every root*a_i and every
-    a_i b_i except the last."""
-    polys = [_p(root, paths[0][0])]
+def _chain(b, root, paths):
+    """Emit the generators x_root a_1, h_i = root*a_{i+1} + a_i b_i for a
+    cascade of length-2 paths, and the steps establishing every root*a_i
+    and every a_i b_i except the last."""
+    b.gen(_p(root, paths[0][0]))
     for (a, _), (a2, b2) in zip(paths[1:], paths[:-1]):
-        polys.append(_sum(_m(root, a), _m(a2, b2)))
-
-    def emit(b, refs):
-        for i in range(1, len(paths)):
-            b.sv(b.ref(_m(root, paths[i - 1][0])), refs[i])
-
-    return polys, emit
+        b.sv(b.ref(_m(root, a2)), b.gen(_sum(_m(root, a), _m(a2, b2))))
 
 
-def _lemma52_plan(x, r_paths, s_paths):
-    """Generator polynomials and step emitter for the 5-cycle-with-paths
-    family; count is always len(r_paths) + len(s_paths) + 3."""
+def _lemma52(b, x, r_paths, s_paths):
+    """Emit the generators and steps of the 5-cycle-with-paths family; the
+    generator count is always len(r_paths) + len(s_paths) + 3."""
     x1, x2, x3, x4, x5 = x
     if not s_paths and not r_paths:
-        polys = [_p(x1, x2),
-                 _sum(_m(x2, x3), _m(x4, x5)),
-                 _sum(_m(x1, x5), _m(x3, x4))]
-
-        def emit(b, refs):
-            _c5_tail(b, x, refs[0], refs[1], refs[2])
-
-        return polys, emit
-
+        _cycle(b, x, b.gen(_p(x1, x2)))
+        return
     if not s_paths:
         ar, br = r_paths[-1]
-        chain_polys, chain_emit = _chain_plan(x1, r_paths)
-        polys = chain_polys + [
-            _sum(_m(x1, x2), _m(ar, br)),
-            _sum(_m(x2, x3), _m(x4, x5)),
-            _sum(_m(x1, x5), _m(x3, x4)),
-        ]
-
-        def emit(b, refs):
-            chain_emit(b, refs[:len(chain_polys)])
-            q_ref, g2_ref, g3_ref = refs[-3:]
-            b.sv(b.ref(_m(x1, ar)), q_ref)
-            _c5_tail(b, x, b.ref(_m(x1, x2)), g2_ref, g3_ref)
-
-        return polys, emit
-
+        _chain(b, x1, r_paths)
+        b.sv(b.ref(_m(x1, ar)), b.gen(_sum(_m(x1, x2), _m(ar, br))))
+        _cycle(b, x, b.ref(_m(x1, x2)))
+        return
     if not r_paths:
         # Mirror through the C5 automorphism x1<->x3, x4<->x5.
-        return _lemma52_plan((x3, x2, x1, x5, x4), s_paths, ())
+        _lemma52(b, (x3, x2, x1, x5, x4), s_paths, ())
+        return
 
     ar, br = r_paths[-1]
     cs, ds = s_paths[-1]
-    r_polys, r_emit = _chain_plan(x1, r_paths)
-    s_polys, s_emit = _chain_plan(x3, s_paths)
-    p1 = _sum(_m(x1, x2), _m(ar, br), _m(x4, x5))
-    p2 = _sum(_m(x1, x5), _m(x2, x3), Monomial.of(ar, x4, x5))
-    w = _sum(_m(cs, ds), _m(x3, x4))
-    polys = r_polys + [p1, p2] + s_polys + [w]
+    _chain(b, x1, r_paths)
+    p1_ref = b.gen(_sum(_m(x1, x2), _m(ar, br), _m(x4, x5)))
+    p2_ref = b.gen(_sum(_m(x1, x5), _m(x2, x3), Monomial.of(ar, x4, x5)))
+    _chain(b, x3, s_paths)
+    b.sv(b.ref(_m(x3, cs)),
+         b.gen(_sum(_m(cs, ds), _m(x3, x4))))  # -> cs*ds, x3*x4
 
-    def emit(b, refs):
-        nr, ns = len(r_polys), len(s_polys)
-        r_emit(b, refs[:nr])
-        p1_ref, p2_ref = refs[nr], refs[nr + 1]
-        s_emit(b, refs[nr + 2:nr + 2 + ns])
-        b.sv(b.ref(_m(x3, cs)), refs[-1])  # -> cs*ds, x3*x4
+    x1ar = b.ref(_m(x1, ar))
+    x3x4 = b.ref(_m(x3, x4))
+    # t = x1^2 x2 - ar x4^2 x5 expressed over established elements:
+    # t = -br*(x1 ar) + x1*p1 - x4*p2 + x2*(x3 x4)
+    t_combo = [(-_p(br), x1ar), (_p(x1), p1_ref),
+               (-_p(x4), p2_ref), (_p(x2), x3x4)]
 
-        x1ar = b.ref(_m(x1, ar))
-        x3x4 = b.ref(_m(x3, x4))
-        # t = x1^2 x2 - ar x4^2 x5 expressed over established elements:
-        # t = -br*(x1 ar) + x1*p1 - x4*p2 + x2*(x3 x4)
-        t_combo = [(-_p(br), x1ar), (_p(x1), p1_ref),
-                   (-_p(x4), p2_ref), (_p(x2), x3x4)]
+    def scaled(factor, extra):
+        return [(factor * c, ref) for c, ref in t_combo] + extra
 
-        def scaled(factor, extra):
-            return [(factor * c, ref) for c, ref in t_combo] + extra
-
-        # (x1x2)^3 = x1 x2^2 * t + x2^2 x4^2 x5 * (x1 ar)
-        r12 = b.power(_m(x1, x2), 3,
-                      scaled(_p(x1, x2, x2),
-                             [(_p(x2, x2, x4, x4, x5), x1ar)]))
-        # (ar x4 x5)^2 = -ar x5 * t + x1 x2 x5 * (x1 ar)
-        r45a = b.power(Monomial.of(ar, x4, x5), 2,
-                       scaled(-_p(ar, x5), [(_p(x1, x2, x5), x1ar)]))
-        # (ar br)^2 = ar br * p1 - br x2 * (x1 ar) - br * (ar x4 x5)
-        rab = b.power(_m(ar, br), 2, [(_p(ar, br), p1_ref),
-                                      (-_p(br, x2), x1ar),
-                                      (-_p(br), r45a)])
-        r45 = b.linear(p1_ref, [r12, rab])
-        # (x1x5)^2 = x1 x5 * p2 - x3 x5 * (x1 x2) - x1 x5 * (ar x4 x5)
-        r15 = b.power(_m(x1, x5), 2, [(_p(x1, x5), p2_ref),
-                                      (-_p(x3, x5), r12),
-                                      (-_p(x1, x5), r45a)])
-        b.linear(p2_ref, [r15, r45a])
-
-    return polys, emit
+    # (x1x2)^3 = x1 x2^2 * t + x2^2 x4^2 x5 * (x1 ar)
+    r12 = b.power(_m(x1, x2), 3,
+                  scaled(_p(x1, x2, x2), [(_p(x2, x2, x4, x4, x5), x1ar)]))
+    # (ar x4 x5)^2 = -ar x5 * t + x1 x2 x5 * (x1 ar)
+    r45a = b.power(Monomial.of(ar, x4, x5), 2,
+                   scaled(-_p(ar, x5), [(_p(x1, x2, x5), x1ar)]))
+    # (ar br)^2 = ar br * p1 - br x2 * (x1 ar) - br * (ar x4 x5)
+    rab = b.power(_m(ar, br), 2, [(_p(ar, br), p1_ref),
+                                  (-_p(br, x2), x1ar),
+                                  (-_p(br), r45a)])
+    r45 = b.linear(p1_ref, [r12, rab])
+    # (x1x5)^2 = x1 x5 * p2 - x3 x5 * (x1 x2) - x1 x5 * (ar x4 x5)
+    r15 = b.power(_m(x1, x5), 2, [(_p(x1, x5), p2_ref),
+                                  (-_p(x3, x5), r12),
+                                  (-_p(x1, x5), r45a)])
+    b.linear(p2_ref, [r15, r45a])
 
 
 def default_path_labels(prefix_a, prefix_b, count):
@@ -235,9 +186,7 @@ def gens_lemma52(r, s, x=None, r_paths=None, s_paths=None):
     if len(g.vertices) != 5 + 2 * (r + s):
         raise ConstructionError("path labels collide")
     b = CertBuilder(g)
-    polys, emit = _lemma52_plan(x, r_paths, s_paths)
-    refs = [b.gen(p) for p in polys]
-    emit(b, refs)
+    _lemma52(b, x, r_paths, s_paths)
     return b.result()
 
 
@@ -344,6 +293,17 @@ def sv_layer_search(g, max_layers=None, first=None):
     under eight seeds on every tree of at most 9 vertices and on 40 random
     cacti.
     """
+    found = _layer_search(g, max_layers, first)
+    if found is None:
+        return None
+    b = CertBuilder(g)
+    _emit_layering(b, *found)
+    return b.result()
+
+
+def _layer_search(g, max_layers, first=None):
+    """The search of sv_layer_search: (layer masks, edge monomials, their
+    _witness_table), or None."""
     monomials = _edge_monomials(g)
     if not monomials:
         raise ConstructionError("graph has no edges")
@@ -380,53 +340,44 @@ def sv_layer_search(g, max_layers=None, first=None):
             best = layers
     if best is None:
         return None
-    return _layers_to_certificate(g, best, monomials, witnesses)
+    return best, monomials, witnesses
 
 
-def _layers_to_certificate(g, layers, monomials, witnesses):
-    """The certificate of a layering given as edge masks: bit i is
-    monomials[i], and witnesses is their _witness_table."""
-    b = CertBuilder(g)
-    refs = [b.gen(_sum(*(monomials[i] for i in _bits(layer))))
-            for layer in layers]
-    earlier = layers[0]
-    for layer, ref in zip(layers[1:], refs[1:]):
-        _emit_layer_steps(b, list(_bits(layer)), ref, earlier, monomials,
-                          witnesses)
-        earlier |= layer
-    return b.result()
-
-
-def _emit_layer_steps(b, layer, layer_ref, earlier, monomials, witnesses):
-    """Establish every monomial of a layer sum, given all earlier-layer
-    monomials established.  layer lists edge indices in increasing order,
-    earlier is the mask of the earlier edges, and the witness of a pair is
-    the least earlier edge dividing its product."""
+def _emit_layering(b, layers, monomials, witnesses, anchored=False):
+    """Emit a layering given as edge masks (bit i is monomials[i], and
+    witnesses is their _witness_table): one generator per layer sum, except
+    the singleton first layer when the caller has already established it
+    (anchored), and the steps establishing every monomial of the later
+    layers.  The witness of a pair is the least earlier edge dividing its
+    product."""
     def rho(i, j):
         w = witnesses[i][j] & earlier
         return monomials[(w & -w).bit_length() - 1]
 
-    if len(layer) == 1:
-        return  # the generator itself is the unit monomial
-    if len(layer) == 2:
-        b.sv(b.ref(rho(*layer)), layer_ref)
-        return
-    for i in layer:
-        mu = monomials[i]
-        combo = [(Polynomial.term(mu), layer_ref)]
-        for j in layer:
-            if j != i:
-                d = rho(i, j)
-                combo.append((-Polynomial.term((mu * monomials[j]) / d),
-                              b.ref(d)))
-        b.power(mu, 2, combo)
+    if not anchored:
+        b.gen(_sum(*(monomials[i] for i in _bits(layers[0]))))
+    earlier = layers[0]
+    for layer in layers[1:]:
+        idx = list(_bits(layer))
+        ref = b.gen(_sum(*(monomials[i] for i in idx)))
+        if len(idx) == 2:
+            b.sv(b.ref(rho(*idx)), ref)
+        elif len(idx) > 2:
+            for i in idx:
+                mu = monomials[i]
+                combo = [(Polynomial.term(mu), ref)]
+                for j in idx:
+                    if j != i:
+                        d = rho(i, j)
+                        q = (mu * monomials[j]) / d
+                        combo.append((-Polynomial.term(q), b.ref(d)))
+                b.power(mu, 2, combo)
+        earlier |= layer
 
 
-def gens_whisker_tree(t, anchor_edge):
-    """n polynomials (n = number of non-terminal vertices) generating the
-    edge ideal of a whisker tree up to radical, with the anchor edge as a
-    standalone monomial generator.  Errors when the capped search fails."""
-    if not is_whisker_tree(t)[0]:
+def _whisker_layering(t, anchor_edge):
+    """The layering of gens_whisker_tree, as _layer_search returns it."""
+    if not is_whisker_tree(t):
         raise ConstructionError("graph is not a whisker tree")
     u, v = anchor_edge
     if edge(u, v) not in t.edges:
@@ -434,39 +385,19 @@ def gens_whisker_tree(t, anchor_edge):
     if t.degree(u) == 1 or t.degree(v) == 1:
         raise ConstructionError("anchor edge must be non-terminal")
     n = sum(1 for w in t.vertices if t.degree(w) > 1)
-    res = sv_layer_search(t, max_layers=n, first=(u, v))
-    if res is None:
+    found = _layer_search(t, max_layers=n, first=(u, v))
+    if found is None:
         raise SearchBudgetError("no layering of size %d found" % n)
-    return res
+    return found
 
 
-# -- splicing sub-certificates ----------------------------------------
-
-
-def _splice_steps(b, gen_refs, steps):
-    """Replay a certificate's steps inside another builder.  gen_refs maps
-    the source generator indices to refs in b; step outputs are tracked so
-    later references resolve."""
-    ref_map = dict(enumerate(gen_refs))
-    next_src = len(gen_refs)
-
-    def remap(r):
-        return ref_map[r]
-
-    for step in steps:
-        if isinstance(step, SVStep):
-            out = b.sv(remap(step.rho_ref), remap(step.sum_ref))
-        elif isinstance(step, LinearStep):
-            out = (b.linear(remap(step.target_ref),
-                            [remap(r) for r in step.subtract_refs]),)
-        elif isinstance(step, PowerStep):
-            out = (b.power(step.target, step.k,
-                           [(c, remap(r)) for c, r in step.combination]),)
-        else:
-            raise ConstructionError("unknown step kind")
-        for o in out:
-            ref_map[next_src] = o
-            next_src += 1
+def gens_whisker_tree(t, anchor_edge):
+    """n polynomials (n = number of non-terminal vertices) generating the
+    edge ideal of a whisker tree up to radical, with the anchor edge as a
+    standalone monomial generator.  Errors when the capped search fails."""
+    b = CertBuilder(t)
+    _emit_layering(b, *_whisker_layering(t, anchor_edge))
+    return b.result()
 
 
 # -- attaching whiskers/cycles to every vertex of a base graph --------
@@ -486,24 +417,16 @@ def gens_prop42(base, attachments):
     whisker_edges = [(v, labels[v][1]) for v in base.vertices]
     wg = base.with_edges(whisker_edges)
     n = len(base.vertices)
-    s0 = sv_layer_search(wg, max_layers=n)
-    if s0 is None:
+    found = _layer_search(wg, max_layers=n)
+    if found is None:
         raise SearchBudgetError(
             "no %d-layer generator set found for the whisker graph" % n)
-    s0_gs, s0_cert = s0
-
     b = CertBuilder(g)
-    s0_refs = [b.gen(p) for p in s0_gs.polys]
-    plans = []
+    _emit_layering(b, *found)
     for v in base.vertices:
-        if attachments[v] == WHISKER:
-            continue
-        polys, emit = _cycle_plan(labels[v])
-        refs = [b.gen(p) for p in polys]
-        plans.append((labels[v], refs, emit))
-    _splice_steps(b, s0_refs, s0_cert.steps)
-    for ring, refs, emit in plans:
-        emit(b, refs, b.ref(_m(ring[0], ring[1])))
+        if attachments[v] != WHISKER:
+            ring = labels[v]
+            _cycle(b, ring, b.ref(_m(ring[0], ring[1])))
     return b.result()
 
 
@@ -523,7 +446,7 @@ def _attachment_case(att, root):
                                 "attachment")
     e = nbrs[0]
     stripped = att.without_vertex(root)
-    if not is_whisker_tree(stripped)[0]:
+    if not is_whisker_tree(stripped):
         raise ConstructionError("attachment minus the root is not a whisker "
                                 "tree")
     return e, stripped, ("B" if stripped.degree(e) == 1 else "A")
@@ -547,45 +470,31 @@ def gens_lemma53(r, s, attach_x1=(), attach_x3=(), x=None):
             if case == "A":
                 f = min(w for w in stripped.neighbors(e)
                         if stripped.degree(w) > 1)
-                case_a[root].append((att, e, f, stripped))
+                case_a[root].append((e, f, stripped))
             else:
                 case_b.append(att)
 
     r_paths = default_path_labels("a", "b", r) + \
-        [(e, f) for _, e, f, _ in case_a[x1]]
+        [(e, f) for e, f, _ in case_a[x1]]
     s_paths = default_path_labels("c", "d", s) + \
-        [(e, f) for _, e, f, _ in case_a[x3]]
-    core = lemma52_graph(x, r_paths, s_paths)
-    full = core
+        [(e, f) for e, f, _ in case_a[x3]]
+    full = lemma52_graph(x, r_paths, s_paths)
     for att in list(attach_x1) + list(attach_x3):
         full = full.union(att)
 
     b = CertBuilder(full)
-    core_polys, core_emit = _lemma52_plan(x, r_paths, s_paths)
-    core_refs = [b.gen(p) for p in core_polys]
-
-    spliced = []
+    _lemma52(b, x, r_paths, s_paths)
     for root in (x1, x3):
-        for _, e, f, stripped in case_a[root]:
-            gs_i, cert_i = gens_whisker_tree(stripped, (e, f))
-            refs = [b.gen(p) for p in gs_i.polys[1:]]
-            spliced.append((gs_i, cert_i, refs, _m(e, f)))
+        for e, f, stripped in case_a[root]:
+            _emit_layering(b, *_whisker_layering(stripped, (e, f)),
+                           anchored=True)
     for att in case_b:
         bh = covers.big_height(att)
-        res = sv_layer_search(att, max_layers=bh)
-        if res is None:
+        found = _layer_search(att, max_layers=bh)
+        if found is None:
             raise SearchBudgetError("no %d-layer set for a tree attachment"
                                     % bh)
-        gs_i, cert_i = res
-        refs = [b.gen(p) for p in gs_i.polys]
-        spliced.append((gs_i, cert_i, refs, None))
-
-    core_emit(b, core_refs)
-    for gs_i, cert_i, refs, anchor in spliced:
-        if anchor is not None:
-            _splice_steps(b, [b.ref(anchor)] + refs, cert_i.steps)
-        else:
-            _splice_steps(b, refs, cert_i.steps)
+        _emit_layering(b, *found)
     return b.result()
 
 
@@ -606,7 +515,7 @@ def gens_lemma54(h1, h2, x=("x1", "x2", "x3", "x4")):
     if {x3, x4} & (set(h1.vertices) | set(h2.vertices)):
         raise ConstructionError("x3/x4 cannot appear in the attachments")
     bridge = h1.union(h2).with_edges([(x1, x2)])
-    if not is_whisker_tree(bridge)[0]:
+    if not is_whisker_tree(bridge):
         raise ConstructionError("hypothesis fails: h1 + x1x2 + h2 is not a "
                                 "whisker tree")
 
@@ -616,7 +525,7 @@ def gens_lemma54(h1, h2, x=("x1", "x2", "x3", "x4")):
             (e,) = h.edges
             yi = e[0] if e[1] == xi else e[1]
         else:
-            if not is_whisker_tree(h)[0]:
+            if not is_whisker_tree(h):
                 raise ConstructionError("attachment at %r is neither a single "
                                         "edge nor a whisker tree" % xi)
             cand = sorted(w for w in h.neighbors(xi) if h.degree(w) > 1)
@@ -630,17 +539,7 @@ def gens_lemma54(h1, h2, x=("x1", "x2", "x3", "x4")):
     b = CertBuilder(g)
     r0 = b.gen(_p(x1, x2))
     r1 = b.gen(_sum(_m(x1, x4), _m(x2, x3)))
-    q = _sum(_m(x3, x4), _m(x1, y1), _m(x2, y2))
-    rq = b.gen(q)
-
-    spliced = []
-    for xi, yi, h in ((x1, y1, h1), (x2, y2, h2)):
-        if len(h.edges) == 1:
-            continue
-        gs_i, cert_i = gens_whisker_tree(h, (xi, yi))
-        refs = [b.gen(p) for p in gs_i.polys[1:]]
-        spliced.append((cert_i, refs, _m(xi, yi)))
-
+    rq = b.gen(_sum(_m(x3, x4), _m(x1, y1), _m(x2, y2)))
     b.sv(r0, r1)  # -> x1x4, x2x3
     x1x4, x2x3 = b.ref(_m(x1, x4)), b.ref(_m(x2, x3))
     b.power(_m(x3, x4), 2, [(_p(x3, x4), rq),
@@ -652,6 +551,7 @@ def gens_lemma54(h1, h2, x=("x1", "x2", "x3", "x4")):
     b.power(_m(x2, y2), 2, [(_p(x2, y2), rq),
                             (-_p(x4, y2), x2x3),
                             (-_p(y1, y2), r0)])
-    for cert_i, refs, anchor in spliced:
-        _splice_steps(b, [b.ref(anchor)] + refs, cert_i.steps)
+    for xi, yi, h in ((x1, y1, h1), (x2, y2, h2)):
+        if len(h.edges) > 1:
+            _emit_layering(b, *_whisker_layering(h, (xi, yi)), anchored=True)
     return b.result()

@@ -363,15 +363,10 @@ def is_whisker_graph(g):
 
 
 def is_whisker_tree(g):
-    """Whether g is the whisker graph of a tree: a tree and a whisker graph.
-    Returns (bool, decomposition), where the decomposition maps "base" to
-    the base tree and "whiskers" each base vertex to its pendant."""
-    ok, base = is_whisker_graph(g)
-    if not ok or not g.is_connected() or len(g.edges) >= len(g.vertices):
-        return False, None   # connected with fewer edges than vertices: tree
-    whiskers = {v: next(w for w in g.adj[v] if g.degree(w) == 1)
-                for v in base.vertices}
-    return True, {"base": base, "whiskers": whiskers}
+    """Whether g is the whisker graph of a tree: a tree and a whisker graph
+    (connected with fewer edges than vertices: a tree)."""
+    return (is_whisker_graph(g)[0] and g.is_connected()
+            and len(g.edges) < len(g.vertices))
 
 
 # -- cycles and attachments ------------------------------------------

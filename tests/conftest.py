@@ -155,24 +155,19 @@ def whisker_tree_oracle(g):
     """Whether g is the whisker graph of a tree, by the degree conditions: g
     is a tree in which every non-terminal vertex has exactly one terminal
     neighbour and every terminal vertex has a non-terminal neighbour (a bare
-    edge does not qualify).  Returns (bool, {"base", "whiskers"})."""
+    edge does not qualify)."""
     if not g.vertices or not g.edges:
-        return False, None
+        return False
     if not g.is_connected() or len(g.edges) != len(g.vertices) - 1:
-        return False, None
+        return False
     base = [v for v in g.vertices if g.degree(v) > 1]
     if not base:
-        return False, None
-    whiskers = {}
+        return False
     for v in base:
-        pendants = [w for w in g.neighbors(v) if g.degree(w) == 1]
-        if len(pendants) != 1:
-            return False, None
-        whiskers[v] = pendants[0]
-    for t in g.vertices:
-        if g.degree(t) == 1 and g.degree(next(iter(g.adj[t]))) == 1:
-            return False, None
-    return True, {"base": g.induced(base), "whiskers": whiskers}
+        if sum(g.degree(w) == 1 for w in g.neighbors(v)) != 1:
+            return False
+    return not any(g.degree(t) == 1 and g.degree(next(iter(g.adj[t]))) == 1
+                   for t in g.vertices)
 
 
 # -- paper-lemma oracles: Lemmas 2.6 and 2.7, the redundancy remark ----

@@ -1,7 +1,6 @@
 """Certificate verification: sound on hand-built certificates, rejects every
 kind of malformed step, and fails under tampering."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgeideals import certificates, covers
@@ -172,14 +171,30 @@ def test_reference_out_of_range():
     assert not v.ok and "out of range" in v.reason
 
 
-def test_builder_rejects_gens_after_steps():
-    g = Graph.build([("a", "b"), ("b", "c"), ("a", "c")])
+def test_builder_numbers_generators_first():
+    g = Graph.build([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
+    late_gen = _p("c", "d") + _p("a", "c")
     b = CertBuilder(g)
     r0 = b.gen(_p("a", "b"))
     r1 = b.gen(_p("b", "c") + _p("a", "c"))
-    b.sv(r0, r1)
-    with pytest.raises(ValueError):
-        b.gen(_p("a", "c"))
+    r_ac, r_bc = b.sv(r0, r1)
+    late = b.gen(late_gen)  # a generator after a step
+    b.linear(late, [r_ac])  # -> cd
+    # Refs are handed out in call order ...
+    assert (r0, r1, r_ac, r_bc, late) == (0, 1, 2, 3, 4)
+    assert b.ref(_m("a", "c")) == r_ac
+    gs, cert = b.result()
+    # ... and result() lists the generators in call order, ahead of the
+    # step outputs, rewriting the steps' refs to match.
+    assert gs.polys == (_p("a", "b"), _p("b", "c") + _p("a", "c"), late_gen)
+    assert cert.steps == (SVStep(0, 1), LinearStep(2, (3,)))
+    assert verify_certificate(gs, cert).ok
+
+    first = CertBuilder(g)
+    refs = [first.gen(p) for p in gs.polys]
+    r_ac, _ = first.sv(refs[0], refs[1])
+    first.linear(refs[2], [r_ac])
+    assert first.result() == (gs, cert)
 
 
 def test_step_serialization_round_trip(certificate_corpus):

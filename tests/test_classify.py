@@ -11,18 +11,16 @@ from conftest import BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, cycle, path_graph
 
 
 def test_is_whisker_tree():
-    ok, dec = graphs.is_whisker_tree(WHISKER_P3)
-    assert ok and set(dec["base"].vertices) == {"a", "b", "c"}
-    assert dec["whiskers"] == {"a": "aw", "b": "bw", "c": "cw"}
-    assert not graphs.is_whisker_tree(Graph.build([("a", "b")]))[0]
+    assert graphs.is_whisker_tree(WHISKER_P3) is True
+    assert graphs.is_whisker_tree(Graph.build([("a", "b")])) is False
     # P4 is the whisker tree over a single edge; P5 is not a whisker tree
     # (its middle vertex has no pendant neighbour).
-    assert graphs.is_whisker_tree(path_graph(4))[0]
-    assert not graphs.is_whisker_tree(path_graph(5))[0]
-    assert not graphs.is_whisker_tree(TRIANGLE)[0]
+    assert graphs.is_whisker_tree(path_graph(4))
+    assert not graphs.is_whisker_tree(path_graph(5))
+    assert not graphs.is_whisker_tree(TRIANGLE)
     # Two whiskers on one base vertex disqualify.
     g = parse_edge_list("a b\na u\na v\nb bw")
-    assert not graphs.is_whisker_tree(g)[0]
+    assert not graphs.is_whisker_tree(g)
 
 
 def test_simplex_partition():

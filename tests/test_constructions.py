@@ -327,9 +327,9 @@ def test_gens_prop42_c4_attachment():
 
 
 def test_gens_lemma53_empty_matches_lemma52():
-    gs_a, _ = cons.gens_lemma53(2, 1)
-    gs_b, _ = cons.gens_lemma52(2, 1)
-    assert len(gs_a) == len(gs_b)
+    # (0, 2) takes the mirrored path of the 5-cycle family.
+    for r, s in ((0, 0), (2, 1), (1, 0), (0, 2)):
+        assert cons.gens_lemma53(r, s) == cons.gens_lemma52(r, s), (r, s)
 
 
 def test_gens_lemma53_case_a():
@@ -371,3 +371,44 @@ def test_gens_lemma54_hypothesis_checked():
 def test_all_verified_sets_meet_krull_bound(certificate_corpus):
     for name, gs, cert in certificate_corpus:
         assert len(gs) >= covers.big_height(gs.graph), name
+
+
+# Every family through one fixed corpus, hashed under PYTHONHASHSEED=0.  The
+# digest pins the certificate bytes: a change to the order of generators or
+# steps, or to any ref, changes it.  The benchmark's recorded references rest
+# on those bytes, so re-record both together or neither.
+_GUARD_SCRIPT = r"""
+import hashlib, json
+from edgeideals import constructions as cons
+from edgeideals.certificates import certified_set_to_data
+from edgeideals.graphs import parse_edge_list as g
+
+results = [cons.gens_lemma52(r, s)
+           for r, s in ((0, 0), (2, 0), (0, 2), (2, 1))]
+results += [
+    cons.gens_lemma53(1, 0, [g("x1 e\ne f\ne ew\nf fw\nf h\nh hw")], []),
+    cons.gens_lemma53(0, 1, [], [g("x3 e\ne f\ne ew\nf fw")]),
+    cons.gens_lemma53(1, 1, [g("x1 e\ne f\nf k\nk m")], []),
+    cons.gens_lemma54(g("x1 y1\nx1 z\nz zw\nz u\nu uw"),
+                      g("x2 y2\nx2 w\nw ww\nw t\nt tw")),
+    cons.gens_prop42(g("a b\nb c\nc d\nb d"),
+                     {"a": cons.WHISKER, "b": 3, "c": 4, "d": 5}),
+    cons.gens_whisker_tree(g("a b\nb c\nc d\na aw\nb bw\nc cw\nd dw"),
+                           ("b", "c")),
+]
+text = json.dumps([certified_set_to_data(*res) for res in results],
+                  sort_keys=True)
+print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_certificates_match_the_recorded_digest():
+    src = Path(cons.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _GUARD_SCRIPT],
+                         capture_output=True, text=True, check=True,
+                         env=env).stdout
+    assert out.strip() == (
+        "fc84d49d4f49a06f744092b1a48615f38f9b4865a7dbf9881b26c3ed633daea2")

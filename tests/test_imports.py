@@ -83,6 +83,16 @@ def test_bounds_and_classify_import_only_covers_and_graphs():
     assert deps["bounds"] == deps["classify"] == {"covers", "graphs"}
 
 
+def test_constructions_import_only_the_builder_from_certificates():
+    # The step kinds live in certificates alone: constructions writes steps
+    # through CertBuilder and never names a step class.
+    tree = ast.parse((SRC / "constructions.py").read_text())
+    names = [a.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             and node.module == "certificates" for a in node.names]
+    assert names == ["CertBuilder"]
+
+
 def test_package_needs_only_the_standard_library():
     outside = []
     for path in MODULES:
