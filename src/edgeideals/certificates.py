@@ -26,7 +26,7 @@ the edge ideal iff two of its variables are adjacent in the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import Graph, GraphError
 from .polynomials import (Monomial, Polynomial, _json_int, edge_monomial,
@@ -90,7 +90,6 @@ class Verdict:
     ok: bool
     failed_step: int = -1  # -1: generator containment or final coverage
     reason: str = ""
-    established: tuple = field(default=(), compare=False)
 
     def __bool__(self):
         return self.ok
@@ -209,7 +208,7 @@ def verify_certificate(gs: GeneratorSet, cert: Certificate) -> Verdict:
     if missing:
         return Verdict(False, -1, "edge monomials not established: %s"
                        % ", ".join(missing))
-    return Verdict(True, established=tuple(established))
+    return Verdict(True)
 
 
 class CertBuilder:

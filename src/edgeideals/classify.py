@@ -4,8 +4,8 @@ Covers the unicyclic characterization (five structural cases), the chordal /
 no-C4-C5 equivalence, the girth-at-least-6 characterization, and a dispatcher
 that returns the strongest applicable verdict with its citation tag.  The
 structural recognizers it applies (cactus, cycles, chordality, whisker
-graphs and trees, short-cycle screens) live in `graphs`; the case matchers
-here (`_match_case`, `_prop42_tail`) combine them.
+graphs and trees, the short-cycle screen) live in `graphs`; the case
+matchers here (`_match_case`, `_prop42_tail`) combine them.
 """
 
 from __future__ import annotations
@@ -152,8 +152,7 @@ def classify_unicyclic(g):
 def corollary44(g):
     """For chordal graphs, or graphs without C4/C5 subgraphs: purity, CM,
     the simplex partition and STCI are all equivalent."""
-    if not graphs.is_chordal(g) and (graphs.has_cycle_subgraph(g, 4)
-                                     or graphs.has_cycle_subgraph(g, 5)):
+    if not graphs.is_chordal(g) and graphs.has_cycle_subgraph(g, (4, 5)):
         raise HypothesisError("hypothesis not met: graph is neither chordal "
                               "nor free of length-4/5 cycle subgraphs")
     stats = covers.cover_stats(g)
@@ -179,7 +178,8 @@ def corollary61(g):
     if len(g.vertices) == 7 and len(g.edges) == 7 \
             and all(g.degree(v) == 2 for v in g.vertices):
         raise HypothesisError("hypothesis not met: the 7-cycle is excluded")
-    if graphs.induced_cycles_shorter_than(g, 6):
+    # A chord would split a shortest cycle, so this is the girth test.
+    if graphs.has_cycle_subgraph(g, (3, 4, 5)):
         raise HypothesisError("hypothesis not met: graph has a minimal cycle "
                               "of length less than 6")
     stats = covers.cover_stats(g)

@@ -91,6 +91,8 @@ def _parse_attachments(specs):
     out = {}
     for spec in specs or ():
         vertex, _, what = spec.partition("=")
+        if vertex in out:
+            raise GraphError("--attach names vertex %r twice" % vertex)
         try:
             out[vertex] = constructions.WHISKER if what == "whisker" \
                 else int(what)

@@ -51,15 +51,15 @@ def default_cycle_labels(length):
 
 
 def _cycle(b, v, base_ref):
-    """Emit the generators and steps of a cycle on the labels v, given the
-    ref of its established v1v2 monomial."""
+    """Emit the generators and steps of a cycle on the 3, 4 or 5 labels v,
+    given the ref of its established v1v2 monomial."""
     if len(v) == 3:
         b.sv(base_ref, b.gen(_sum(_m(v[1], v[2]), _m(v[0], v[2]))))
     elif len(v) == 4:
         g1 = b.gen(_sum(_m(v[0], v[3]), _m(v[1], v[2])))
         b.gen(_p(v[2], v[3]))
         b.sv(base_ref, g1)
-    elif len(v) == 5:
+    else:
         # g2 = v2v3 + v4v5 and g3 = v1v5 + v3v4
         v1, v2, v3, v4, v5 = v
         g2 = b.gen(_sum(_m(v2, v3), _m(v4, v5)))
@@ -71,16 +71,14 @@ def _cycle(b, v, base_ref):
         # (v1v5)^2 = v1v5*g3 - v1v3*(v4v5)
         r15 = b.power(_m(v1, v5), 2, [(_p(v1, v5), g3), (-_p(v1, v3), r45)])
         b.linear(g3, [r15])
-    else:
-        raise ConstructionError("explicit cycle constructions cover lengths "
-                                "3, 4 and 5 only (got %d)" % len(v))
 
 
-def gens_cycle(length, labels=None):
+def gens_cycle(length):
     """The explicit generator sets for C3, C4, C5 (counts 2, 3, 3)."""
-    v = tuple(labels) if labels else default_cycle_labels(length)
-    if len(v) != length:
-        raise ConstructionError("expected %d labels" % length)
+    if length not in (3, 4, 5):
+        raise ConstructionError("explicit cycle constructions cover lengths "
+                                "3, 4 and 5 only (got %d)" % length)
+    v = default_cycle_labels(length)
     b = CertBuilder(cycle_graph(v))
     _cycle(b, v, b.gen(_p(v[0], v[1])))
     return b.result()
@@ -268,12 +266,12 @@ def _edge_monomials(g):
     return [Monomial.of(u, v) for u, v in g.sorted_edges()]
 
 
-def sv_layer_search(g, max_layers=None, first=None):
+def sv_layer_search(g, max_layers=None):
     """Search for a Schmitt-Vogel layering of the edge monomials of g.
 
-    Tries each edge (or only `first`, when pinned) as the singleton bottom
-    layer; within each start an exact backtracking search looks for the
-    smallest layer count up to max_layers (default: the edge count).
+    Tries each edge as the singleton bottom layer; within each start an
+    exact backtracking search looks for the smallest layer count up to
+    max_layers (default: the edge count).
     Returns a (GeneratorSet, Certificate) pair whose generators are the
     layer sums, or None when no layering within max_layers is found.
     Absence of a result is a normal outcome.
@@ -293,7 +291,7 @@ def sv_layer_search(g, max_layers=None, first=None):
     under eight seeds on every tree of at most 9 vertices and on 40 random
     cacti.
     """
-    found = _layer_search(g, max_layers, first)
+    found = _layer_search(g, max_layers)
     if found is None:
         return None
     b = CertBuilder(g)
@@ -303,14 +301,12 @@ def sv_layer_search(g, max_layers=None, first=None):
 
 def _layer_search(g, max_layers, first=None):
     """The search of sv_layer_search: (layer masks, edge monomials, their
-    _witness_table), or None."""
+    _witness_table), or None; `first`, an edge of g, pins the start."""
     monomials = _edge_monomials(g)
     if not monomials:
         raise ConstructionError("graph has no edges")
     starts = list(range(len(monomials)))
     if first:
-        if Monomial.of(*first) not in monomials:
-            raise ConstructionError("first layer monomial is not an edge")
         starts = [monomials.index(Monomial.of(*first))]
     cap = max_layers if max_layers is not None else len(monomials)
     if cap < 1:
@@ -452,16 +448,19 @@ def _attachment_case(att, root):
     return e, stripped, ("B" if stripped.degree(e) == 1 else "A")
 
 
-def gens_lemma53(r, s, attach_x1=(), attach_x3=(), x=None):
+def gens_lemma53(r, s, attach_x1=(), attach_x3=()):
     """Extend the 5-cycle family with whisker-tree attachments at x1 / x3.
 
     Each attachment is a graph containing the root vertex (x1 or x3) with a
     single edge into it; the induced subgraph off the root must be a whisker
-    tree.  Returns a generator set of size equal to the big height of the
-    resulting graph, with a verified certificate.
+    tree, and share no other vertex with the 5-cycle, its paths or another
+    attachment.  Returns a generator set of size equal to the big height of
+    the resulting graph, with a verified certificate.
     """
-    x = tuple(x) if x else default_cycle_labels(5)
-    x1, _, x3 = x[0], x[1], x[2]
+    if r < 0 or s < 0:
+        raise ConstructionError("r and s must be nonnegative")
+    x = default_cycle_labels(5)
+    x1, x3 = x[0], x[2]
     case_a = {x1: [], x3: []}
     case_b = []
     for root, atts in ((x1, attach_x1), (x3, attach_x3)):
@@ -479,8 +478,12 @@ def gens_lemma53(r, s, attach_x1=(), attach_x3=(), x=None):
     s_paths = default_path_labels("c", "d", s) + \
         [(e, f) for e, f, _ in case_a[x3]]
     full = lemma52_graph(x, r_paths, s_paths)
-    for att in list(attach_x1) + list(attach_x3):
+    attachments = list(attach_x1) + list(attach_x3)
+    for att in attachments:
         full = full.union(att)
+    if len(full.vertices) != 5 + 2 * (r + s) + sum(
+            len(att.vertices) - 1 for att in attachments):
+        raise ConstructionError("attachment labels collide")
 
     b = CertBuilder(full)
     _lemma52(b, x, r_paths, s_paths)
@@ -501,11 +504,11 @@ def gens_lemma53(r, s, attach_x1=(), attach_x3=(), x=None):
 # -- the 4-cycle with trees on two adjacent vertices ------------------
 
 
-def gens_lemma54(h1, h2, x=("x1", "x2", "x3", "x4")):
+def gens_lemma54(h1, h2):
     """Generator set for the 4-cycle with non-empty trees attached at the two
     adjacent vertices x1, x2 (x3, x4 having degree 2), under the hypothesis
     that h1 + the edge x1x2 + h2 is a whisker tree.  Size |C1| + |C2| + 1."""
-    x1, x2, x3, x4 = x
+    x = x1, x2, x3, x4 = default_cycle_labels(4)
     for xi, h in ((x1, h1), (x2, h2)):
         if xi not in h.vertices or not h.edges:
             raise ConstructionError("attachment at %r must be a non-empty "

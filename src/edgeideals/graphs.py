@@ -1,6 +1,6 @@
 """Immutable finite simple graphs and every structural recognizer the rest
 of the package uses: cactus, cycles and branches, chordality, cliques,
-whisker graphs and whisker trees, and the short-cycle screens; also the
+whisker graphs and whisker trees, and the short-cycle screen; also the
 cycle and attached-graph (Prop 4.2) builders.
 
 Vertices are nonempty whitespace-free string labels, ordered lexicographically.
@@ -14,7 +14,7 @@ adjacency built from the edge set (`Graph.adj` is read off it), and
 DFS-forest pass (`Graph._cactus_cycles`, cached on the Graph like `masks`)
 decides the cactus property and lists the cycles; maximum cardinality
 search decides chordality; one DFS over simple paths (`_cycles`) answers
-both cycle screens; and one pivoting Bron-Kerbosch (`bron_kerbosch`), which
+the cycle screen; and one pivoting Bron-Kerbosch (`bron_kerbosch`), which
 returns int masks, enumerates maximal cliques here and maximal independent
 sets in `covers`; `maximal_cliques` turns the masks into sorted frozensets.
 This module imports no other module of the package.
@@ -501,48 +501,31 @@ def is_chordal(g):
     return True
 
 
-def _cycles(masks, max_len, induced):
+def _cycles(masks, max_len):
     """Yield every cycle of at most max_len vertices once, as the index tuple
     (s, v1, ..., vk) with s its least vertex and v1 < vk.
 
     A DFS over simple paths that start at s and grow only through vertices
-    above s.  In induced mode a new vertex may touch no path vertex except
-    its predecessor and s, and one that touches s closes the path and is not
-    grown further, so exactly the chordless cycles come out.
+    above s.
     """
-    if max_len < 3:
-        return
     for s, s_nbrs in enumerate(masks):
         above = -1 << (s + 1)
-        stack = [((s, v), (1 << s) | (1 << v), 0)
-                 for v in _bits(s_nbrs & above)]
+        stack = [((s, v), (1 << s) | (1 << v)) for v in _bits(s_nbrs & above)]
         while stack:
-            path, on_path, banned = stack.pop()
-            last = path[-1]
-            if induced and len(path) > 2:
-                banned |= masks[path[-2]]
-            for w in _bits(masks[last] & above & ~on_path & ~banned):
-                closes = s_nbrs >> w & 1
-                if closes and path[1] < w:
+            path, on_path = stack.pop()
+            for w in _bits(masks[path[-1]] & above & ~on_path):
+                if s_nbrs >> w & 1 and path[1] < w:
                     yield path + (w,)
-                if len(path) + 1 < max_len and not (closes and induced):
-                    stack.append((path + (w,), on_path | (1 << w), banned))
+                if len(path) + 1 < max_len:
+                    stack.append((path + (w,), on_path | (1 << w)))
 
 
-def has_cycle_subgraph(g, length):
-    """Whether g contains a (not necessarily induced) cycle on `length`
-    vertices as a subgraph.  Supported lengths: 4 and 5."""
-    if length not in (4, 5):
-        raise GraphError("only subgraph cycles of length 4 or 5 are screened")
-    return any(len(c) == length
-               for c in _cycles(g.masks, length, induced=False))
-
-
-def induced_cycles_shorter_than(g, k):
-    """All induced (chordless) cycles of length < k, as Cycle values."""
-    out = [Cycle(tuple(g.vertices[i] for i in c))
-           for c in _cycles(g.masks, k - 1, induced=True)]
-    return sorted(out, key=lambda c: c.vertices)
+def has_cycle_subgraph(g, lengths):
+    """Whether g contains a (not necessarily induced) cycle whose vertex
+    count is in `lengths`, as a subgraph.  Supported lengths: 3, 4 and 5."""
+    if not lengths or not set(lengths) <= {3, 4, 5}:
+        raise GraphError("only cycles of length 3, 4 or 5 are screened")
+    return any(len(c) in lengths for c in _cycles(g.masks, max(lengths)))
 
 
 # -- edge-list text format --------------------------------------------

@@ -101,10 +101,6 @@ class Polynomial:
     def term(m, c=1):
         return Polynomial(((m, c),))
 
-    @staticmethod
-    def zero():
-        return Polynomial()
-
     def __post_init__(self):
         object.__setattr__(self, "terms", _canon(self.terms))
 
@@ -114,12 +110,6 @@ class Polynomial:
 
     def monomials(self):
         return [m for m, _ in self.terms]
-
-    def coefficient(self, m):
-        for mm, c in self.terms:
-            if mm == m:
-                return c
-        return 0
 
     @property
     def single_term(self):
@@ -147,20 +137,6 @@ class Polynomial:
                                 for m2, c2 in other.terms))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise PolyError("negative power")
-        result = Polynomial.term(ONE)
-        base = self
-        for _ in range(k):
-            result = result * base
-        return result
-
-    def relabel(self, mapping):
-        return Polynomial(tuple(
-            (Monomial.from_dict({mapping.get(v, v): e for v, e in m.exps}), c)
-            for m, c in self.terms))
 
     def __str__(self):
         if self.is_zero:

@@ -43,7 +43,7 @@ def test_girth6_family():
     fam = catalog.girth_at_least_6_upto(8)
     for g in fam:
         assert g.is_connected()
-        assert not graphs.induced_cycles_shorter_than(g, 6)
+        assert not graphs.has_cycle_subgraph(g, (3, 4, 5))
     # Contains the theta(3,3,3) graph on 8 vertices (two degree-3 hubs).
     assert any(len(g.vertices) == 8 and len(g.edges) == 9 for g in fam)
     with pytest.raises(ValueError):

@@ -90,7 +90,7 @@ def test_containment_probes_are_charged(monkeypatch):
 
 def test_zero_generator_rejected():
     g = Graph.build([("a", "b")])
-    gs = GeneratorSet(g, (Polynomial.zero(),))
+    gs = GeneratorSet(g, (Polynomial(),))
     assert not verify_certificate(gs, Certificate()).ok
 
 

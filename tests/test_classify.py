@@ -1,12 +1,17 @@
 """Cohen-Macaulay / STCI classification: the unicyclic five-case theorem,
 the two corollary equivalences, and the dispatcher."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from edgeideals import classify, graphs
 from edgeideals.classify import CM, NOT_CM, UNKNOWN, HypothesisError
 from edgeideals.graphs import Graph, GraphError, parse_edge_list
 
+import catalog
 from conftest import BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, cycle, path_graph
 
 
@@ -142,3 +147,53 @@ def test_verdict_invariants():
         classify.CmVerdict(NOT_CM, stci="Yes", case_tag="Cor 4.4")
     with pytest.raises(AssertionError):
         classify.CmVerdict(CM, stci="Yes", case_tag="none")
+
+
+# The two corollaries and the dispatcher over every connected graph of at
+# most 7 vertices, the girth-6 family and seeded random graphs and cacti.
+# The digest pins verdicts, evidence and exception messages: a change to the
+# short-cycle screen or to any case matcher that moves one of them moves it.
+
+
+def _canonical(value):
+    if isinstance(value, Graph):
+        return [list(e) for e in value.sorted_edges()]
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    if isinstance(value, dict):
+        return {k: _canonical(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    return value
+
+
+def _outcome(result, g):
+    try:
+        v = result(g)
+    except GraphError as exc:
+        return [type(exc).__name__, str(exc)]
+    return [v.status, v.stci, v.case_tag, _canonical(v.evidence)]
+
+
+def _random_graph(rng):
+    n = rng.randint(4, 12)
+    p = rng.choice((0.15, 0.25, 0.4))
+    labels = ["v%d" % i for i in range(n)]
+    return Graph.build([(u, w) for i, u in enumerate(labels)
+                        for w in labels[i + 1:] if rng.random() < p],
+                       isolated=labels)
+
+
+def test_classification_matches_the_recorded_digest():
+    rng = random.Random(15)
+    corpus = [*catalog.connected_graphs_upto(7),
+              *catalog.girth_at_least_6_upto(8),
+              *catalog.random_cacti(15, 60, 12),
+              *(_random_graph(rng) for _ in range(286))]
+    results = [[_outcome(fn, g) for fn in (classify.corollary44,
+                                           classify.corollary61,
+                                           classify.stci_verdict)]
+               for g in corpus]
+    text = json.dumps(results, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a85de1fdd851df55e936a54c015ddf034fd9f5e3006ac10d1035eb56b2818ea7")

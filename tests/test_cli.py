@@ -163,12 +163,41 @@ def input_error(argv, capsys):
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: ")
     assert out.err.count("\n") == 1 and "Traceback" not in out.err
+    return out.err
 
 
 def test_gens_non_integer_attachment_exits_2(graph_file, capsys):
     f = graph_file("base.txt", "a b\n")
     input_error(["gens", "--family", "prop42", "--base", f,
                  "--attach", "a=whisker", "--attach", "b=x"], capsys)
+
+
+def test_gens_repeated_attachment_vertex_exits_2(graph_file, capsys):
+    f = graph_file("base.txt", "a b\n")
+    err = input_error(["gens", "--family", "prop42", "--base", f, "--attach",
+                       "a=3", "--attach", "a=5", "--attach", "b=whisker"],
+                      capsys)
+    assert err == "error: --attach names vertex 'a' twice\n"
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 6])
+def test_gens_cycle_unsupported_length_exits_2(capsys, length):
+    err = input_error(["gens", "--family", "cycle", "--length",
+                       str(length)], capsys)
+    assert err == ("error: explicit cycle constructions cover lengths 3, 4 "
+                   "and 5 only (got %d)\n" % length)
+
+
+@pytest.mark.parametrize("r,attachments", [
+    (0, ["x1 e\ne f\ne ew\nf fw"] * 2),
+    (1, ["x1 a1\na1 b1\na1 a1w\nb1 b1w"]),
+], ids=["given-twice", "reuses-path-labels"])
+def test_gens_lemma53_overlapping_attachments_exit_2(graph_file, capsys, r,
+                                                      attachments):
+    argv = ["gens", "--family", "lemma53", "--r", str(r)]
+    for i, text in enumerate(attachments):
+        argv += ["--attach-x1", graph_file("att%d.txt" % i, text)]
+    assert input_error(argv, capsys) == "error: attachment labels collide\n"
 
 
 @pytest.mark.parametrize("mangle", [

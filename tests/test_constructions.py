@@ -20,7 +20,8 @@ from edgeideals.graphs import Graph, GraphError, parse_edge_list
 from edgeideals.polynomials import Monomial
 
 import catalog
-from conftest import WHISKER_P3, cycle, layer_search_mismatches, path_graph
+from conftest import (WHISKER_P3, cycle, layer_search_mismatches, path_graph,
+                      pinned_layer_search)
 
 
 def _check(gs, cert):
@@ -41,14 +42,10 @@ def test_gens_cycle_c4_exceeds_bight_by_one():
     assert len(gs) == covers.big_height(gs.graph) + 1
 
 
-def test_gens_cycle_custom_labels():
-    gs = _check(*cons.gens_cycle(5, labels=("p", "q", "r", "s", "t")))
-    assert set(gs.graph.vertices) == {"p", "q", "r", "s", "t"}
-
-
 def test_gens_cycle_unsupported_length():
-    with pytest.raises(ConstructionError):
-        cons.gens_cycle(6)
+    for length in (0, 1, 2, 6):
+        with pytest.raises(ConstructionError, match="got %d" % length):
+            cons.gens_cycle(length)
 
 
 @pytest.mark.parametrize("r,s", [(0, 0), (1, 0), (0, 1), (2, 1), (1, 3)])
@@ -93,7 +90,8 @@ def test_sv_layer_search_basics():
 
 
 def test_sv_layer_search_pinned_first():
-    res = cons.sv_layer_search(WHISKER_P3, max_layers=3, first=("a", "b"))
+    # The pinned start is what gens_whisker_tree runs at its anchor edge.
+    res = pinned_layer_search(WHISKER_P3, max_layers=3, first=("a", "b"))
     assert res is not None
     gs, cert = res
     _check(gs, cert)
@@ -103,8 +101,8 @@ def test_sv_layer_search_pinned_first():
 def test_sv_layer_search_rejects_edgeless_graphs_and_non_edge_starts():
     with pytest.raises(cons.ConstructionError):
         cons.sv_layer_search(Graph.build(isolated="z"))
-    with pytest.raises(cons.ConstructionError):
-        cons.sv_layer_search(WHISKER_P3, first=("a", "c"))  # not an edge
+    with pytest.raises(cons.ConstructionError, match="not an edge"):
+        cons.gens_whisker_tree(WHISKER_P3, ("a", "c"))  # pins its anchor
 
 
 def test_sv_layer_search_rejects_a_cap_below_one():
@@ -154,6 +152,7 @@ def test_mask_search_matches_the_old_search_on_trees(short):
 
 
 def test_mask_search_matches_the_old_search_on_pinned_starts():
+    # Pinned starts run through the private search, as for whisker trees.
     trees = [t for t in catalog.trees_upto(8) if len(t.vertices) == 8]
     cases = [(t, {"max_layers": covers.big_height(t), "first": e})
              for t in trees[::4] for e in t.sorted_edges()]
@@ -284,7 +283,7 @@ def test_errors_come_before_the_floor(monkeypatch):
     with pytest.raises(ConstructionError, match="no edges"):
         cons.sv_layer_search(Graph.build(isolated="z"), max_layers=0)
     with pytest.raises(ConstructionError, match="not an edge"):
-        cons.sv_layer_search(WHISKER_P3, max_layers=0, first=("a", "c"))
+        cons.gens_whisker_tree(WHISKER_P3, ("a", "c"))
     with pytest.raises(ConstructionError, match="at least 1"):
         cons.sv_layer_search(WHISKER_P3, max_layers=0)
 
@@ -351,6 +350,20 @@ def test_gens_lemma53_rejects_bad_attachment():
         cons.gens_lemma53(0, 0, [], [att])
     with pytest.raises(ConstructionError):
         cons.gens_lemma53(0, 0, [parse_edge_list("a b")], [])  # no root
+    with pytest.raises(ConstructionError, match="nonnegative"):
+        cons.gens_lemma53(-1, 0)
+
+
+def test_gens_lemma53_rejects_overlapping_attachments():
+    # With an overlap the generators would outnumber the big height.
+    att = parse_edge_list("x1 e\ne f\ne ew\nf fw")
+    uses_a1 = parse_edge_list("x1 a1\na1 b1\na1 a1w\nb1 b1w")
+    same_at_x3 = parse_edge_list("x3 e\ne f\ne ew\nf fw")
+    shares_x2 = parse_edge_list("x3 e\ne f\ne x2\nf fw")
+    for r, at1, at3 in ((0, [att, att], []), (1, [uses_a1], []),
+                        (0, [att], [same_at_x3]), (0, [], [shares_x2])):
+        with pytest.raises(ConstructionError, match="labels collide"):
+            cons.gens_lemma53(r, 0, at1, at3)
 
 
 def test_gens_lemma54():

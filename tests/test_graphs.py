@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgeideals import graphs
-from edgeideals.graphs import Cycle, Graph, GraphError, edge, parse_edge_list
+from edgeideals.graphs import Graph, GraphError, edge, parse_edge_list
 
 import catalog
 from conftest import (BOWTIE, TRIANGLE, WHISKER_P3,
@@ -138,27 +138,32 @@ def test_chordality():
 
 
 def test_cycle_subgraph_screen():
-    assert graphs.has_cycle_subgraph(cycle(4), 4)
-    assert not graphs.has_cycle_subgraph(TRIANGLE, 4)
-    assert graphs.has_cycle_subgraph(cycle(5), 5)
+    assert graphs.has_cycle_subgraph(cycle(4), (4,))
+    assert not graphs.has_cycle_subgraph(TRIANGLE, (4,))
+    assert not graphs.has_cycle_subgraph(TRIANGLE, (4, 5))
+    assert graphs.has_cycle_subgraph(TRIANGLE, (3, 4, 5))
+    assert graphs.has_cycle_subgraph(cycle(5), (4, 5))
+    assert not graphs.has_cycle_subgraph(cycle(5), (3, 4))
     k4 = Graph.build([("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
                       ("b", "d"), ("c", "d")])
-    assert graphs.has_cycle_subgraph(k4, 4)  # non-induced C4
-    with pytest.raises(GraphError):
-        graphs.has_cycle_subgraph(TRIANGLE, 6)
+    assert graphs.has_cycle_subgraph(k4, (4,))  # non-induced C4
+    for lengths in ((6,), (4, 6), (2, 3), ()):
+        with pytest.raises(GraphError):
+            graphs.has_cycle_subgraph(TRIANGLE, lengths)
 
 
 def test_induced_short_cycles():
+    # The girth screen of Cor 6.1: a shortest cycle has no chord, so some
+    # induced cycle is shorter than 6 iff some cycle is.
     c6 = cycle(6)
-    assert graphs.induced_cycles_shorter_than(c6, 6) == []
-    assert len(graphs.induced_cycles_shorter_than(cycle(5), 6)) == 1
+    assert not graphs.has_cycle_subgraph(c6, (3, 4, 5))
+    assert graphs.has_cycle_subgraph(cycle(5), (3, 4, 5))
     chord = c6.with_edges([("c0", "c3")])
-    assert graphs.induced_cycles_shorter_than(chord, 6) != []
+    assert graphs.has_cycle_subgraph(chord, (3, 4, 5))
     # Two disjoint triangles: six vertices of degree 2 but two cycles.
     two = Graph.build([("a", "b"), ("b", "c"), ("c", "a"),
                        ("d", "e"), ("e", "f"), ("f", "d")])
-    assert graphs.induced_cycles_shorter_than(two, 7) == [
-        Cycle(("a", "b", "c")), Cycle(("d", "e", "f"))]
+    assert graphs.has_cycle_subgraph(two, (3, 4, 5))
 
 
 def test_parse_edge_list_format():
@@ -207,17 +212,18 @@ def test_relabel_preserves_structure(g):
 @settings(deadline=None)
 @given(random_graphs(max_n=8))
 def test_cycle_subgraph_screen_matches_oracle(g):
-    for length in (4, 5):
-        assert graphs.has_cycle_subgraph(g, length) == \
-            cycle_subgraph_oracle(g, length)
+    for lengths in ((3,), (4,), (5,), (4, 5), (3, 4, 5)):
+        assert graphs.has_cycle_subgraph(g, lengths) == \
+            any(cycle_subgraph_oracle(g, k) for k in lengths)
 
 
 @settings(deadline=None)
 @given(random_graphs(max_n=8))
 def test_induced_cycles_match_oracle(g):
-    for k in range(3, 8):
-        assert graphs.induced_cycles_shorter_than(g, k) == \
-            induced_cycles_oracle(g, k)
+    # The girth screen against induced (chordless) cycles found by brute
+    # force.
+    assert graphs.has_cycle_subgraph(g, (3, 4, 5)) == \
+        bool(induced_cycles_oracle(g, 6))
 
 
 @settings(deadline=None)

@@ -46,8 +46,8 @@ def test_polynomial_canonicalization():
 def test_polynomial_ring_identities():
     x, y = Polynomial.term(Monomial.of("x")), Polynomial.term(Monomial.of("y"))
     assert (x + y) * (x - y) == x * x - y * y
-    assert (x + y) ** 2 == x * x + 2 * x * y + y * y
-    assert x * 0 == Polynomial.zero()
+    assert (x + y) * (x + y) == x * x + 2 * x * y + y * y
+    assert x * 0 == Polynomial()
     assert -(x - y) == y - x
 
 
@@ -63,13 +63,7 @@ def test_single_term_and_coefficient():
     assert p.single_term == (Monomial.of("x"), -1)
     q = p + Polynomial.term(Monomial.of("y"))
     assert q.single_term is None
-    assert q.coefficient(Monomial.of("x")) == -1
-    assert q.coefficient(Monomial.of("z")) == 0
-
-
-def test_relabel():
-    p = Polynomial.of(Monomial.of("a", "b"))
-    assert p.relabel({"a": "x"}) == Polynomial.of(Monomial.of("x", "b"))
+    assert q.terms == ((Monomial.of("x"), -1), (Monomial.of("y"), 1))
 
 
 def test_edge_monomial():
@@ -80,7 +74,7 @@ def test_str_rendering():
     a, b = Monomial.of("a"), Monomial.of("b")
     assert str(Polynomial.of(a) - Polynomial.of(b)) == "a -b"
     assert str(Polynomial.term(a, 2)) == "2*a"
-    assert str(Polynomial.zero()) == "0"
+    assert str(Polynomial()) == "0"
 
 
 names = st.sampled_from(["x1", "x2", "y", "z"])
