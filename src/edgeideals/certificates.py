@@ -318,15 +318,20 @@ def certified_set_to_data(gs: GeneratorSet, cert: Certificate):
 
 def certified_set_from_data(d):
     """Inverse of certified_set_to_data.  Data of any other shape (a
-    missing key, a wrong type, a ref, k, exponent or coefficient that is not
-    a JSON integer, a bad label or step kind) raises
-    CertificateFormatError."""
+    missing key, a wrong type, a string or object where the format has an
+    array, a ref, k, exponent or coefficient that is not a JSON integer, a
+    bad label or step kind) raises CertificateFormatError."""
     try:
-        g = Graph.build(((u, v) for u, v in d["edges"]),
-                        isolated=d.get("isolated", ()))
-        gs = GeneratorSet(g, tuple(poly_from_data(pd)
-                                   for pd in d["generators"]))
-        cert = Certificate(tuple(step_from_data(sd) for sd in d["steps"]))
+        edges, isolated = d["edges"], d.get("isolated", [])
+        gens, steps = d["generators"], d["steps"]
+        # Graph.build unpacks each edge, so an edge of any other length fails
+        if not all(isinstance(a, list)
+                   for a in (edges, isolated, gens, steps, *edges)):
+            raise TypeError("edges, isolated, generators, steps and each "
+                            "edge must be arrays")
+        g = Graph.build(edges, isolated=isolated)
+        gs = GeneratorSet(g, tuple(poly_from_data(pd) for pd in gens))
+        cert = Certificate(tuple(step_from_data(sd) for sd in steps))
     except KeyError as exc:
         raise CertificateFormatError("certificate lacks key %s"
                                      % exc) from None

@@ -173,6 +173,8 @@ def corollary61(g):
     edge nor a 7-cycle: pure <=> whisker graph <=> Cohen-Macaulay."""
     if not g.is_connected():
         raise HypothesisError("hypothesis not met: graph must be connected")
+    if not g.edges:
+        raise HypothesisError("hypothesis not met: graph has no edge")
     if len(g.edges) == 1:
         raise HypothesisError("hypothesis not met: single edge excluded")
     if len(g.vertices) == 7 and len(g.edges) == 7 \

@@ -5,10 +5,11 @@ Every constructor returns a (GeneratorSet, Certificate) pair; the verifier in
 code never trusts itself: tests re-verify every emitted certificate.
 
 Each constructor writes into one CertBuilder.  The pieces it glues together
-(cycles, path cascades, Schmitt-Vogel layerings) are emitters that take the
-builder and add their generators and steps in any interleaving: refs are
-handed out in call order, and CertBuilder.result numbers the generators
-first.
+(cycles, path cascades, whisker trees, Schmitt-Vogel layerings) are emitters
+that take the builder and add their generators and steps in any
+interleaving: refs are handed out in call order, and CertBuilder.result
+numbers the generators first.  Only the layerings come from a search, an
+exponential one: in sv_layer_search, gens_prop42 and case B of gens_lemma53.
 """
 
 from __future__ import annotations
@@ -299,15 +300,12 @@ def sv_layer_search(g, max_layers=None):
     return b.result()
 
 
-def _layer_search(g, max_layers, first=None):
-    """The search of sv_layer_search: (layer masks, edge monomials, their
-    _witness_table), or None; `first`, an edge of g, pins the start."""
+def _layer_search(g, max_layers):
+    """The search of sv_layer_search, from every edge as the start: (layer
+    masks, edge monomials, their _witness_table), or None."""
     monomials = _edge_monomials(g)
     if not monomials:
         raise ConstructionError("graph has no edges")
-    starts = list(range(len(monomials)))
-    if first:
-        starts = [monomials.index(Monomial.of(*first))]
     cap = max_layers if max_layers is not None else len(monomials)
     if cap < 1:
         raise ConstructionError("max_layers must be at least 1")
@@ -327,7 +325,7 @@ def _layer_search(g, max_layers, first=None):
         return table[remaining]
 
     best = None
-    for p0 in starts:
+    for p0 in range(len(monomials)):
         if best is not None and len(best) <= floor:
             break
         depth = (len(best) - 1) if best is not None else cap
@@ -339,19 +337,16 @@ def _layer_search(g, max_layers, first=None):
     return best, monomials, witnesses
 
 
-def _emit_layering(b, layers, monomials, witnesses, anchored=False):
+def _emit_layering(b, layers, monomials, witnesses):
     """Emit a layering given as edge masks (bit i is monomials[i], and
-    witnesses is their _witness_table): one generator per layer sum, except
-    the singleton first layer when the caller has already established it
-    (anchored), and the steps establishing every monomial of the later
-    layers.  The witness of a pair is the least earlier edge dividing its
-    product."""
+    witnesses is their _witness_table): one generator per layer sum and the
+    steps establishing every monomial of the later layers.  The witness of
+    a pair is the least earlier edge dividing its product."""
     def rho(i, j):
         w = witnesses[i][j] & earlier
         return monomials[(w & -w).bit_length() - 1]
 
-    if not anchored:
-        b.gen(_sum(*(monomials[i] for i in _bits(layers[0]))))
+    b.gen(_sum(*(monomials[i] for i in _bits(layers[0]))))
     earlier = layers[0]
     for layer in layers[1:]:
         idx = list(_bits(layer))
@@ -371,8 +366,13 @@ def _emit_layering(b, layers, monomials, witnesses, anchored=False):
         earlier |= layer
 
 
-def _whisker_layering(t, anchor_edge):
-    """The layering of gens_whisker_tree, as _layer_search returns it."""
+def _whisker_tree(b, t, anchor_edge):
+    """Emit the n - 1 generators of the whisker tree t (n non-terminal
+    vertices) after its anchor edge uv, which the caller has established.
+    Rooted at uv, a base vertex w with base children c1 < ... < ck hands
+    w c1 to the sum of its parent edge, w c(i+1) to the sum of w ci and its
+    whisker to the sum of w ck.  So each base edge xy, breadth-first from
+    uv, gets an edge at x plus one at y, which one SV step by xy splits."""
     if not is_whisker_tree(t):
         raise ConstructionError("graph is not a whisker tree")
     u, v = anchor_edge
@@ -380,19 +380,28 @@ def _whisker_layering(t, anchor_edge):
         raise ConstructionError("anchor is not an edge")
     if t.degree(u) == 1 or t.degree(v) == 1:
         raise ConstructionError("anchor edge must be non-terminal")
-    n = sum(1 for w in t.vertices if t.degree(w) > 1)
-    found = _layer_search(t, max_layers=n, first=(u, v))
-    if found is None:
-        raise SearchBudgetError("no layering of size %d found" % n)
-    return found
+
+    def ends(w, parent):  # the base children of w in order, then its whisker
+        return sorted(t.neighbors(w) - {parent},
+                      key=lambda c: (t.degree(c) == 1, c))
+
+    hand = {u: ends(u, v), v: ends(v, u)}
+    b.sv(b.ref(_m(u, v)), b.gen(_sum(_m(u, hand[u][0]), _m(v, hand[v][0]))))
+    queue = [u, v]
+    for w in queue:  # grows as it goes: breadth-first
+        for c, end in zip(hand[w], hand[w][1:]):
+            hand[c] = ends(c, w)
+            b.sv(b.ref(_m(w, c)), b.gen(_sum(_m(w, end), _m(c, hand[c][0]))))
+            queue.append(c)
 
 
 def gens_whisker_tree(t, anchor_edge):
     """n polynomials (n = number of non-terminal vertices) generating the
     edge ideal of a whisker tree up to radical, with the anchor edge as a
-    standalone monomial generator.  Errors when the capped search fails."""
+    standalone monomial generator.  Built directly, with no search."""
     b = CertBuilder(t)
-    _emit_layering(b, *_whisker_layering(t, anchor_edge))
+    b.gen(_p(*anchor_edge))
+    _whisker_tree(b, t, anchor_edge)
     return b.result()
 
 
@@ -489,8 +498,7 @@ def gens_lemma53(r, s, attach_x1=(), attach_x3=()):
     _lemma52(b, x, r_paths, s_paths)
     for root in (x1, x3):
         for e, f, stripped in case_a[root]:
-            _emit_layering(b, *_whisker_layering(stripped, (e, f)),
-                           anchored=True)
+            _whisker_tree(b, stripped, (e, f))
     for att in case_b:
         bh = covers.big_height(att)
         found = _layer_search(att, max_layers=bh)
@@ -531,10 +539,7 @@ def gens_lemma54(h1, h2):
             if not is_whisker_tree(h):
                 raise ConstructionError("attachment at %r is neither a single "
                                         "edge nor a whisker tree" % xi)
-            cand = sorted(w for w in h.neighbors(xi) if h.degree(w) > 1)
-            if not cand:
-                raise ConstructionError("no non-terminal neighbour of %r" % xi)
-            yi = cand[0]
+            yi = min(w for w in h.neighbors(xi) if h.degree(w) > 1)
         ys.append(yi)
     y1, y2 = ys
 
@@ -556,5 +561,5 @@ def gens_lemma54(h1, h2):
                             (-_p(y1, y2), r0)])
     for xi, yi, h in ((x1, y1, h1), (x2, y2, h2)):
         if len(h.edges) > 1:
-            _emit_layering(b, *_whisker_layering(h, (xi, yi)), anchored=True)
+            _whisker_tree(b, h, (xi, yi))
     return b.result()

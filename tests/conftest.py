@@ -21,8 +21,7 @@ import networkx as nx
 import pytest
 
 from edgeideals.certificates import CertBuilder
-from edgeideals.constructions import (_emit_layering, _layer_search,
-                                      sv_layer_search)
+from edgeideals.constructions import sv_layer_search
 from edgeideals.covers import (DEFAULT_VERTEX_LIMIT, CoverSizeError,
                                MinimalCover, big_height, cover_stats,
                                is_redundant_neighbor, maximum_minimal_covers,
@@ -417,13 +416,12 @@ def _old_layer_witnesses(layers):
     return witness
 
 
-def old_sv_layer_search(g, max_layers=None, first=None):
+def old_sv_layer_search(g, max_layers=None):
     """The pre-mask `sv_layer_search`, for comparison in the tests.  It
     carries the same big-height floor, which cannot change its answers: no
     layering is shorter than big height (tests/test_constructions.py checks
     the floor against the unfloored search on its own)."""
     monomials = [Monomial.of(u, v) for u, v in g.sorted_edges()]
-    starts = [Monomial.of(*first)] if first else list(monomials)
     cap = max_layers if max_layers is not None else len(monomials)
     try:
         floor = big_height(g)
@@ -432,7 +430,7 @@ def old_sv_layer_search(g, max_layers=None, first=None):
     if cap < floor:
         return None
     best = None
-    for p0 in starts:
+    for p0 in monomials:
         if best is not None and len(best) <= floor:
             break
         depth = (len(best) - 1) if best is not None else cap
@@ -470,24 +468,11 @@ def _old_emit_layer_steps(b, layer, layer_ref, witness):
         b.power(mu, 2, combo)
 
 
-def pinned_layer_search(g, max_layers=None, first=None):
-    """sv_layer_search with its start pinned to the edge `first`: the
-    search gens_whisker_tree runs from its anchor edge."""
-    found = _layer_search(g, max_layers, first)
-    if found is None:
-        return None
-    b = CertBuilder(g)
-    _emit_layering(b, *found)
-    return b.result()
-
-
 def layer_search_mismatches(cases):
     """The (edges, options) of every (graph, options) case on which
-    sv_layer_search (pinned_layer_search when a start is given) and the old
-    search return different results."""
+    sv_layer_search and the old search return different results."""
     return [(g.sorted_edges(), kw) for g, kw in cases
-            if (pinned_layer_search if "first" in kw else sv_layer_search)(
-                g, **kw) != old_sv_layer_search(g, **kw)]
+            if sv_layer_search(g, **kw) != old_sv_layer_search(g, **kw)]
 
 
 # -- certificate tampering --------------------------------------------

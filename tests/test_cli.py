@@ -89,6 +89,31 @@ def test_gens_whisker(run, graph_file):
     assert rep["count"] == 3 and rep["verified"]
 
 
+# The whisker graph of the path v3-v2-v1-v0-v4-v5, a whisker vNw at each
+# vertex, anchored at v0v1 in all three families.
+W_PATH = "v3 v2\nv2 v1\nv1 v0\nv0 v4\nv4 v5\n" + "".join(
+    "v%d v%dw\n" % (i, i) for i in range(6))
+
+
+def test_gens_whisker_on_a_whiskered_path(run, graph_file):
+    f = graph_file("w.txt", W_PATH)
+    rep = run(["gens", "--family", "whisker", f, "--anchor", "v0", "v1"])
+    assert rep["count"] == 6 and rep["verified"]
+
+
+def test_gens_lemma53_with_a_whiskered_path_at_x1(run, graph_file):
+    f = graph_file("f.txt", W_PATH + "x1 v0\n")
+    rep = run(["gens", "--family", "lemma53", "--attach-x1", f])
+    assert rep["count"] == 9 and rep["verified"]  # 3 + 6, the big height
+
+
+def test_gens_lemma54_with_a_whiskered_path_at_x1(run, graph_file):
+    h = W_PATH.replace("v0", "x1").replace("v1", "a")
+    rep = run(["gens", "--family", "lemma54", "--h1", graph_file("h.txt", h),
+               "--h2", graph_file("g.txt", "x2 y2\n")])
+    assert rep["count"] == 8 and rep["verified"]  # 6 + 1 + 1
+
+
 def test_gens_svsearch(run, graph_file):
     f = graph_file("p4.txt", "a b\nb c\nc d\n")
     rep = run(["gens", "--family", "svsearch", f, "--max-layers", "2"])
@@ -126,6 +151,14 @@ def test_classify_hypothesis_error_exits_2(run, graph_file):
     f = graph_file("c7.txt", "\n".join(
         "v%d v%d" % (i, (i + 1) % 7) for i in range(7)))
     run(["classify", "--result", "cor61", f], expect=2)
+
+
+@pytest.mark.parametrize("text", ["v\n", ""], ids=["K1", "empty"])
+def test_classify_cor61_on_an_edgeless_graph_exits_2(monkeypatch, capsys,
+                                                     text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    err = input_error(["classify", "--result", "cor61", "-"], capsys)
+    assert err == "error: hypothesis not met: graph has no edge\n"
 
 
 def test_pd(run, graph_file):
@@ -206,6 +239,10 @@ def test_gens_lemma53_overlapping_attachments_exit_2(graph_file, capsys, r,
     lambda d: d.pop("edges"),
     lambda d: d.update(edges=5),
     lambda d: d.update(generators="x"),
+    lambda d: d.update(isolated="zq"),
+    lambda d: d.update(edges=["ab", "ac", "bc"]),
+    lambda d: d.update(generators={}),
+    lambda d: d.update(steps={}),
     lambda d: d["steps"].append({"kind": "sv", "rho": "x", "sum": 0}),
     lambda d: d["steps"].append({"kind": "teleport"}),
     lambda d: d["steps"].append(["sv", 0, 1]),
@@ -226,7 +263,8 @@ def test_gens_lemma53_overlapping_attachments_exit_2(graph_file, capsys, r,
     lambda d: d["generators"][0][0].__setitem__(
         0, [["x1", 2], ["x1", -1], ["x2", 1]]),
 ], ids=["no-generators", "no-steps", "no-edges", "edges-int",
-        "generators-str", "ref-str", "unknown-kind", "step-list",
+        "generators-str", "isolated-str", "edges-str", "generators-object",
+        "steps-object", "ref-str", "unknown-kind", "step-list",
         "label-int", "ref-1e400", "ref-float", "ref-bool",
         "subtract-ref-1e400", "k-1e400", "combination-ref-1e400",
         "exponent-1e400", "coefficient-1e400", "coefficient-float",

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,7 @@ from edgeideals.graphs import Graph, GraphError, parse_edge_list
 from edgeideals.polynomials import Monomial
 
 import catalog
-from conftest import (WHISKER_P3, cycle, layer_search_mismatches, path_graph,
-                      pinned_layer_search)
+from conftest import WHISKER_P3, cycle, layer_search_mismatches, path_graph
 
 
 def _check(gs, cert):
@@ -80,6 +80,53 @@ def test_gens_whisker_tree_rejects_non_whisker_tree():
         cons.gens_whisker_tree(path_graph(4), ("p0", "p1"))
 
 
+def _check_whisker_tree(base, anchor):
+    # One generator per base vertex: the big height of the whisker tree.
+    t = base.with_edges((v, v + "_w") for v in base.vertices)
+    gs = _check(*cons.gens_whisker_tree(t, anchor))
+    assert len(gs) == len(base.vertices)
+    assert gs.polys[0].single_term == (Monomial.of(*anchor), 1)
+
+
+def test_gens_whisker_tree_at_every_anchor_of_small_trees():
+    start = time.perf_counter()
+    anchors = 0
+    for base in catalog.trees_upto(8):
+        for anchor in base.sorted_edges():
+            _check_whisker_tree(base, anchor)
+            anchors += 1
+    assert anchors == 278
+    assert time.perf_counter() - start < 5
+
+
+def test_gens_whisker_tree_on_random_trees_of_up_to_300_vertices():
+    rng = random.Random(16)
+    for size in (2, 3, 10, 40, 100, 300):
+        base = Graph.build(("v%d" % rng.randrange(i), "v%d" % i)
+                           for i in range(1, size))
+        anchor = rng.choice(base.sorted_edges())
+        _check_whisker_tree(base, anchor)
+        _check_whisker_tree(base, anchor[::-1])
+
+
+def test_gens_whisker_tree_does_not_depend_on_the_hash_seed(tmp_path):
+    # The generators must not follow the string-hash order of the labels.
+    base = "v0 v1\nv0 v3\nv0 v5\nv1 v2\nv3 v4\n"
+    f = tmp_path / "whisker.txt"
+    f.write_text(base + "".join("v%d v%d_w\n" % (i, i) for i in range(6)))
+    src = Path(cons.__file__).resolve().parents[1]
+    outs = set()
+    for seed in "01234":
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        outs.add(subprocess.run(
+            [sys.executable, "-m", "edgeideals.cli", "gens", "--family",
+             "whisker", str(f), "--anchor", "v1", "v2"],
+            capture_output=True, text=True, check=True, env=env).stdout)
+    assert len(outs) == 1
+
+
 def test_sv_layer_search_basics():
     res = cons.sv_layer_search(WHISKER_P3, max_layers=3)
     assert res is not None
@@ -87,15 +134,6 @@ def test_sv_layer_search_basics():
     assert len(res[0]) == 3
     # Infeasible budget: C5 needs 3 layers.
     assert cons.sv_layer_search(cycle(5), max_layers=2) is None
-
-
-def test_sv_layer_search_pinned_first():
-    # The pinned start is what gens_whisker_tree runs at its anchor edge.
-    res = pinned_layer_search(WHISKER_P3, max_layers=3, first=("a", "b"))
-    assert res is not None
-    gs, cert = res
-    _check(gs, cert)
-    assert gs.polys[0].single_term[0].as_dict() == {"a": 1, "b": 1}
 
 
 def test_sv_layer_search_rejects_edgeless_graphs_and_non_edge_starts():
@@ -149,15 +187,6 @@ def _tree_cases(short):
 @pytest.mark.parametrize("short", [0, 1], ids=["big-height", "one-less"])
 def test_mask_search_matches_the_old_search_on_trees(short):
     assert layer_search_mismatches(_tree_cases(short)) == []
-
-
-def test_mask_search_matches_the_old_search_on_pinned_starts():
-    # Pinned starts run through the private search, as for whisker trees.
-    trees = [t for t in catalog.trees_upto(8) if len(t.vertices) == 8]
-    cases = [(t, {"max_layers": covers.big_height(t), "first": e})
-             for t in trees[::4] for e in t.sorted_edges()]
-    cases += [(cycle(5), {"first": ("c0", "c1")})]
-    assert layer_search_mismatches(cases) == []
 
 
 def test_mask_search_matches_the_old_search_on_cacti_under_hash_seed_4():
