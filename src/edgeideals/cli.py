@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Reads graphs in the one-edge-per-line format ("u v"; a bare "v" declares an
-isolated vertex; '#' starts a comment), writes JSON reports to stdout and
-certificates to files.  Exit codes: 0 success, 1 failed verification,
-2 usage or hypothesis errors.
+isolated vertex; a token that begins with '#' starts a comment to the end of
+the line), writes JSON reports to stdout and certificates to files.  Exit
+codes: 0 success, 1 failed verification, 2 usage or hypothesis errors.
 """
 
 from __future__ import annotations

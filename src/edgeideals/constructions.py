@@ -9,7 +9,7 @@ Each constructor writes into one CertBuilder.  The pieces it glues together
 that take the builder and add their generators and steps in any
 interleaving: refs are handed out in call order, and CertBuilder.result
 numbers the generators first.  Only the layerings come from a search, an
-exponential one: in sv_layer_search, gens_prop42 and case B of gens_lemma53.
+exponential one: in sv_layer_search and gens_prop42.
 """
 
 from __future__ import annotations
@@ -439,10 +439,12 @@ def gens_prop42(base, attachments):
 
 
 def _attachment_case(att, root):
-    """Split an attachment into (e, stripped, case) where e is the unique
+    """Split an attachment into (e, f, stripped, anchor).  e is the unique
     neighbour of the root, stripped is the induced graph off the root, and
-    case is 'A' (e non-terminal in stripped) or 'B' (the whole attachment is
-    a tree with e a whisker endpoint)."""
+    root-e-f is a length-2 path of the 5-cycle family.  In case A (e
+    non-terminal in stripped) f is e's least base neighbour and anchor is
+    None.  In case B (e a whisker tip) f is e's base vertex and anchor is
+    (f, c1), with c1 the least base neighbour of f."""
     if root not in att.vertices:
         raise ConstructionError("attachment does not contain %r" % root)
     nbrs = sorted(att.neighbors(root))
@@ -454,7 +456,14 @@ def _attachment_case(att, root):
     if not is_whisker_tree(stripped):
         raise ConstructionError("attachment minus the root is not a whisker "
                                 "tree")
-    return e, stripped, ("B" if stripped.degree(e) == 1 else "A")
+
+    def least_base_neighbour(w):
+        return min(c for c in stripped.neighbors(w) if stripped.degree(c) > 1)
+
+    if stripped.degree(e) > 1:
+        return e, least_base_neighbour(e), stripped, None
+    (f,) = stripped.neighbors(e)
+    return e, f, stripped, (f, least_base_neighbour(f))
 
 
 def gens_lemma53(r, s, attach_x1=(), attach_x3=()):
@@ -463,29 +472,23 @@ def gens_lemma53(r, s, attach_x1=(), attach_x3=()):
     Each attachment is a graph containing the root vertex (x1 or x3) with a
     single edge into it; the induced subgraph off the root must be a whisker
     tree, and share no other vertex with the 5-cycle, its paths or another
-    attachment.  Returns a generator set of size equal to the big height of
-    the resulting graph, with a verified certificate.
+    attachment.  Each adds the length-2 path root-e-f of _attachment_case
+    to the cycle family; its whisker tree is then emitted from the edge ef
+    (case A) or from its own anchor generator (case B), with no search.
+    Returns a generator set of size equal to the big height of the
+    resulting graph, with a verified certificate.
     """
     if r < 0 or s < 0:
         raise ConstructionError("r and s must be nonnegative")
     x = default_cycle_labels(5)
     x1, x3 = x[0], x[2]
-    case_a = {x1: [], x3: []}
-    case_b = []
-    for root, atts in ((x1, attach_x1), (x3, attach_x3)):
-        for att in atts:
-            e, stripped, case = _attachment_case(att, root)
-            if case == "A":
-                f = min(w for w in stripped.neighbors(e)
-                        if stripped.degree(w) > 1)
-                case_a[root].append((e, f, stripped))
-            else:
-                case_b.append(att)
+    cases = {root: [_attachment_case(att, root) for att in atts]
+             for root, atts in ((x1, attach_x1), (x3, attach_x3))}
 
     r_paths = default_path_labels("a", "b", r) + \
-        [(e, f) for e, f, _ in case_a[x1]]
+        [(e, f) for e, f, _, _ in cases[x1]]
     s_paths = default_path_labels("c", "d", s) + \
-        [(e, f) for e, f, _ in case_a[x3]]
+        [(e, f) for e, f, _, _ in cases[x3]]
     full = lemma52_graph(x, r_paths, s_paths)
     attachments = list(attach_x1) + list(attach_x3)
     for att in attachments:
@@ -496,16 +499,10 @@ def gens_lemma53(r, s, attach_x1=(), attach_x3=()):
 
     b = CertBuilder(full)
     _lemma52(b, x, r_paths, s_paths)
-    for root in (x1, x3):
-        for e, f, stripped in case_a[root]:
-            _whisker_tree(b, stripped, (e, f))
-    for att in case_b:
-        bh = covers.big_height(att)
-        found = _layer_search(att, max_layers=bh)
-        if found is None:
-            raise SearchBudgetError("no %d-layer set for a tree attachment"
-                                    % bh)
-        _emit_layering(b, *found)
+    for e, f, stripped, anchor in cases[x1] + cases[x3]:
+        if anchor:
+            b.gen(_p(*anchor))
+        _whisker_tree(b, stripped, anchor or (e, f))
     return b.result()
 
 

@@ -533,14 +533,20 @@ def has_cycle_subgraph(g, lengths):
 
 def parse_edge_list(text):
     """Parse the one-edge-per-line format: "u v" per edge, a bare "v" for an
-    isolated vertex, '#' starts a comment line."""
+    isolated vertex.  A token that begins with '#' starts a comment that runs
+    to the end of the line; a '#' inside a token ("a#b") is part of the
+    label."""
     edges = []
     isolated = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if "#" in raw:
+            for i, token in enumerate(parts):
+                if token.startswith("#"):
+                    del parts[i:]
+                    break
+        if not parts:
             continue
-        parts = line.split()
         try:
             if len(parts) == 1:
                 _check_label(parts[0])

@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,6 +17,7 @@ from edgeideals.cli import main
 from edgeideals.graphs import Graph
 
 INF = float("inf")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -35,6 +37,17 @@ def graph_file(tmp_path):
         p.write_text(text)
         return str(p)
     return write
+
+
+def test_analyze_the_readme_input_example(run, graph_file):
+    # The first fenced block of the README's input-format section, verbatim.
+    section = README.read_text().split("## Graph input format", 1)[1]
+    example = section.split("```\n", 2)[1]
+    assert "z        # isolated vertex" in example
+    rep = run(["analyze", graph_file("readme.txt", example)])
+    assert rep["graph"]["edges"] == [["a", "aw"], ["a", "b"], ["a", "c"],
+                                     ["b", "c"]]
+    assert rep["degrees"]["z"] == 0 and ["z"] in rep["components"]
 
 
 def test_analyze(run, graph_file):
@@ -105,6 +118,19 @@ def test_gens_lemma53_with_a_whiskered_path_at_x1(run, graph_file):
     f = graph_file("f.txt", W_PATH + "x1 v0\n")
     rep = run(["gens", "--family", "lemma53", "--attach-x1", f])
     assert rep["count"] == 9 and rep["verified"]  # 3 + 6, the big height
+
+
+# The whisker graph of the path v3-v2-v1-v0-v4-v5-v6 with labels prefixed
+# x1_, and x1 joined to the whisker tip of v3: lemma 5.3 case B.
+ATT_X1 = "".join("x1_v%d x1_v%d\n" % e for e in
+                 ((3, 2), (2, 1), (1, 0), (0, 4), (4, 5), (5, 6))) + "".join(
+    "x1_v%d x1_v%dw\n" % (i, i) for i in range(7)) + "x1 x1_v3w\n"
+
+
+def test_gens_lemma53_with_the_root_at_a_whisker_tip(run, graph_file):
+    f = graph_file("att.txt", ATT_X1)
+    rep = run(["gens", "--family", "lemma53", "--attach-x1", f])
+    assert rep["count"] == 11 and rep["verified"]  # 3 + 1 + 7, big height
 
 
 def test_gens_lemma54_with_a_whiskered_path_at_x1(run, graph_file):

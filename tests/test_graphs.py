@@ -176,6 +176,15 @@ def test_parse_edge_list_format():
         parse_edge_list("a b c")
 
 
+def test_parse_edge_list_comments_start_at_a_token():
+    g = parse_edge_list("a b # an edge\nz\t#isolated\n  # indented\n"
+                        "c#d e#\n#a q\nq #r s\n")
+    assert g.sorted_edges() == [("a", "b"), ("c#d", "e#")]
+    assert set(g.vertices) == {"a", "b", "c#d", "e#", "q", "z"}
+    with pytest.raises(GraphError, match="line 2"):
+        parse_edge_list("a b\na b c # three tokens before the comment")
+
+
 def test_format_round_trip():
     for g in (TRIANGLE, WHISKER_P3, Graph.build([("a", "b")], isolated="z")):
         assert parse_edge_list(format_edge_list(g)) == g
