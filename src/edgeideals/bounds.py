@@ -5,7 +5,10 @@ closed-form bound, `theorem34_trace` replays the inductive proof on a concrete
 graph, producing a decomposition tree in which every step's cover-cardinality
 inequalities are re-verified by exhaustive enumeration.  An assertion failure
 is a hard error: the inequalities are proved unconditionally, so a violation
-means an implementation bug.
+means an implementation bug.  The cycles are found once, on the input graph,
+and each proof step hands its parts the cycles they keep; degrees and
+terminal edges are read off the neighbourhood masks.  Only the structure is
+carried: every cover number is enumerated at every step.
 
 The structural questions (cactus, cycles, branches, fully whiskered) are
 answered by `graphs`, which also builds the Prop 4.2 graphs.
@@ -16,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import covers, graphs
-from .graphs import (TWO_BRANCH, WHISKER, Graph, GraphError,
-                     build_attached_graph, edge)
+from .graphs import (TWO_BRANCH, WHISKER, Graph, GraphError, _bits,
+                     _on_terminal_edges, build_attached_graph, edge)
 
 
 class TraceInvariantError(GraphError):
@@ -40,11 +43,6 @@ class BoundReport:
         assert 0 <= self.improvement_k <= self.n_cycles
 
 
-def _require_cactus(g):
-    if not graphs.is_cactus(g):
-        raise GraphError("graph is not a cactus")
-
-
 def theorem34_bound(g):
     """ara I(G) <= bight I(G) + n for a cactus graph with n cycles."""
     n = graphs.cycle_count(g)
@@ -57,7 +55,7 @@ def theorem34_bound(g):
 
 def fresh_vertex(g, base):
     name = base + "'"
-    while name in g.adj:
+    while name in g.vertices:
         name += "'"
     return name
 
@@ -70,20 +68,24 @@ def open_cycle(g, cycle, v):
     on_cycle = set(cycle.vertices)
     if v not in on_cycle:
         raise GraphError("%r does not lie on the cycle" % (v,))
-    if g.degree(v) != 2:
-        raise GraphError("%r has degree %d, need 2" % (v, g.degree(v)))
-    xs = min(w for w in g.neighbors(v) if w in on_cycle)
+    if v not in g.vertices:
+        raise GraphError("unknown vertex %r" % (v,))
+    vs = g.vertices
+    nbrs = g.masks[vs.index(v)]
+    if nbrs.bit_count() != 2:
+        raise GraphError("%r has degree %d, need 2" % (v, nbrs.bit_count()))
+    xs = min(vs[j] for j in _bits(nbrs) if vs[j] in on_cycle)
     y = fresh_vertex(g, v)
-    return g.without_edges([edge(xs, v)]).with_edges([(xs, y)])
+    return Graph(tuple(sorted(vs + (y,))),
+                 g.edges - {edge(xs, v)} | {edge(xs, y)})
 
 
 def corollary41_bound(g):
     """Improved bound bight + n - k, where k counts the cycles of length
     divisible by 3 in which all vertices have degree 2 except (at most) two
     consecutive ones."""
-    _require_cactus(g)
     k = 0
-    for cycle in graphs.cycles(g):
+    for cycle in graphs.cycles(g):  # raises GraphError on a non-cactus
         if cycle.length % 3 != 0:
             continue
         walk = cycle.vertices
@@ -159,10 +161,10 @@ def _check(cond, msg, **numbers):
                                         for kv in sorted(numbers.items()))))
 
 
-def _node_bound(g):
+def _node_bound(g, cycles):
     if not g.edges:
         return 0
-    return covers.big_height(g) + graphs.cycle_count(g)
+    return covers.big_height(g) + len(cycles)
 
 
 def _budget_check(node):
@@ -183,50 +185,59 @@ def theorem34_trace(g):
     inequalities are asserted.  Isolated vertices are dropped up front
     (they carry no budget).
     """
-    _require_cactus(g)
+    cycles = graphs.cycles(g)  # raises GraphError on a non-cactus
     g = g.drop_isolated()
     if not g.vertices:
         return TraceNode(g, "Base-FullyWhiskered", 0)
     if not g.is_connected():
-        children = tuple(_trace(c) for c in g.component_graphs())
-        return _budget_check(TraceNode(g, "Components", _node_bound(g),
+        children = tuple(
+            _trace(c, [cyc for cyc in cycles if cyc.vertices[0] in c.vertices])
+            for c in g.component_graphs())
+        return _budget_check(TraceNode(g, "Components",
+                                       _node_bound(g, cycles),
                                        children=children))
-    return _trace(g)
+    return _trace(g, cycles)
 
 
-def _trace(g):
-    bound = _node_bound(g)
+def _trace(g, cycles):
+    """The proof step at g, a connected cactus with no isolated vertex.
+
+    `cycles` are g's cycles in `graphs.cycles` order, handed down by the
+    step above: an opened graph drops the opened cycle, G2 keeps the cycles
+    inside it, G1 and G'1 keep the rest, and G2bar keeps those of G2 that
+    avoid x.  Degrees and terminal edges are read off `g.masks`.  Every
+    inequality is still checked on enumerated cover numbers."""
+    bound = _node_bound(g, cycles)
 
     if len(g.edges) == 1:
         return TraceNode(g, "Base-SingleEdge", bound)
 
     # Preprocessing: open cycles at degree-2 vertices until every cycle
     # vertex has degree > 2.
-    for cycle in graphs.cycles(g):
-        for v in sorted(cycle.vertices):
-            if g.degree(v) == 2:
-                opened = open_cycle(g, cycle, v)
-                child = _trace(opened)
-                bh, bh_child = covers.big_height(g), covers.big_height(opened)
-                _check(bh <= bh_child <= bh + 1,
-                       "opening a cycle must keep bight within +1",
-                       before=bh, after=bh_child)
-                node = TraceNode(g, "OpenCycle", bound,
-                                 detail={"opened_at": v},
-                                 children=(child,))
-                return _budget_check(node)
+    two = {v for v, m in zip(g.vertices, g.masks) if m.bit_count() == 2}
+    for cycle in cycles:
+        v = min(two.intersection(cycle.vertices), default=None)
+        if v is not None:
+            opened = open_cycle(g, cycle, v)
+            child = _trace(opened, [c for c in cycles if c is not cycle])
+            bh, bh_child = covers.big_height(g), covers.big_height(opened)
+            _check(bh <= bh_child <= bh + 1,
+                   "opening a cycle must keep bight within +1",
+                   before=bh, after=bh_child)
+            node = TraceNode(g, "OpenCycle", bound, detail={"opened_at": v},
+                             children=(child,))
+            return _budget_check(node)
 
-    if graphs.is_fully_whiskered(g):
+    # Base case when every vertex lies on a terminal edge, else split at the
+    # least vertex on none.
+    off_terminal = ((1 << len(g.vertices)) - 1) & ~_on_terminal_edges(g.masks)
+    if not off_terminal:
         return TraceNode(g, "Base-FullyWhiskered", bound)
-
-    on_terminal = set()
-    for u, v in g.terminal_edges():
-        on_terminal.update((u, v))
-    x = min(v for v in g.vertices if v not in on_terminal)
-    return _split(g, x, bound)
+    x = g.vertices[(off_terminal & -off_terminal).bit_length() - 1]
+    return _split(g, x, bound, cycles)
 
 
-def _split(g, x, bound):
+def _split(g, x, bound, cycles):
     """One inductive step at x: pick the branch G2, classify by which
     maximum minimal covers contain x, recurse on the two parts."""
     branches = graphs.branches_at(g, x)
@@ -243,14 +254,17 @@ def _split(g, x, bound):
         else max(branches, key=lambda br: br.sort_key())
     g2 = g2_branch.subgraph
     g1 = g.edge_subgraph(g.edges - g2.edges)
+    in_g2 = set(g2.vertices)
+    cycles1 = [c for c in cycles if not in_g2.issuperset(c.vertices)]
+    cycles2 = [c for c in cycles if in_g2.issuperset(c.vertices)]
 
     b = covers.big_height(g)
     b1 = covers.big_height(g1)
     b2 = covers.big_height(g2)
     numbers = {"b": b, "b1": b1, "b2": b2}
-    ys = sorted(g2.neighbors(x))
+    ys = [g2.vertices[j] for j in _bits(g2.masks[g2.vertices.index(x)])]
     two_branch = g2_branch.kind == TWO_BRANCH
-    detail = {"x": x, "g2_vertices": set(g2.vertices),
+    detail = {"x": x, "g2_vertices": in_g2,
               "branch_kind": "2-branch" if two_branch else "1-branch"}
 
     def primed_parts():
@@ -271,15 +285,15 @@ def _split(g, x, bound):
             _check(graphs.cycle_count(g2bar) == graphs.cycle_count(g2),
                    "1-branch removal must not change the cycle count")
         _check(b2bar <= b2 - 1, "b2bar <= b2 - 1 fails", **numbers)
-        return g1p, g2bar
+        return ((g1p, cycles1),
+                (g2bar, [c for c in cycles2 if x not in c.vertices]))
 
     if forced(g1):
         if forced(g2):
             tag = "Case1.1"
             _check(b == b1 + b2 - 1, "Case 1.1: b = b1 + b2 - 1 fails",
                    **numbers)
-            g1p, g2bar = primed_parts()
-            children = (g1p, g2bar)
+            children = primed_parts()
         else:
             # Some maximum cover of G2 avoids x; split a) / b) on whether
             # one of them leaves x without redundant neighbours.
@@ -294,24 +308,23 @@ def _split(g, x, bound):
                 tag = "Case1.2a"
                 _check(b == b1 + b2, "Case 1.2a: b = b1 + b2 fails", **numbers)
                 detail["cover_without_redundant"] = set(clean[0].vertices)
-                children = (g1, g2)
+                children = ((g1, cycles1), (g2, cycles2))
             else:
                 tag = "Case1.2b"
                 _check(b <= b1 + b2 - 1, "inequality (3) fails", **numbers)
-                g1p, g2bar = primed_parts()
+                children = primed_parts()
                 if b == b1 + b2 - 2:
                     _check(two_branch, "b = b1 + b2 - 2 needs a 2-branch",
                            **numbers)
                     _check(numbers["b2_bar"] <= b2 - 2,
                            "final subcase: b2bar <= b2 - 2 fails", **numbers)
-                children = (g1p, g2bar)
     else:
         tag = "Case2"
         _check(not forced(g2),
                "Case 2 requires a branch with an avoiding maximum cover")
         _check(b == b1 + b2, "Case 2: b = b1 + b2 fails", **numbers)
-        children = (g1, g2)
+        children = ((g1, cycles1), (g2, cycles2))
 
     node = TraceNode(g, tag, bound, cover_numbers=numbers, detail=detail,
-                     children=tuple(_trace(c) for c in children))
+                     children=tuple(_trace(h, c) for h, c in children))
     return _budget_check(node)

@@ -150,8 +150,10 @@ def vertex_in_every_maximum_cover(g, x):
     and no smallest maximal independent set holds it (False for a label
     that is not a vertex of g)."""
     stats = cover_stats(g)
-    return bool(g.adj.get(x)) and \
-        not stats.avoidable >> g.vertices.index(x) & 1
+    if x not in g.vertices:
+        return False
+    i = g.vertices.index(x)
+    return bool(g.masks[i]) and not stats.avoidable >> i & 1
 
 
 def is_redundant_neighbor(g, c: MinimalCover, x, y):

@@ -132,33 +132,42 @@ class Graph:
         """
         masks = self.masks
         parent = list(range(len(masks)))
-        depth = [-1] * len(masks)
+        ups = [0] * len(masks)  # bit t of ups[u]: a non-tree edge from u to t
+        seen = 0
         for root in range(len(masks)):
-            stack = [(root, root, 0)] if depth[root] < 0 else []
+            if seen >> root & 1:
+                continue
+            seen |= 1 << root
+            # one entry per tree edge on the path from the root: a vertex
+            # and its neighbours not yet looked at
+            stack = [(root, masks[root])]
             while stack:
-                v, p, d = stack.pop()
-                if depth[v] < 0:
-                    parent[v], depth[v] = p, d
-                    stack.extend((w, v, d + 1) for w in _bits(masks[v])
-                                 if depth[w] < 0)
+                v, todo = stack.pop()
+                todo &= ~seen
+                if todo:
+                    low = todo & -todo
+                    w = low.bit_length() - 1
+                    # a neighbour of w reached before w is an ancestor of w
+                    parent[w], ups[w] = v, masks[w] & seen & ~(1 << v)
+                    seen |= low
+                    stack += ((v, todo ^ low), (w, masks[w]))
         used = 0   # bit v: the tree edge from v to its parent lies on a cycle
         out = []
-        for u, nbrs in enumerate(masks):
-            for top in _bits(nbrs):
-                if depth[top] < depth[u] - 1:
-                    walk = [u]
-                    while walk[-1] != top:
-                        v = walk[-1]
-                        if used >> v & 1:
-                            return None
-                        used |= 1 << v
-                        walk.append(parent[v])
-                    # start at the least vertex, then its lesser side
-                    i = walk.index(min(walk))
-                    walk = walk[i:] + walk[:i]
-                    if walk[1] > walk[-1]:
-                        walk[1:] = walk[:0:-1]
-                    out.append(tuple(walk))
+        for u, up in enumerate(ups):
+            for top in _bits(up):
+                walk = [u]
+                while walk[-1] != top:
+                    v = walk[-1]
+                    if used >> v & 1:
+                        return None
+                    used |= 1 << v
+                    walk.append(parent[v])
+                # start at the least vertex, then its lesser side
+                i = walk.index(min(walk))
+                walk = walk[i:] + walk[:i]
+                if walk[1] > walk[-1]:
+                    walk[1:] = walk[:0:-1]
+                out.append(tuple(walk))
         return tuple(sorted(out))
 
     # -- basic queries -------------------------------------------------
@@ -340,10 +349,19 @@ def branches_at(g, x):
 # -- whisker recognizers ----------------------------------------------
 
 
+def _on_terminal_edges(masks):
+    """Mask of the leaves and their neighbours (the terminal-edge vertices)."""
+    out = 0
+    for i, m in enumerate(masks):
+        if m.bit_count() == 1:
+            out |= 1 << i | m
+    return out
+
+
 def is_fully_whiskered(g):
     """Every vertex lies on some terminal edge.  (Then ara = bight.)"""
-    covered = {w for e in g.terminal_edges() for w in e}
-    return bool(g.edges) and covered == set(g.vertices)
+    return bool(g.edges) and \
+        _on_terminal_edges(g.masks) == (1 << len(g.vertices)) - 1
 
 
 def is_whisker_graph(g):

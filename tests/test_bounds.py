@@ -1,6 +1,12 @@
 """Arithmetical-rank bounds and the proof-mirroring decomposition trace."""
 
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +15,8 @@ from edgeideals.graphs import Graph, GraphError, parse_edge_list
 
 import catalog
 from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, cycle,
-                      old_cover_stats, old_maximum_minimal_covers,
+                      format_edge_list, old_cover_stats,
+                      old_maximum_minimal_covers,
                       old_vertex_in_every_maximum_cover, path_graph)
 
 
@@ -155,14 +162,132 @@ def test_trace_matches_the_list_based_cover_path(monkeypatch):
                  covers.cover_stats(g).all_covers) for g in cacti]
 
     mask_path = replay()
-    monkeypatch.setattr(covers, "_cover_stats", old_cover_stats)
+    calls = dict.fromkeys(("_cover_stats", "maximum_minimal_covers",
+                           "vertex_in_every_maximum_cover"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(covers, "_cover_stats",
+                        counted("_cover_stats", old_cover_stats))
     monkeypatch.setattr(covers, "maximum_minimal_covers",
-                        old_maximum_minimal_covers)
+                        counted("maximum_minimal_covers",
+                                old_maximum_minimal_covers))
     monkeypatch.setattr(covers, "vertex_in_every_maximum_cover",
-                        old_vertex_in_every_maximum_cover)
+                        counted("vertex_in_every_maximum_cover",
+                                old_vertex_in_every_maximum_cover))
     assert replay() == mask_path
+    # the trace reads its covers through every swapped-in function
+    assert all(calls.values()), calls
     # every split case is replayed, Case 1.2a (which reports a cover and so
     # depends on the cover order) included
     tags = {node.case_tag for g in cacti
             for node in bounds.theorem34_trace(g).walk()}
     assert {"Case1.1", "Case1.2a", "Case1.2b", "Case2"} <= tags
+
+
+# -- the trace pinned byte for byte -----------------------------------
+
+
+def _disconnected_cacti(seed, count):
+    """Pairs of disjoint random cacti plus an isolated vertex "z"."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        a, b = (catalog.random_cactus(rng, max_vertices=8) for _ in range(2))
+        g = a.relabel({v: "a" + v for v in a.vertices}).union(
+            b.relabel({v: "b" + v for v in b.vertices}))
+        out.append(g.union(Graph.build(isolated=["z"])))
+    return out
+
+
+TRACE_CORPUS = (catalog.random_cacti(seed=19, count=200, max_vertices=16)
+                + _disconnected_cacti(seed=19, count=30))
+
+# sha256 of the sorted-key JSON of every trace of TRACE_CORPUS, recorded
+# before the trace carried cycles and degrees down its recursion
+TRACE_DIGEST = ("5f282c43564195a4e6f2d1e59446e320"
+                "f4ad6d4bc4093eb27de71e508032f34a")
+
+
+def test_trace_matches_the_recorded_digest():
+    data = [bounds.theorem34_trace(g).to_data() for g in TRACE_CORPUS]
+    digest = hashlib.sha256(
+        json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == TRACE_DIGEST
+
+
+def test_bound_trace_does_not_depend_on_the_hash_seed(tmp_path):
+    # a disconnected cactus with an isolated vertex whose trace splits
+    g = next(g for g in TRACE_CORPUS[200:] if any(
+        node.case_tag.startswith("Case")
+        for node in bounds.theorem34_trace(g).walk()))
+    f = tmp_path / "cacti.txt"
+    f.write_text(format_edge_list(g))
+    src = Path(bounds.__file__).resolve().parents[1]
+    outs = []
+    for seed in ("0", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        outs.append(subprocess.run(
+            [sys.executable, "-m", "edgeideals.cli", "bound", "--trace",
+             str(f)], capture_output=True, text=True, check=True,
+            env=env).stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["trace"]["case"] == "Components"
+
+
+# -- oracles for what the trace derives at each step ------------------
+
+
+def test_every_trace_node_bound_is_bight_plus_cycles():
+    for g in TRACE_CORPUS[:80] + TRACE_CORPUS[-10:]:
+        for node in bounds.theorem34_trace(g).walk():
+            if node.graph.edges:
+                assert node.bound == covers.big_height(node.graph) + \
+                    graphs.cycle_count(node.graph)
+
+
+# the enumerations that the first 100 and the last 10 traces of TRACE_CORPUS
+# run, from an empty memo, counted before the trace carried its structure
+TRACE_ENUMERATIONS = 943
+
+
+def test_trace_enumeration_count_is_pinned(monkeypatch):
+    # the trace asks for covers in a fixed order, so with the memo emptied
+    # the number of enumerations that really run is fixed too
+    count = 0
+    enumerate_masks = covers._independent_masks
+
+    def counted(g):
+        nonlocal count
+        count += 1
+        return enumerate_masks(g)
+
+    monkeypatch.setattr(covers, "_independent_masks", counted)
+    covers._cover_stats.cache_clear()
+    for g in TRACE_CORPUS[:100] + TRACE_CORPUS[-10:]:
+        bounds.theorem34_trace(g)
+    covers._cover_stats.cache_clear()
+    assert count == TRACE_ENUMERATIONS
+
+
+def test_open_cycle_matches_the_edge_edit():
+    opened = 0
+    for g in TRACE_CORPUS[:80] + TRACE_CORPUS[-10:]:
+        for cyc in graphs.cycles(g):
+            for v in cyc.vertices:
+                if g.degree(v) != 2:
+                    continue
+                xs = min(w for w in g.neighbors(v) if w in cyc.vertices)
+                y = v + "'"
+                while y in g.vertices:
+                    y += "'"
+                assert bounds.open_cycle(g, cyc, v) == \
+                    g.without_edges([(xs, v)]).with_edges([(xs, y)])
+                opened += 1
+    assert opened > 100

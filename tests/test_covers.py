@@ -1,12 +1,15 @@
 """Minimal-cover enumeration against a brute-force subset oracle, plus the
 two cover-combination lemmas and the redundancy remark."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgeideals import covers
 from edgeideals.graphs import Graph, GraphError, parse_edge_list
 
+import catalog
 from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3,
                       brute_force_minimal_covers, cycle, induced_cover,
                       is_minimal_cover, lemma26_check, lemma27_union,
@@ -129,6 +132,21 @@ def test_maximum_covers_and_forcing():
     g = parse_edge_list("a b\nb x\na x\na aw\nb bw")
     assert covers.vertex_in_every_maximum_cover(g, "x")
     assert not covers.vertex_in_every_maximum_cover(g, "a")
+
+
+def test_vertex_in_every_maximum_cover_matches_its_definition():
+    rng = random.Random(19)
+    corpus = [catalog.random_cactus(rng, rng.randint(2, 12))
+              for _ in range(60)] + SMALL
+    for g in corpus:
+        g = g.union(Graph.build(isolated=["zz"]))
+        maxima = covers.maximum_minimal_covers(g)
+        for x in g.vertices:
+            expected = bool(g.neighbors(x)) and \
+                all(x in c.vertices for c in maxima)
+            assert covers.vertex_in_every_maximum_cover(g, x) == expected
+        assert not covers.vertex_in_every_maximum_cover(g, "zz")
+        assert not covers.vertex_in_every_maximum_cover(g, "not-a-vertex")
 
 
 def test_redundant_neighbor_definition():

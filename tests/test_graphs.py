@@ -295,6 +295,22 @@ def _assert_cactus_matches_oracle(g):
             graphs.cycle_count(g)
 
 
+# Non-cacti that every run checks, whatever the draws: two cycles sharing
+# one edge, K4, a theta of three length-2 paths, and a second component
+# (after a cactus and an isolated vertex) where two cycles share a path.
+NON_CACTI = [parse_edge_list("a b\nb c\nc a\nc d\nd a"),
+             parse_edge_list("a b\na c\na d\nb c\nb d\nc d"),
+             parse_edge_list("u a\na w\nu b\nb w\nu c\nc w"),
+             parse_edge_list("a b\nb c\nc a\nm\nq r\nr s\ns t\nt q\n"
+                             "r u\nu v\nv s")]
+
+
+def test_non_cacti_match_oracle():
+    for g in NON_CACTI:
+        assert cactus_oracle(g)[0] is False
+        _assert_cactus_matches_oracle(g)
+
+
 @settings(deadline=None)
 @given(st.one_of(random_graphs(max_n=9), sparse_graphs(), cactus_unions()))
 def test_cactus_and_cycles_match_oracle(g):
