@@ -3,12 +3,16 @@
 The main bound is ara <= bight + n (n = number of cycles).  Besides the
 closed-form bound, `theorem34_trace` replays the inductive proof on a concrete
 graph, producing a decomposition tree in which every step's cover-cardinality
-inequalities are re-verified by exhaustive enumeration.  An assertion failure
+inequalities are re-verified on exact cover numbers.  An assertion failure
 is a hard error: the inequalities are proved unconditionally, so a violation
 means an implementation bug.  The cycles are found once, on the input graph,
 and each proof step hands its parts the cycles they keep; degrees and
 terminal edges are read off the neighbourhood masks.  Only the structure is
-carried: every cover number is enumerated at every step.
+carried: every cover number is recomputed at every step, by the linear
+dynamic program of `covers` (every part of a cactus is a cactus), and one
+pass rooted at the split vertex answers both its big height and whether
+the vertex lies in every maximum cover.  Only Case 1.2 enumerates: the
+maximum covers of G2 that avoid x, under the cover guard.
 
 The structural questions (cactus, cycles, branches, fully whiskered) are
 answered by `graphs`, which also builds the Prop 4.2 graphs.
@@ -113,13 +117,12 @@ def proposition42_bound(base, attachments):
     g, _ = build_attached_graph(base, attachments)
     lengths = [a for a in attachments.values() if a != WHISKER]
     m = sum(1 for ell in lengths if ell % 3 == 1)
-    stats = covers.cover_stats(g)
+    bh = covers.big_height(g)
     stci = all(ell in (3, 5) for ell in lengths)
-    if stci and stats.height != stats.big_height:
+    if stci and covers.height(g) != bh:
         raise TraceInvariantError(
             "hgt = bight must hold when all cycle lengths are 3 or 5")
-    report = BoundReport(g, len(lengths), stats.big_height,
-                         stats.big_height + m,
+    report = BoundReport(g, len(lengths), bh, bh + m,
                          improvement_k=len(lengths) - m,
                          source="Prop 4.2", stci=stci)
     return report, g
@@ -180,7 +183,7 @@ def theorem34_trace(g):
 
     The returned tree has one node per proof step: OpenCycle preprocessing,
     the two base cases, and the four split cases at a vertex lying on no
-    terminal edge.  Every node records the enumerated cover cardinalities
+    terminal edge.  Every node records the cover cardinalities
     that the corresponding proof step reasons about, and the step's
     inequalities are asserted.  Isolated vertices are dropped up front
     (they carry no budget).
@@ -206,7 +209,7 @@ def _trace(g, cycles):
     step above: an opened graph drops the opened cycle, G2 keeps the cycles
     inside it, G1 and G'1 keep the rest, and G2bar keeps those of G2 that
     avoid x.  Degrees and terminal edges are read off `g.masks`.  Every
-    inequality is still checked on enumerated cover numbers."""
+    inequality is still checked on exact cover numbers."""
     bound = _node_bound(g, cycles)
 
     if len(g.edges) == 1:
@@ -258,11 +261,15 @@ def _split(g, x, bound, cycles):
     cycles1 = [c for c in cycles if not in_g2.issuperset(c.vertices)]
     cycles2 = [c for c in cycles if in_g2.issuperset(c.vertices)]
 
+    # forced(g1) first: its pass rooted at x also gives b1
+    forced1 = forced(g1)
     b = covers.big_height(g)
     b1 = covers.big_height(g1)
     b2 = covers.big_height(g2)
     numbers = {"b": b, "b1": b1, "b2": b2}
-    ys = [g2.vertices[j] for j in _bits(g2.masks[g2.vertices.index(x)])]
+    xi = g2.vertices.index(x)
+    ys_bits = list(_bits(g2.masks[xi]))
+    ys = [g2.vertices[j] for j in ys_bits]
     two_branch = g2_branch.kind == TWO_BRANCH
     detail = {"x": x, "g2_vertices": in_g2,
               "branch_kind": "2-branch" if two_branch else "1-branch"}
@@ -288,7 +295,7 @@ def _split(g, x, bound, cycles):
         return ((g1p, cycles1),
                 (g2bar, [c for c in cycles2 if x not in c.vertices]))
 
-    if forced(g1):
+    if forced1:
         if forced(g2):
             tag = "Case1.1"
             _check(b == b1 + b2 - 1, "Case 1.1: b = b1 + b2 - 1 fails",
@@ -296,18 +303,22 @@ def _split(g, x, bound, cycles):
             children = primed_parts()
         else:
             # Some maximum cover of G2 avoids x; split a) / b) on whether
-            # one of them leaves x without redundant neighbours.
-            avoiding = [c for c in covers.maximum_minimal_covers(g2)
-                        if x not in c.vertices]
+            # one of them leaves x without redundant neighbours: every
+            # neighbour of x keeps a neighbour other than x outside the
+            # cover, in its independent complement s.
+            avoiding = covers.maximum_covers_avoiding(g2, x)
             _check(bool(avoiding), "unforced branch must have an avoiding "
                                    "maximum cover")
-            clean = [c for c in avoiding
-                     if not any(covers.is_redundant_neighbor(g2, c, x, y)
-                                for y in ys)]
-            if clean:
+            masks, not_x = g2.masks, ~(1 << xi)
+            clean = next((s for s in avoiding
+                          if all(masks[j] & s & not_x for j in ys_bits)),
+                         None)
+            if clean is not None:
                 tag = "Case1.2a"
                 _check(b == b1 + b2, "Case 1.2a: b = b1 + b2 fails", **numbers)
-                detail["cover_without_redundant"] = set(clean[0].vertices)
+                detail["cover_without_redundant"] = {
+                    v for j, v in enumerate(g2.vertices)
+                    if masks[j] and not clean >> j & 1}
                 children = ((g1, cycles1), (g2, cycles2))
             else:
                 tag = "Case1.2b"

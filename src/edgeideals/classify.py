@@ -130,12 +130,11 @@ def classify_unicyclic(g):
     (cycle,) = cycle_list
     ell = cycle.length
 
-    stats = covers.cover_stats(g)
-    if not stats.unmixed:
+    h, bh = covers.height(g), covers.big_height(g)
+    if h != bh:
         return CmVerdict(NOT_CM, case_tag="Thm 5.1",
                          evidence={"cycle_length": ell,
-                                   "height": stats.height,
-                                   "big_height": stats.big_height})
+                                   "height": h, "big_height": bh})
     if set(g.vertices) == set(cycle.vertices) and ell in (4, 7):
         return CmVerdict(NOT_CM, case_tag="Thm 5.1",
                          evidence={"cycle_length": ell,
@@ -155,17 +154,16 @@ def corollary44(g):
     if not graphs.is_chordal(g) and graphs.has_cycle_subgraph(g, (4, 5)):
         raise HypothesisError("hypothesis not met: graph is neither chordal "
                               "nor free of length-4/5 cycle subgraphs")
-    stats = covers.cover_stats(g)
+    h, bh = covers.height(g), covers.big_height(g)
     part_ok, partition = simplex_partition_check(g)
-    if stats.unmixed != part_ok:
+    if (h == bh) != part_ok:
         raise GraphError("internal invariant violation: purity and the "
                          "simplex partition must agree under the hypothesis")
     if part_ok:
         return CmVerdict(CM, "Yes", "Cor 4.4",
                          {"partition": [sorted(s) for s in partition]})
     return CmVerdict(NOT_CM, case_tag="Cor 4.4",
-                     evidence={"height": stats.height,
-                               "big_height": stats.big_height})
+                     evidence={"height": h, "big_height": bh})
 
 
 def corollary61(g):
@@ -184,9 +182,9 @@ def corollary61(g):
     if graphs.has_cycle_subgraph(g, (3, 4, 5)):
         raise HypothesisError("hypothesis not met: graph has a minimal cycle "
                               "of length less than 6")
-    stats = covers.cover_stats(g)
+    h, bh = covers.height(g), covers.big_height(g)
     whisker, base = graphs.is_whisker_graph(g)
-    if stats.unmixed != whisker:
+    if (h == bh) != whisker:
         raise GraphError("internal invariant violation: purity and the "
                          "whisker decomposition must agree under the "
                          "hypothesis")
@@ -195,8 +193,7 @@ def corollary61(g):
                          {"base_edges": [list(e) for e in
                                          base.sorted_edges()]})
     return CmVerdict(NOT_CM, case_tag="Cor 6.1",
-                     evidence={"height": stats.height,
-                               "big_height": stats.big_height})
+                     evidence={"height": h, "big_height": bh})
 
 
 def _prop42_tail(g):
@@ -260,8 +257,7 @@ def stci_verdict(g):
     tail = _prop42_tail(g)
     if tail is not None:
         base, kinds = tail
-        stats = covers.cover_stats(g)
-        if stats.unmixed:
+        if covers.height(g) == covers.big_height(g):
             return CmVerdict(CM, "Yes", "Prop 4.2 tail",
                              {"base_vertices": sorted(base.vertices),
                               "attachments": {r: str(k)

@@ -282,8 +282,10 @@ def sv_layer_search(g, max_layers=None):
     the middle step by Lyubeznik (1984) for square-free monomial ideals.
     So a cap below big height returns None before any clique is built, and
     the starts stop once a layering of big height is found, since a later
-    start could only look for a shorter one.  Above the cover guard
-    (covers.DEFAULT_VERTEX_LIMIT) the floor is 1 and every start runs.
+    start could only look for a shorter one.  The big height of a cactus
+    or forest comes from a linear DP at any size; on any other graph above
+    the cover guard (covers.DEFAULT_VERTEX_LIMIT) the floor is 1 and every
+    start runs.
 
     Among equally short layerings the search returns the first it meets,
     in an order that follows the string hashes of the vertex labels, so the

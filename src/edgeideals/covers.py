@@ -1,27 +1,35 @@
-"""Exhaustive minimal-vertex-cover machinery.
+"""Minimal vertex covers and the cover numbers of edge ideals.
 
-Minimal vertex covers are exactly the complements (within the non-isolated
+Minimal vertex covers are exactly the complements (within the k non-isolated
 vertices) of maximal independent sets, and they generate the minimal primes
-of the edge ideal, so height / big height / unmixedness all come out of one
-enumeration.  The maximal independent sets are the maximal cliques of the
-complement graph, found as int masks by `graphs.bron_kerbosch` on
-complement bitmasks.
+of the edge ideal.  So the height is k - alpha (alpha: the largest
+independent set), the big height is k - i (i: the smallest maximal
+independent set, the independent domination number), and the ideal is
+unmixed when the two agree.
 
-`cover_stats` memoises its results for the _COVER_MEMO_SIZE most recently
-used graphs; `height`, `big_height`, `enumerate_minimal_covers`,
-`maximum_minimal_covers` and `vertex_in_every_maximum_cover` read through
-it.  A Graph is an immutable value, so equal graphs share an entry.  The
-size guard DEFAULT_VERTEX_LIMIT is checked by `cover_stats` on every call,
-outside the memo, so a CoverSizeError is never cached.  An entry holds the
-masks, the cover numbers counted from them and the union of the smallest
-sets (so a vertex is in every maximum cover iff it is non-isolated and
-outside that union); the MinimalCover values are built only when
-`all_covers` is first read.
+Two paths give these numbers:
+- on a cactus or forest, `_cactus_numbers` runs one linear dynamic program
+  over a DFS tree of the neighbourhood masks, with no size guard;
+- otherwise every maximal independent set is enumerated as an int mask, as
+  a maximal clique of the complement (`graphs.bron_kerbosch` on complement
+  bitmasks), under the size guard DEFAULT_VERTEX_LIMIT.
+`height`, `big_height` and `vertex_in_every_maximum_cover` try the first and
+fall back on the second.  `cover_stats` and `enumerate_minimal_covers`, the
+covers API behind the `covers` report, always enumerate; so does
+`maximum_covers_avoiding`, which lists only the sets through one vertex.
+
+One memo keeps, for the _COVER_MEMO_SIZE most recently used graphs, keyed
+by graph value, the cover numbers, which vertices are known to lie in some
+smallest maximal independent set, and once `cover_stats` has run its
+CoverStats.  A vertex lies in every maximum cover iff it is non-isolated and
+in no smallest maximal independent set.  The guard is checked on every
+enumerating call and on every read of numbers that only an enumeration gave,
+outside the memo, so a CoverSizeError is never cached.  The MinimalCover
+values are built only when `all_covers` is first read.
 
 The paper's cover-union lemmas are checked where they are used:
 `bounds.theorem34_trace` re-verifies the inequalities of each proof step
-from these enumerations, and asks `is_redundant_neighbor` for its Case 1.2
-split.
+from these numbers.
 """
 
 from __future__ import annotations
@@ -29,11 +37,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .graphs import Graph, GraphError, _vertex_sets, bron_kerbosch
+from .graphs import Graph, GraphError, _bits, _vertex_sets, bron_kerbosch
 
 # Worst-case enumeration is exponential; this keeps interactive use under
-# seconds.  It is the one size guard of the enumeration, read only by
-# `cover_stats`.
+# seconds.  It is the one size guard of the enumeration; the dynamic program
+# on cacti does not read it.
 DEFAULT_VERTEX_LIMIT = 26
 
 # theorem34_trace asks for the covers of the same subgraphs several times
@@ -41,6 +49,9 @@ DEFAULT_VERTEX_LIMIT = 26
 # random cacti of 6-16 vertices: 1024 entries gave no more speed than 64
 # and raised peak RSS from 50 to 71 MB.
 _COVER_MEMO_SIZE = 64
+
+# larger than any cover count: the cost of an impossible DP state
+_INF = 1 << 40
 
 
 class CoverSizeError(GraphError):
@@ -84,6 +95,158 @@ class CoverStats:
                      for ind in _vertex_sets(g.vertices, self.independent))
 
 
+def _over_guard(g):
+    # The vertex count comes first: it bounds the non-isolated count and
+    # needs no adjacency masks.
+    return len(g.vertices) > DEFAULT_VERTEX_LIMIT \
+        and len(g.non_isolated) > DEFAULT_VERTEX_LIMIT
+
+
+def _guard(g):
+    if _over_guard(g):
+        raise CoverSizeError(
+            "%d non-isolated vertices exceeds the enumeration guard (%d)"
+            % (len(g.non_isolated), DEFAULT_VERTEX_LIMIT))
+
+
+# -- the dynamic program on cacti and forests ---------------------------
+
+
+def _cactus_numbers(g, x=-1):
+    """(height, big height, whether vertex index x lies in some smallest
+    maximal independent set) of g, or None when g is not a cactus.
+
+    One DFS, rooted at x first, finds the tree edges and the back edges;
+    each back edge closes a cycle through a chain of tree edges, and a tree
+    edge on two chains means two cycles share an edge.  As the DFS leaves a
+    vertex, it holds the best sizes of the part hanging below it: for i, in
+    the set / out and dominated / out and waiting for its parent; for
+    alpha, in / out.  The cycles whose top it is fold in first, each by
+    chain DPs along its chain (its vertices other than the top): one with
+    the top in the set, and two with the top out, one of them with the top
+    waiting for the first chain vertex.  Then it folds into its parent
+    across a bridge."""
+    masks = g.masks
+    n = len(masks)
+    parent = [-1] * n
+    chains = {}   # top vertex -> the chains of the cycles below it
+    ins, dom, wait = [1] * n, [_INF] * n, [0] * n
+    a_in, a_out = [1] * n, [0] * n
+    seen = used = 0   # bit v of used: the tree edge above v is on a cycle
+    alpha = least = 0
+    for root in ([x] if x >= 0 else []) + list(range(n)):
+        if seen >> root & 1 or not masks[root]:
+            continue
+        seen |= 1 << root
+        stack = [(root, masks[root])]
+        while stack:
+            v, todo = stack.pop()
+            todo &= ~seen
+            if todo:
+                low = todo & -todo
+                w = low.bit_length() - 1
+                parent[w] = v
+                # a neighbour of w reached before w is an ancestor of w
+                up = masks[w] & seen & ~(1 << v)
+                for top in _bits(up) if up else ():
+                    chain, u = [], w
+                    while u != top:
+                        if used >> u & 1:
+                            return None
+                        used |= 1 << u
+                        chain.append(u)
+                        u = parent[u]
+                    chains.setdefault(top, []).append(chain)
+                seen |= low
+                stack += ((v, todo ^ low), (w, masks[w]))
+                continue
+            for chain in chains.get(v, ()):
+                xi, xd, xw = 0, _INF, _INF   # v in the set
+                yi, yd, yw = _INF, _INF, 0   # v out, waiting for chain[0]
+                zi, zd, zw = _INF, 0, _INF   # v out
+                ai, ao, bi, bo = 0, -_INF, -_INF, 0   # alpha: v in, v out
+                for c in chain:
+                    i, d, w = ins[c], dom[c], wait[c]
+                    m = min(d, w)
+                    xi, xd, xw = i + min(xd, xw), min(xi + m, xd + d), xd + w
+                    yi, yd, yw = i + min(yd, yw), min(yi + m, yd + d), yd + w
+                    zi, zd, zw = i + min(zd, zw), min(zi + m, zd + d), zd + w
+                    i, o = a_in[c], a_out[c]
+                    ai, ao, bi, bo = i + ao, o + max(ai, ao), i + bo, \
+                        o + max(bi, bo)
+                # zd may count sets with chain[0] in; as a waiting state of
+                # v it is then only used where v is dominated anyway
+                on = min(yi, yd, zi)
+                d = dom[v]
+                ins[v] += min(xd, xw)
+                dom[v] = min(d + min(on, zd), wait[v] + on)
+                wait[v] += zd
+                a_in[v] += ao
+                a_out[v] += max(bi, bo)
+            p = parent[v]
+            if p >= 0 and not used >> v & 1:
+                i, d = ins[v], dom[v]
+                ins[p] += min(d, wait[v])
+                dom[p] = min(dom[p] + min(i, d), wait[p] + i)
+                wait[p] += d
+                a_in[p] += a_out[v]
+                a_out[p] += max(a_in[v], a_out[v])
+        alpha += max(a_in[root], a_out[root])
+        least += min(ins[root], dom[root])
+    k = seen.bit_count()
+    return k - alpha, k - least, x >= 0 and ins[x] <= dom[x]
+
+
+# -- the memo ------------------------------------------------------------
+
+
+class _Entry:
+    """The memoised cover numbers of one graph.  `known` has the bits of the
+    vertices whose answer is in `avoidable` (the vertices in some smallest
+    maximal independent set); `stats` is set once `cover_stats` has run."""
+
+    __slots__ = ("height", "big_height", "known", "avoidable", "stats")
+
+    def __init__(self, height, big_height):
+        self.height, self.big_height = height, big_height
+        self.known = self.avoidable = 0
+        self.stats = None
+
+
+_memo = {}
+
+
+def _remember(g, entry):
+    if len(_memo) >= _COVER_MEMO_SIZE:
+        del _memo[next(iter(_memo))]
+    _memo[g] = entry
+    return entry
+
+
+def _numbers(g, x=-1):
+    """The memo entry of g, holding the answer at vertex index x if x >= 0:
+    from the memo, else from one DP pass rooted at x, else (not a cactus)
+    from `cover_stats`.  An enumerated entry above the guard (set while the
+    guard was raised) is not read, so the guard decides as on enumeration."""
+    e = _memo.pop(g, None)
+    if e is not None and (e.stats is None or not _over_guard(g)) \
+            and (x < 0 or e.known >> x & 1):
+        _memo[g] = e
+        return e
+    dp = _cactus_numbers(g, x)
+    if dp is None:
+        cover_stats(g)
+        return _memo[g]
+    e = _Entry(dp[0], dp[1]) if e is None else e
+    if x >= 0:
+        e.known |= 1 << x
+        e.avoidable |= dp[2] << x
+    return _remember(g, e)
+
+
+# -- enumeration -----------------------------------------------------
+
+
 def _independent_masks(g):
     """The masks of the maximal independent sets of the non-isolated part of
     g: Bron-Kerbosch with pivoting on the complement adjacency masks."""
@@ -92,34 +255,30 @@ def _independent_masks(g):
     return bron_kerbosch(non_adj, active)
 
 
-@functools.lru_cache(maxsize=_COVER_MEMO_SIZE)
-def _cover_stats(g):
-    # _independent_masks is looked up as a module global, so that a test can
-    # count the enumerations that really run.
-    sets = _independent_masks(g)
-    sizes = [s.bit_count() for s in sets]
-    smallest, largest = min(sizes), max(sizes)
-    avoidable = 0
-    for s, size in zip(sets, sizes):
-        if size == smallest:
-            avoidable |= s
-    k = len(g.non_isolated)
-    return CoverStats(height=k - largest, big_height=k - smallest,
-                      unmixed=(smallest == largest), graph=g,
-                      independent=tuple(sets), avoidable=avoidable)
-
-
 def cover_stats(g):
-    """Height, big height, unmixedness and every minimal cover of g (memoised
-    per g; a CoverSizeError is raised again on every call)."""
-    # The vertex count comes first: it bounds the non-isolated count and
-    # needs no adjacency masks on a memo hit.
-    if len(g.vertices) > DEFAULT_VERTEX_LIMIT \
-            and len(g.non_isolated) > DEFAULT_VERTEX_LIMIT:
-        raise CoverSizeError(
-            "%d non-isolated vertices exceeds the enumeration guard (%d)"
-            % (len(g.non_isolated), DEFAULT_VERTEX_LIMIT))
-    return _cover_stats(g)
+    """Height, big height, unmixedness and every minimal cover of g, by
+    enumeration (memoised per g; a CoverSizeError is raised again on every
+    call)."""
+    _guard(g)
+    e = _memo.pop(g, None)
+    if e is None or e.stats is None:
+        # _independent_masks is looked up as a module global, so that a
+        # test can count the enumerations that really run.
+        sets = _independent_masks(g)
+        sizes = [s.bit_count() for s in sets]
+        smallest, largest = min(sizes), max(sizes)
+        avoidable = 0
+        for s, size in zip(sets, sizes):
+            if size == smallest:
+                avoidable |= s
+        k = len(g.non_isolated)
+        if e is None:
+            e = _Entry(k - largest, k - smallest)
+        e.known, e.avoidable = (1 << len(g.vertices)) - 1, avoidable
+        e.stats = CoverStats(height=k - largest, big_height=k - smallest,
+                             unmixed=(smallest == largest), graph=g,
+                             independent=tuple(sets), avoidable=avoidable)
+    return _remember(g, e).stats
 
 
 def enumerate_minimal_covers(g):
@@ -132,35 +291,36 @@ def enumerate_minimal_covers(g):
 
 
 def height(g):
-    return cover_stats(g).height
+    return _numbers(g).height
 
 
 def big_height(g):
-    return cover_stats(g).big_height
-
-
-def maximum_minimal_covers(g):
-    """The minimal covers of maximum cardinality."""
-    stats = cover_stats(g)
-    return [c for c in stats.all_covers if len(c) == stats.big_height]
+    return _numbers(g).big_height
 
 
 def vertex_in_every_maximum_cover(g, x):
     """Whether x lies in every maximum minimal cover of g: x is not isolated
     and no smallest maximal independent set holds it (False for a label
     that is not a vertex of g)."""
-    stats = cover_stats(g)
     if x not in g.vertices:
         return False
     i = g.vertices.index(x)
-    return bool(g.masks[i]) and not stats.avoidable >> i & 1
+    return bool(g.masks[i]) and not _numbers(g, i).avoidable >> i & 1
 
 
-def is_redundant_neighbor(g, c: MinimalCover, x, y):
-    """Def: y (a neighbour of x, with x outside the cover) is redundant in c
-    when every neighbour of y other than x lies in c."""
-    if x in c.vertices:
-        raise GraphError("x must lie outside the cover")
-    if y not in g.neighbors(x):
-        raise GraphError("y must be a neighbour of x")
-    return all(z in c.vertices for z in g.neighbors(y) if z != x)
+def maximum_covers_avoiding(g, x):
+    """The complements of the maximum minimal covers of g that avoid the
+    vertex x: the smallest maximal independent sets through x, as int
+    masks in `all_covers` order.  Only these are enumerated (x plus a
+    maximal independent set of g - N[x]), under the size guard."""
+    _guard(g)
+    masks = g.masks
+    i = g.vertices.index(x)
+    rest = sum(1 << j for j, m in enumerate(masks) if m) & ~masks[i] \
+        & ~(1 << i)
+    size = len(g.non_isolated) - big_height(g) - 1
+    sets = [s | 1 << i
+            for s in bron_kerbosch([rest & ~m & ~(1 << j)
+                                    for j, m in enumerate(masks)], rest)
+            if s.bit_count() == size]
+    return sorted(sets, key=lambda s: list(_bits(s)))

@@ -134,6 +134,23 @@ def random_cactus(rng, max_vertices=12, cycle_lengths=(3, 4, 5, 6)):
     return Graph.build(edges)
 
 
+def grown_cactus(rng, n, cycle_lengths=(3, 4, 5, 6)):
+    """A random connected cactus on exactly n >= 2 vertices: whiskers and
+    cycles hung on random earlier vertices."""
+    vertices = ["v0"]
+    edges = []
+    while len(vertices) < n:
+        root = rng.choice(vertices)
+        room = n - len(vertices)
+        pick = rng.choice([2] + [ell for ell in cycle_lengths
+                                 if ell - 1 <= room])
+        ring = [root] + ["v%d" % (len(vertices) + i) for i in range(pick - 1)]
+        vertices += ring[1:]
+        edges += [(ring[i - 1], ring[i]) for i in range(1 if pick == 2
+                                                        else 0, pick)]
+    return Graph.build(edges)
+
+
 def random_cacti(seed, count, max_vertices=12):
     rng = random.Random(seed)
     return [random_cactus(rng, max_vertices) for _ in range(count)]

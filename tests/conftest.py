@@ -24,7 +24,6 @@ from edgeideals.certificates import CertBuilder
 from edgeideals.constructions import sv_layer_search
 from edgeideals.covers import (DEFAULT_VERTEX_LIMIT, CoverSizeError,
                                MinimalCover, big_height, cover_stats,
-                               is_redundant_neighbor, maximum_minimal_covers,
                                vertex_in_every_maximum_cover)
 from edgeideals.graphs import (Cycle, Graph, GraphError, _bits, _vertex_sets,
                                edge, parse_edge_list)
@@ -171,6 +170,22 @@ def whisker_tree_oracle(g):
 
 
 # -- paper-lemma oracles: Lemmas 2.6 and 2.7, the redundancy remark ----
+
+
+def maximum_minimal_covers(g):
+    """The minimal covers of maximum cardinality, in `all_covers` order."""
+    stats = cover_stats(g)
+    return [c for c in stats.all_covers if len(c) == stats.big_height]
+
+
+def is_redundant_neighbor(g, c: MinimalCover, x, y):
+    """Def: y (a neighbour of x, with x outside the cover) is redundant in c
+    when every neighbour of y other than x lies in c."""
+    if x in c.vertices:
+        raise GraphError("x must lie outside the cover")
+    if y not in g.neighbors(x):
+        raise GraphError("y must be a neighbour of x")
+    return all(z in c.vertices for z in g.neighbors(y) if z != x)
 
 
 def is_cover(g, vs):
@@ -346,6 +361,19 @@ def old_maximum_minimal_covers(g):
 
 def old_vertex_in_every_maximum_cover(g, x):
     return all(x in c.vertices for c in old_maximum_minimal_covers(g))
+
+
+def old_big_height(g):
+    return old_cover_stats(g).big_height
+
+
+def old_maximum_covers_avoiding(g, x):
+    """The independent complements of the maximum covers that avoid x, as
+    masks, filtered from the full list of covers."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    active = frozenset(g.non_isolated)
+    return [sum(1 << index[v] for v in active - c.vertices)
+            for c in old_maximum_minimal_covers(g) if x not in c.vertices]
 
 
 # -- the layer search as it was before witness masks -------------------

@@ -15,8 +15,8 @@ from edgeideals.graphs import Graph, GraphError, parse_edge_list
 
 import catalog
 from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, cycle,
-                      format_edge_list, old_cover_stats,
-                      old_maximum_minimal_covers,
+                      format_edge_list, old_big_height, old_cover_stats,
+                      old_maximum_covers_avoiding,
                       old_vertex_in_every_maximum_cover, path_graph)
 
 
@@ -158,12 +158,21 @@ def test_trace_matches_the_list_based_cover_path(monkeypatch):
     cacti = [catalog.random_cactus(rng, rng.randint(3, 14)) for _ in range(40)]
 
     def replay():
+        covers._memo.clear()
         return [(bounds.theorem34_trace(g).to_data(),
                  covers.cover_stats(g).all_covers) for g in cacti]
 
-    mask_path = replay()
-    calls = dict.fromkeys(("_cover_stats", "maximum_minimal_covers",
-                           "vertex_in_every_maximum_cover"), 0)
+    dp_path = replay()
+    # With the DP switched off, every number comes from the enumeration.
+    with monkeypatch.context() as m:
+        m.setattr(covers, "_cactus_numbers", lambda g, x=-1: None)
+        assert replay() == dp_path
+
+    # With the list-based path swapped in, every number comes from
+    # old_cover_stats, and the DP never runs.
+    calls = dict.fromkeys(("cover_stats", "big_height",
+                           "vertex_in_every_maximum_cover",
+                           "maximum_covers_avoiding"), 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -171,15 +180,21 @@ def test_trace_matches_the_list_based_cover_path(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(covers, "_cover_stats",
-                        counted("_cover_stats", old_cover_stats))
-    monkeypatch.setattr(covers, "maximum_minimal_covers",
-                        counted("maximum_minimal_covers",
-                                old_maximum_minimal_covers))
+    def no_dp(g, x=-1):
+        raise AssertionError("the DP ran on the list-based path")
+
+    monkeypatch.setattr(covers, "_cactus_numbers", no_dp)
+    monkeypatch.setattr(covers, "cover_stats",
+                        counted("cover_stats", old_cover_stats))
+    monkeypatch.setattr(covers, "big_height",
+                        counted("big_height", old_big_height))
     monkeypatch.setattr(covers, "vertex_in_every_maximum_cover",
                         counted("vertex_in_every_maximum_cover",
                                 old_vertex_in_every_maximum_cover))
-    assert replay() == mask_path
+    monkeypatch.setattr(covers, "maximum_covers_avoiding",
+                        counted("maximum_covers_avoiding",
+                                old_maximum_covers_avoiding))
+    assert replay() == dp_path
     # the trace reads its covers through every swapped-in function
     assert all(calls.values()), calls
     # every split case is replayed, Case 1.2a (which reports a cover and so
@@ -252,28 +267,37 @@ def test_every_trace_node_bound_is_bight_plus_cycles():
                     graphs.cycle_count(node.graph)
 
 
-# the enumerations that the first 100 and the last 10 traces of TRACE_CORPUS
-# run, from an empty memo, counted before the trace carried its structure
-TRACE_ENUMERATIONS = 943
+# The Bron-Kerbosch runs and the DP passes that the first 100 and the last
+# 10 traces of TRACE_CORPUS make, from an empty memo.  Before the DP, these
+# traces ran 943 full enumerations; now only Case 1.2 enumerates, and only
+# the maximal independent sets of G2 through x.
+TRACE_ENUMERATIONS = 96
+TRACE_DP_PASSES = 945
 
 
 def test_trace_enumeration_count_is_pinned(monkeypatch):
     # the trace asks for covers in a fixed order, so with the memo emptied
-    # the number of enumerations that really run is fixed too
-    count = 0
-    enumerate_masks = covers._independent_masks
+    # the number of enumerations and passes that really run is fixed too
+    counts = {"full": 0, "all": 0, "dp": 0}
 
-    def counted(g):
-        nonlocal count
-        count += 1
-        return enumerate_masks(g)
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(covers, "_independent_masks", counted)
-    covers._cover_stats.cache_clear()
+    monkeypatch.setattr(covers, "_independent_masks",
+                        counted("full", covers._independent_masks))
+    monkeypatch.setattr(covers, "bron_kerbosch",
+                        counted("all", covers.bron_kerbosch))
+    monkeypatch.setattr(covers, "_cactus_numbers",
+                        counted("dp", covers._cactus_numbers))
+    covers._memo.clear()
     for g in TRACE_CORPUS[:100] + TRACE_CORPUS[-10:]:
         bounds.theorem34_trace(g)
-    covers._cover_stats.cache_clear()
-    assert count == TRACE_ENUMERATIONS
+    covers._memo.clear()
+    assert counts == {"full": 0, "all": TRACE_ENUMERATIONS,
+                      "dp": TRACE_DP_PASSES}
 
 
 def test_open_cycle_matches_the_edge_edit():

@@ -5,6 +5,7 @@ import contextlib
 import copy
 import io
 import json
+import random
 import time
 from pathlib import Path
 
@@ -15,6 +16,9 @@ from edgeideals import constructions
 from edgeideals.certificates import certified_set_to_data
 from edgeideals.cli import main
 from edgeideals.graphs import Graph
+
+import catalog
+from conftest import format_edge_list
 
 INF = float("inf")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -73,6 +77,51 @@ def test_bound_with_trace(run, graph_file):
     assert rep["bound"] == 6 and rep["n_cycles"] == 2
     assert rep["trace_bound"] == 6
     assert rep["trace"]["case"]
+
+
+@pytest.fixture
+def cactus200(graph_file):
+    g = catalog.grown_cactus(random.Random(0), 200)
+    return graph_file("cactus200.txt", format_edge_list(g))
+
+
+def test_bound_above_the_cover_guard(run, cactus200):
+    # The cover numbers of a cactus come from the DP, which has no guard.
+    rep = run(["bound", cactus200])
+    assert len(rep["graph"]["vertices"]) == 200
+    assert (rep["big_height"], rep["n_cycles"], rep["bound"]) == (137, 51, 188)
+    rep = run(["bound", "--improve", cactus200])
+    assert rep["bound"] == rep["big_height"] + rep["n_cycles"] - \
+        rep["improvement_k"]
+    assert (rep["big_height"], rep["improvement_k"]) == (137, 17)
+
+
+def test_bound_trace_above_the_cover_guard_exits_2_promptly(cactus200,
+                                                            capsys):
+    # Case 1.2 of the trace enumerates, under the guard.
+    start = time.perf_counter()
+    assert main(["bound", "--trace", cactus200]) == 2
+    assert time.perf_counter() - start < 10
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and \
+        out.err.endswith("exceeds the enumeration guard (26)\n")
+
+
+def test_classify_above_the_cover_guard(run, graph_file):
+    path = "".join("p%d p%d\np%d w%d\n" % (i, i + 1, i, i)
+                   for i in range(99)) + "p99 w99\n"
+    rep = run(["classify", graph_file("whiskered_path.txt", path)])
+    assert (rep["status"], rep["stci"], rep["case"]) == ("CM", "Yes",
+                                                         "Cor 4.4")
+    ring = "".join("c%d c%d\nc%d w%d\n" % (i, (i + 1) % 30, i, i)
+                   for i in range(30))
+    rep = run(["classify", graph_file("whiskered_c30.txt", ring)])
+    assert (rep["status"], rep["stci"], rep["case"]) == ("CM", "Yes",
+                                                         "Thm 5.1 case 2")
+    ring += "c0 x\n"
+    rep = run(["classify", graph_file("mixed_c30.txt", ring)])
+    assert (rep["status"], rep["case"]) == ("NotCM", "Thm 5.1")
 
 
 def test_bound_improve(run, graph_file):
@@ -447,7 +496,7 @@ def test_gens_svsearch_cap_below_big_height_exits_2(graph_file, capsys):
 
 def test_gens_svsearch_above_the_cover_guard(run, graph_file):
     # A 14-edge perfect matching has 28 vertices, above the cover guard; the
-    # search runs without a big-height floor.
+    # cover DP still gives the search its big-height floor of 14.
     f = graph_file("matching.txt", "".join("a%d b%d\n" % (i, i)
                                            for i in range(14)))
     rep = run(["gens", "--family", "svsearch", f])

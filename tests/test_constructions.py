@@ -317,15 +317,31 @@ def test_errors_come_before_the_floor(monkeypatch):
         cons.sv_layer_search(WHISKER_P3, max_layers=0)
 
 
-def test_search_above_the_cover_guard_has_floor_one():
-    # 28 vertices: big_height raises CoverSizeError, so every start runs.
+def test_search_above_the_cover_guard_has_floor_one(monkeypatch):
+    # A non-cactus above the guard has no big height, so every start runs.
+    # The unfloored search took over 30 s on each non-cactus of 27-28
+    # vertices tried (K_{2,25}, 7 K4s, 7 diamonds, a diamond plus 23
+    # leaves), so the guard is lowered below this diamond plus two edges.
+    g = parse_edge_list("a b\nb c\nc d\nd a\na c\ne f\ng h")
+    floored = cons.sv_layer_search(g)
+    with monkeypatch.context() as m:
+        m.setattr(covers, "DEFAULT_VERTEX_LIMIT", 6)
+        with pytest.raises(covers.CoverSizeError):
+            covers.big_height(g)
+        res, starts = _recorded_starts(m, g)
+    assert len(starts) == len(g.edges)
+    assert res == floored
+    _check(*res)
+    assert len(res[0]) == covers.big_height(g) == 5
+    # 28 vertices: a forest gets its real floor from the DP at any size, so
+    # the search stops at the first start of 14 layers.
     g = Graph.build(("a%d" % i, "b%d" % i) for i in range(14))
     assert len(g.vertices) > covers.DEFAULT_VERTEX_LIMIT
-    with pytest.raises(covers.CoverSizeError):
-        covers.big_height(g)
+    assert covers.big_height(g) == 14
     gs, cert = cons.sv_layer_search(g)
     _check(gs, cert)
     assert len(gs) == 14
+    assert len(_recorded_starts(monkeypatch, g)[1]) == 1
 
 
 def test_build_attached_graph():
