@@ -6,12 +6,12 @@ graph, producing a decomposition tree in which every step's cover-cardinality
 inequalities are re-verified on exact cover numbers.  An assertion failure
 is a hard error: the inequalities are proved unconditionally, so a violation
 means an implementation bug.  The cycles are found once, on the input graph,
-and each proof step hands its parts the cycles they keep; degrees and
-terminal edges are read off the neighbourhood masks.  Only the structure is
-carried: every cover number is recomputed at every step, by the linear
-dynamic program of `covers` (every part of a cactus is a cactus), and one
-pass rooted at the split vertex answers both its big height and whether
-the vertex lies in every maximum cover.  Only Case 1.2 enumerates: the
+and each proof step hands its parts the cycles they keep and their big
+heights; degrees and terminal edges are read off the neighbourhood masks.
+The numbers come from the linear dynamic program of `covers` (every part of
+a cactus is a cactus): a split step makes one pass rooted at its vertex,
+combines its branch records into the numbers of every part and checks its
+own big height against the one handed down.  Only Case 1.2 enumerates: the
 maximum covers of G2 that avoid x, under the cover guard.
 
 The structural questions (cactus, cycles, branches, fully whiskered) are
@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import covers, graphs
-from .graphs import (TWO_BRANCH, WHISKER, Graph, GraphError, _bits,
-                     _on_terminal_edges, build_attached_graph, edge)
+from .graphs import (WHISKER, Graph, GraphError, _bits, _on_terminal_edges,
+                     build_attached_graph, edge)
 
 
 class TraceInvariantError(GraphError):
@@ -88,19 +88,18 @@ def corollary41_bound(g):
     """Improved bound bight + n - k, where k counts the cycles of length
     divisible by 3 in which all vertices have degree 2 except (at most) two
     consecutive ones."""
+    n = graphs.cycle_count(g)  # raises GraphError on a non-cactus
     k = 0
-    for cycle in graphs.cycles(g):  # raises GraphError on a non-cactus
-        if cycle.length % 3 != 0:
+    for walk in g._cactus_cycles:
+        if len(walk) % 3 != 0:
             continue
-        walk = cycle.vertices
-        high = [i for i, v in enumerate(walk) if g.degree(v) != 2]
+        high = [i for i, v in enumerate(walk) if g.masks[v].bit_count() != 2]
         if len(high) <= 1:
             k += 1
         elif len(high) == 2:
             i, j = high
             if j - i == 1 or (i == 0 and j == len(walk) - 1):
                 k += 1
-    n = graphs.cycle_count(g)
     bh = covers.big_height(g)
     return BoundReport(g, n, bh, bh + n - k, improvement_k=k,
                        source="Cor 4.1")
@@ -164,12 +163,6 @@ def _check(cond, msg, **numbers):
                                         for kv in sorted(numbers.items()))))
 
 
-def _node_bound(g, cycles):
-    if not g.edges:
-        return 0
-    return covers.big_height(g) + len(cycles)
-
-
 def _budget_check(node):
     total = sum(c.bound for c in node.children)
     _check(total <= node.bound,
@@ -194,23 +187,25 @@ def theorem34_trace(g):
         return TraceNode(g, "Base-FullyWhiskered", 0)
     if not g.is_connected():
         children = tuple(
-            _trace(c, [cyc for cyc in cycles if cyc.vertices[0] in c.vertices])
+            _trace(c, [cyc for cyc in cycles if cyc.vertices[0] in c.vertices],
+                   covers.big_height(c))
             for c in g.component_graphs())
         return _budget_check(TraceNode(g, "Components",
-                                       _node_bound(g, cycles),
+                                       covers.big_height(g) + len(cycles),
                                        children=children))
-    return _trace(g, cycles)
+    return _trace(g, cycles, covers.big_height(g))
 
 
-def _trace(g, cycles):
+def _trace(g, cycles, b):
     """The proof step at g, a connected cactus with no isolated vertex.
 
-    `cycles` are g's cycles in `graphs.cycles` order, handed down by the
-    step above: an opened graph drops the opened cycle, G2 keeps the cycles
-    inside it, G1 and G'1 keep the rest, and G2bar keeps those of G2 that
-    avoid x.  Degrees and terminal edges are read off `g.masks`.  Every
-    inequality is still checked on exact cover numbers."""
-    bound = _node_bound(g, cycles)
+    `cycles` are g's cycles in `graphs.cycles` order and b its big height,
+    both handed down by the step above: an opened graph drops the opened
+    cycle, G2 keeps the cycles inside it, G1 and G'1 keep the rest, and
+    G2bar keeps those of G2 that avoid x; a split step's DP pass gives the
+    big height of each part.  Degrees and terminal edges are read off
+    `g.masks`.  Every inequality is still checked on exact cover numbers."""
+    bound = b + len(cycles)
 
     if len(g.edges) == 1:
         return TraceNode(g, "Base-SingleEdge", bound)
@@ -222,11 +217,12 @@ def _trace(g, cycles):
         v = min(two.intersection(cycle.vertices), default=None)
         if v is not None:
             opened = open_cycle(g, cycle, v)
-            child = _trace(opened, [c for c in cycles if c is not cycle])
-            bh, bh_child = covers.big_height(g), covers.big_height(opened)
-            _check(bh <= bh_child <= bh + 1,
+            bh_child = covers.big_height(opened)
+            _check(b <= bh_child <= b + 1,
                    "opening a cycle must keep bight within +1",
-                   before=bh, after=bh_child)
+                   before=b, after=bh_child)
+            child = _trace(opened, [c for c in cycles if c is not cycle],
+                           bh_child)
             node = TraceNode(g, "OpenCycle", bound, detail={"opened_at": v},
                              children=(child,))
             return _budget_check(node)
@@ -236,67 +232,74 @@ def _trace(g, cycles):
     off_terminal = ((1 << len(g.vertices)) - 1) & ~_on_terminal_edges(g.masks)
     if not off_terminal:
         return TraceNode(g, "Base-FullyWhiskered", bound)
-    x = g.vertices[(off_terminal & -off_terminal).bit_length() - 1]
-    return _split(g, x, bound, cycles)
+    xi = (off_terminal & -off_terminal).bit_length() - 1
+    return _split(g, xi, b, bound, cycles)
 
 
-def _split(g, x, bound, cycles):
-    """One inductive step at x: pick the branch G2, classify by which
-    maximum minimal covers contain x, recurse on the two parts."""
-    branches = graphs.branches_at(g, x)
+def _split(g, xi, b, bound, cycles):
+    """One inductive step at x = g.vertices[xi]: pick the branch G2,
+    classify by which maximum minimal covers contain x, recurse on the two
+    parts.  One DP pass rooted at x gives the branches at x, and combining
+    their records gives the numbers of every part (`covers._joined`)."""
+    x, xbit, full = g.vertices[xi], 1 << xi, (1 << len(g.vertices)) - 1
+    dp = covers._cactus_numbers(g, xi)
+    if dp is None or sum(br.mask for br in dp[3]) | xbit != full:
+        raise GraphError("graph is not a connected cactus")
+    _, bg, _, branches = dp
+    _check(bg == b, "the split pass must give the big height handed down",
+           handed=b, split=bg)
     _check(len(branches) >= 2, "split vertex must have at least two branches",
            branches=len(branches))
     for br in branches:
-        _check(len(br.subgraph.edges) > 1, "no branch may be a single edge")
+        _check(br.mask.bit_count() > 1, "no branch may be a single edge")
 
-    def forced(h):
-        return covers.vertex_in_every_maximum_cover(h, x)
+    unforced = [br for br in branches if covers._joined([br])[2]]
+    g2_branch = max(unforced or branches,
+                    key=lambda br: tuple(_bits(br.mask | xbit)))
+    mask2, two_branch = g2_branch.mask, g2_branch.two
+    rest = [br for br in branches if br is not g2_branch]
+    _, b1, avoidable1 = covers._joined(rest)
+    _, b2, avoidable2 = covers._joined([g2_branch])
+    numbers = {"b": b, "b1": b1, "b2": b2}
+    vs = g.vertices
 
-    unforced = [br for br in branches if not forced(br.subgraph)]
-    g2_branch = max(unforced, key=lambda br: br.sort_key()) if unforced \
-        else max(branches, key=lambda br: br.sort_key())
-    g2 = g2_branch.subgraph
-    g1 = g.edge_subgraph(g.edges - g2.edges)
-    in_g2 = set(g2.vertices)
+    def part(mask, edges):
+        return Graph(tuple(map(vs.__getitem__, _bits(mask))), edges)
+
+    in_g2 = set(map(vs.__getitem__, _bits(mask2 | xbit)))
+    g2 = part(mask2 | xbit, frozenset(e for e in g.edges
+                                      if e[0] in in_g2 and e[1] in in_g2))
+    g1 = part(full & ~mask2, g.edges - g2.edges)
     cycles1 = [c for c in cycles if not in_g2.issuperset(c.vertices)]
     cycles2 = [c for c in cycles if in_g2.issuperset(c.vertices)]
-
-    # forced(g1) first: its pass rooted at x also gives b1
-    forced1 = forced(g1)
-    b = covers.big_height(g)
-    b1 = covers.big_height(g1)
-    b2 = covers.big_height(g2)
-    numbers = {"b": b, "b1": b1, "b2": b2}
-    xi = g2.vertices.index(x)
-    ys_bits = list(_bits(g2.masks[xi]))
-    ys = [g2.vertices[j] for j in ys_bits]
-    two_branch = g2_branch.kind == TWO_BRANCH
+    ys = [vs[j] for j in _bits(g.masks[xi] & mask2)]
     detail = {"x": x, "g2_vertices": in_g2,
               "branch_kind": "2-branch" if two_branch else "1-branch"}
 
     def primed_parts():
         """G'1 = G1 plus the pendant edges xy_i; G2bar = G2 minus them
         (and minus the then-isolated x)."""
-        g1p = g1.with_edges((x, y) for y in ys)
-        g2bar = g2.without_edges(edge(x, y) for y in ys).drop_isolated()
-        b1p = covers.big_height(g1p)
-        b2bar = covers.big_height(g2bar)
+        pendant = frozenset(edge(x, y) for y in ys)
+        g1p = part(full & ~mask2 | g.masks[xi] & mask2, g1.edges | pendant)
+        g2bar = part(mask2, g2.edges - pendant)
+        b1p = covers._joined(rest, len(ys))[1]
+        b2bar = covers._without_root(g2_branch)[1]
         numbers["b1_prime"] = b1p
         numbers["b2_bar"] = b2bar
+        cycles2bar = [c for c in cycles2 if x not in c.vertices]
         if two_branch:
             _check(b1p <= b1 + 1, "2-branch: b1' <= b1 + 1 fails", **numbers)
-            _check(graphs.cycle_count(g2bar) == graphs.cycle_count(g2) - 1,
+            _check(len(cycles2bar) == len(cycles2) - 1,
                    "2-branch removal must open exactly one cycle")
         else:
             _check(b1p == b1, "1-branch: b1' = b1 fails", **numbers)
-            _check(graphs.cycle_count(g2bar) == graphs.cycle_count(g2),
+            _check(len(cycles2bar) == len(cycles2),
                    "1-branch removal must not change the cycle count")
         _check(b2bar <= b2 - 1, "b2bar <= b2 - 1 fails", **numbers)
-        return ((g1p, cycles1),
-                (g2bar, [c for c in cycles2 if x not in c.vertices]))
+        return (g1p, cycles1, b1p), (g2bar, cycles2bar, b2bar)
 
-    if forced1:
-        if forced(g2):
+    if not avoidable1:
+        if not avoidable2:
             tag = "Case1.1"
             _check(b == b1 + b2 - 1, "Case 1.1: b = b1 + b2 - 1 fails",
                    **numbers)
@@ -309,7 +312,8 @@ def _split(g, x, bound, cycles):
             avoiding = covers.maximum_covers_avoiding(g2, x)
             _check(bool(avoiding), "unforced branch must have an avoiding "
                                    "maximum cover")
-            masks, not_x = g2.masks, ~(1 << xi)
+            masks, at = g2.masks, g2.vertices.index
+            not_x, ys_bits = ~(1 << at(x)), [at(y) for y in ys]
             clean = next((s for s in avoiding
                           if all(masks[j] & s & not_x for j in ys_bits)),
                          None)
@@ -319,7 +323,7 @@ def _split(g, x, bound, cycles):
                 detail["cover_without_redundant"] = {
                     v for j, v in enumerate(g2.vertices)
                     if masks[j] and not clean >> j & 1}
-                children = ((g1, cycles1), (g2, cycles2))
+                children = (g1, cycles1, b1), (g2, cycles2, b2)
             else:
                 tag = "Case1.2b"
                 _check(b <= b1 + b2 - 1, "inequality (3) fails", **numbers)
@@ -331,11 +335,11 @@ def _split(g, x, bound, cycles):
                            "final subcase: b2bar <= b2 - 2 fails", **numbers)
     else:
         tag = "Case2"
-        _check(not forced(g2),
+        _check(avoidable2,
                "Case 2 requires a branch with an avoiding maximum cover")
         _check(b == b1 + b2, "Case 2: b = b1 + b2 fails", **numbers)
-        children = ((g1, cycles1), (g2, cycles2))
+        children = (g1, cycles1, b1), (g2, cycles2, b2)
 
     node = TraceNode(g, tag, bound, cover_numbers=numbers, detail=detail,
-                     children=tuple(_trace(h, c) for h, c in children))
+                     children=tuple(_trace(*c) for c in children))
     return _budget_check(node)

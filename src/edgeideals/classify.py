@@ -202,10 +202,11 @@ def _prop42_tail(g):
     complete intersection).  Returns (base, attachments) or None."""
     if not graphs.is_cactus(g) or not g.edges:
         return None
+    degree = {v: m.bit_count() for v, m in zip(g.vertices, g.masks)}
     interiors = {}   # root -> frozenset of attachment-interior vertices
     kinds = {}
     for cyc in graphs.cycles(g):
-        contacts = [v for v in cyc.vertices if g.degree(v) > 2]
+        contacts = [v for v in cyc.vertices if degree[v] > 2]
         if len(contacts) != 1:
             # A cycle touching the rest of the graph in several vertices
             # belongs to the base (every one of its vertices must then
@@ -217,8 +218,8 @@ def _prop42_tail(g):
         interiors[root] = frozenset(cyc.vertices) - {root}
         kinds[root] = cyc.length
     for u, v in g.terminal_edges():
-        tip, root = (u, v) if g.degree(u) == 1 else (v, u)
-        if root in interiors or g.degree(root) == 1:
+        tip, root = (u, v) if degree[u] == 1 else (v, u)
+        if root in interiors or degree[root] == 1:
             return None
         interiors[root] = frozenset([tip])
         kinds[root] = WHISKER

@@ -9,7 +9,9 @@ unmixed when the two agree.
 
 Two paths give these numbers:
 - on a cactus or forest, `_cactus_numbers` runs one linear dynamic program
-  over a DFS tree of the neighbourhood masks, with no size guard;
+  over a DFS tree of the neighbourhood masks, with no size guard; rooted at
+  a vertex, it also returns one record per branch there, which `_joined`
+  combines into the numbers of any union of branches (the trace's parts);
 - otherwise every maximal independent set is enumerated as an int mask, as
   a maximal clique of the complement (`graphs.bron_kerbosch` on complement
   bitmasks), under the size guard DEFAULT_VERTEX_LIMIT.
@@ -35,6 +37,7 @@ from these numbers.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .graphs import Graph, GraphError, _bits, _vertex_sets, bron_kerbosch
@@ -44,14 +47,17 @@ from .graphs import Graph, GraphError, _bits, _vertex_sets, bron_kerbosch
 # on cacti does not read it.
 DEFAULT_VERTEX_LIMIT = 26
 
-# theorem34_trace asks for the covers of the same subgraphs several times
-# within one trace, so a small memo catches the repeats.  Measured on
+# The bounds and the classification ask for the numbers of the same graph
+# several times, so a small memo catches the repeats.  Measured on
 # random cacti of 6-16 vertices: 1024 entries gave no more speed than 64
 # and raised peak RSS from 50 to 71 MB.
 _COVER_MEMO_SIZE = 64
 
 # larger than any cover count: the cost of an impossible DP state
 _INF = 1 << 40
+_ALONE = (1, _INF, 0, 1, 0)   # the DP state of a vertex with nothing below
+_LEAF = (0, 1, _INF, 0, 1)    # the DP terms of a pendant leaf (`_absorb`)
+_Branch = namedtuple("_Branch", "mask two terms least")
 
 
 class CoverSizeError(GraphError):
@@ -112,26 +118,42 @@ def _guard(g):
 # -- the dynamic program on cacti and forests ---------------------------
 
 
+def _absorb(s, t):
+    """The state s of a vertex (in the set, out and dominated, out and
+    waiting; alpha in, out) with one branch below it folded in: t holds
+    what the branch costs with the vertex in, with it out and dominated
+    from the branch, and with it out and not, then its two alpha terms."""
+    i, d, w, ai, ao = s
+    tin, ton, tnot, tai, tao = t
+    return (i + tin, min(d + min(ton, tnot), w + ton), w + tnot,
+            ai + tai, ao + tao)
+
+
 def _cactus_numbers(g, x=-1):
     """(height, big height, whether vertex index x lies in some smallest
-    maximal independent set) of g, or None when g is not a cactus.
+    maximal independent set, branches at x) of g, or None when g is not
+    a cactus.
 
     One DFS, rooted at x first, finds the tree edges and the back edges;
     each back edge closes a cycle through a chain of tree edges, and a tree
     edge on two chains means two cycles share an edge.  As the DFS leaves a
-    vertex, it holds the best sizes of the part hanging below it: for i, in
-    the set / out and dominated / out and waiting for its parent; for
-    alpha, in / out.  The cycles whose top it is fold in first, each by
+    vertex, its state (see `_absorb`) holds the best sizes of the part
+    hanging below it.  The cycles whose top it is fold in first, each by
     chain DPs along its chain (its vertices other than the top): one with
     the top in the set, and two with the top out, one of them with the top
     waiting for the first chain vertex.  Then it folds into its parent
-    across a bridge."""
+    across a bridge.
+
+    Each DFS tree child of x gives a `_Branch`: its subtree as a vertex
+    mask, whether its tree edge lies on a cycle topped at x (a 2-branch),
+    the terms it folds into x (`_absorb`), and the least size of a maximal
+    independent set of the subtree alone (its alpha is the last term)."""
     masks = g.masks
     n = len(masks)
     parent = [-1] * n
     chains = {}   # top vertex -> the chains of the cycles below it
-    ins, dom, wait = [1] * n, [_INF] * n, [0] * n
-    a_in, a_out = [1] * n, [0] * n
+    state = [_ALONE] * n
+    branches, below, done = [], {}, 1 << x if x >= 0 else 0
     seen = used = 0   # bit v of used: the tree edge above v is on a cycle
     alpha = least = 0
     for root in ([x] if x >= 0 else []) + list(range(n)):
@@ -166,35 +188,52 @@ def _cactus_numbers(g, x=-1):
                 zi, zd, zw = _INF, 0, _INF   # v out
                 ai, ao, bi, bo = 0, -_INF, -_INF, 0   # alpha: v in, v out
                 for c in chain:
-                    i, d, w = ins[c], dom[c], wait[c]
+                    i, d, w, ci, co = state[c]
                     m = min(d, w)
                     xi, xd, xw = i + min(xd, xw), min(xi + m, xd + d), xd + w
                     yi, yd, yw = i + min(yd, yw), min(yi + m, yd + d), yd + w
                     zi, zd, zw = i + min(zd, zw), min(zi + m, zd + d), zd + w
-                    i, o = a_in[c], a_out[c]
-                    ai, ao, bi, bo = i + ao, o + max(ai, ao), i + bo, \
-                        o + max(bi, bo)
+                    ai, ao, bi, bo = ci + ao, co + max(ai, ao), ci + bo, \
+                        co + max(bi, bo)
                 # zd may count sets with chain[0] in; as a waiting state of
                 # v it is then only used where v is dominated anyway
-                on = min(yi, yd, zi)
-                d = dom[v]
-                ins[v] += min(xd, xw)
-                dom[v] = min(d + min(on, zd), wait[v] + on)
-                wait[v] += zd
-                a_in[v] += ao
-                a_out[v] += max(bi, bo)
+                t = (min(xd, xw), min(yi, yd, zi), zd, ao, max(bi, bo))
+                state[v] = _absorb(state[v], t)
+                if v == x:
+                    branches.append(_Branch(below[chain[-1]], True, t, min(zi, zd)))
             p = parent[v]
+            if p == x >= 0:
+                below[v], done = seen & ~done, seen
             if p >= 0 and not used >> v & 1:
-                i, d = ins[v], dom[v]
-                ins[p] += min(d, wait[v])
-                dom[p] = min(dom[p] + min(i, d), wait[p] + i)
-                wait[p] += d
-                a_in[p] += a_out[v]
-                a_out[p] += max(a_in[v], a_out[v])
-        alpha += max(a_in[root], a_out[root])
-        least += min(ins[root], dom[root])
+                i, d, w, ai, ao = state[v]
+                t = (min(d, w), i, d, ao, max(ai, ao))
+                state[p] = _absorb(state[p], t)
+                if p == x:
+                    branches.append(_Branch(below[v], False, t, min(i, d)))
+        i, d, w, ai, ao = state[root]
+        alpha += max(ai, ao)
+        least += min(i, d)
     k = seen.bit_count()
-    return k - alpha, k - least, x >= 0 and ins[x] <= dom[x]
+    return (k - alpha, k - least, x >= 0 and state[x][0] <= state[x][1],
+            branches)
+
+
+def _joined(branches, leaves=0):
+    """(height, big height, whether the root lies in some smallest maximal
+    independent set) of the root of a DP pass joined to some of its branch
+    records and to `leaves` pendant leaves."""
+    s, k = _ALONE, 1 + leaves
+    for br in branches:
+        s, k = _absorb(s, br.terms), k + br.mask.bit_count()
+    for _ in range(leaves):
+        s = _absorb(s, _LEAF)
+    return k - max(s[3], s[4]), k - min(s[0], s[1]), s[0] <= s[1]
+
+
+def _without_root(branch):
+    """(height, big height) of the subtree of one branch record alone."""
+    k = branch.mask.bit_count()
+    return k - branch.terms[4], k - branch.least
 
 
 # -- the memo ------------------------------------------------------------

@@ -12,9 +12,10 @@ adjacency built from the edge set (`Graph.adj` is read off it), and
 `_components` is the one component walk: components, connectivity,
 `branches_at` and the Hochster split in `homology` all run it.  One
 DFS-forest pass (`Graph._cactus_cycles`, cached on the Graph like `masks`)
-decides the cactus property and lists the cycles; maximum cardinality
-search decides chordality; one DFS over simple paths (`_cycles`) answers
-the cycle screen; and one pivoting Bron-Kerbosch (`bron_kerbosch`), which
+decides the cactus property, lists the cycles and, on a cactus, answers
+chordality and the cycle screen; on other graphs maximum cardinality search
+decides chordality and one DFS over simple paths (`_cycles`) answers the
+cycle screen; and one pivoting Bron-Kerbosch (`bron_kerbosch`), which
 returns int masks, enumerates maximal cliques here and maximal independent
 sets in `covers`; `maximal_cliques` turns the masks into sorted frozensets.
 This module imports no other module of the package.
@@ -194,8 +195,10 @@ class Graph:
 
     def terminal_edges(self):
         """Edges with at least one endpoint of degree 1."""
+        leaves = {v for v, m in zip(self.vertices, self.masks)
+                  if m.bit_count() == 1}
         return frozenset(e for e in self.edges
-                         if self.degree(e[0]) == 1 or self.degree(e[1]) == 1)
+                         if e[0] in leaves or e[1] in leaves)
 
     # -- derived graphs ------------------------------------------------
 
@@ -291,9 +294,6 @@ class Branch:
     root: str
     subgraph: Graph = field(compare=False)
 
-    def sort_key(self):
-        return tuple(self.subgraph.vertices)
-
 
 # -- the cactus property ----------------------------------------------
 
@@ -343,7 +343,7 @@ def branches_at(g, x):
             # sharing an edge, impossible in a cactus.
             raise GraphError("internal invariant violation: %d edges from %r "
                              "into one component of a cactus" % (into, x))
-    return sorted(out, key=Branch.sort_key)
+    return sorted(out, key=lambda br: br.subgraph.vertices)
 
 
 # -- whisker recognizers ----------------------------------------------
@@ -373,10 +373,12 @@ def is_whisker_graph(g):
     would be empty).  Distinct base vertices have distinct pendants, so
     the pendants are all the other vertices iff there are as many.
     """
-    base = [v for v in g.vertices if g.degree(v) > 1]
-    if base and 2 * len(base) == len(g.vertices) and all(
-            sum(g.degree(w) == 1 for w in g.adj[v]) == 1 for v in base):
-        return True, g.induced(base)
+    masks = g.masks
+    leaves = sum(1 << i for i, m in enumerate(masks) if m.bit_count() == 1)
+    base = [i for i, m in enumerate(masks) if m.bit_count() > 1]
+    if base and 2 * len(base) == len(masks) and all(
+            (masks[i] & leaves).bit_count() == 1 for i in base):
+        return True, g.induced(map(g.vertices.__getitem__, base))
     return False, None
 
 
@@ -504,9 +506,12 @@ def simplexes(g):
 
 
 def is_chordal(g):
-    """Maximum cardinality search (Tarjan-Yannakakis 1984): visit next a
-    vertex with the most visited neighbours; g is chordal iff the visited
-    neighbours of each vertex form a clique when it is reached."""
+    """A cactus is chordal iff its cycles (which have no chords) are
+    triangles.  Otherwise maximum cardinality search (Tarjan-Yannakakis
+    1984): visit next a vertex with the most visited neighbours; g is
+    chordal iff the visited neighbours of each vertex form a clique then."""
+    if g._cactus_cycles is not None:
+        return all(len(c) == 3 for c in g._cactus_cycles)
     masks = g.masks
     visited, unvisited = 0, (1 << len(masks)) - 1
     while unvisited:
@@ -540,9 +545,12 @@ def _cycles(masks, max_len):
 
 def has_cycle_subgraph(g, lengths):
     """Whether g contains a (not necessarily induced) cycle whose vertex
-    count is in `lengths`, as a subgraph.  Supported lengths: 3, 4 and 5."""
+    count is in `lengths`, as a subgraph.  Supported lengths: 3, 4 and 5.
+    The cycle subgraphs of a cactus are its cycles; others are searched."""
     if not lengths or not set(lengths) <= {3, 4, 5}:
         raise GraphError("only cycles of length 3, 4 or 5 are screened")
+    if g._cactus_cycles is not None:
+        return any(len(c) in lengths for c in g._cactus_cycles)
     return any(len(c) in lengths for c in _cycles(g.masks, max(lengths)))
 
 

@@ -153,6 +153,20 @@ def test_bound_report_invariant():
         bounds.BoundReport(TRIANGLE, 1, 2, 99)
 
 
+def test_split_pass_guards():
+    # the split pass rejects a graph that is not a connected cactus, as the
+    # guards of branches_at did, and checks the big height handed down
+    diamond = Graph.build([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+                           ("a", "c")])
+    two_paths = path_graph(3).union(path_graph(3, prefix="q"))
+    for g in (diamond, two_paths):
+        with pytest.raises(GraphError, match="not a connected cactus"):
+            bounds._split(g, 0, covers.big_height(g), 0, [])
+    p5 = path_graph(5)
+    with pytest.raises(bounds.TraceInvariantError, match="handed down"):
+        bounds._split(p5, 2, covers.big_height(p5) + 1, 0, [])
+
+
 def test_trace_matches_the_list_based_cover_path(monkeypatch):
     rng = random.Random(2026)
     cacti = [catalog.random_cactus(rng, rng.randint(3, 14)) for _ in range(40)]
@@ -163,16 +177,21 @@ def test_trace_matches_the_list_based_cover_path(monkeypatch):
                  covers.cover_stats(g).all_covers) for g in cacti]
 
     dp_path = replay()
-    # With the DP switched off, every number comes from the enumeration.
+    real_pass = covers._cactus_numbers
+    # With the unrooted DP switched off, every number outside the split
+    # passes comes from the enumeration.
     with monkeypatch.context() as m:
-        m.setattr(covers, "_cactus_numbers", lambda g, x=-1: None)
+        m.setattr(covers, "_cactus_numbers",
+                  lambda g, x=-1: real_pass(g, x) if x >= 0 else None)
         assert replay() == dp_path
 
-    # With the list-based path swapped in, every number comes from
-    # old_cover_stats, and the DP never runs.
+    # With the list-based path swapped in, the split passes give only the
+    # branches (masks and kinds): each part is built as a graph and its
+    # numbers come from old_cover_stats, as does every other number.
     calls = dict.fromkeys(("cover_stats", "big_height",
-                           "vertex_in_every_maximum_cover",
-                           "maximum_covers_avoiding"), 0)
+                           "maximum_covers_avoiding", "_joined",
+                           "_without_root"), 0)
+    split = {}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -180,17 +199,35 @@ def test_trace_matches_the_list_based_cover_path(monkeypatch):
             return fn(*args)
         return wrapper
 
-    def no_dp(g, x=-1):
-        raise AssertionError("the DP ran on the list-based path")
+    def split_pass(g, x=-1):
+        assert x >= 0, "an unrooted DP pass ran on the list-based path"
+        split["g"], split["x"] = g, x
+        return real_pass(g, x)
 
-    monkeypatch.setattr(covers, "_cactus_numbers", no_dp)
+    def joined(branches, leaves=0):
+        g, xi = split["g"], split["x"]
+        x, mask = g.vertices[xi], sum(br.mask for br in branches) | 1 << xi
+        part = g.induced(v for j, v in enumerate(g.vertices) if mask >> j & 1)
+        for _ in range(leaves):
+            part = part.with_edges([(x, bounds.fresh_vertex(part, "leaf"))])
+        stats = old_cover_stats(part)
+        return (stats.height, stats.big_height,
+                not old_vertex_in_every_maximum_cover(part, x))
+
+    def without_root(branch):
+        g = split["g"]
+        stats = old_cover_stats(g.induced(
+            v for j, v in enumerate(g.vertices) if branch.mask >> j & 1))
+        return stats.height, stats.big_height
+
+    monkeypatch.setattr(covers, "_cactus_numbers", split_pass)
+    monkeypatch.setattr(covers, "_joined", counted("_joined", joined))
+    monkeypatch.setattr(covers, "_without_root",
+                        counted("_without_root", without_root))
     monkeypatch.setattr(covers, "cover_stats",
                         counted("cover_stats", old_cover_stats))
     monkeypatch.setattr(covers, "big_height",
                         counted("big_height", old_big_height))
-    monkeypatch.setattr(covers, "vertex_in_every_maximum_cover",
-                        counted("vertex_in_every_maximum_cover",
-                                old_vertex_in_every_maximum_cover))
     monkeypatch.setattr(covers, "maximum_covers_avoiding",
                         counted("maximum_covers_avoiding",
                                 old_maximum_covers_avoiding))
@@ -267,18 +304,70 @@ def test_every_trace_node_bound_is_bight_plus_cycles():
                     graphs.cycle_count(node.graph)
 
 
+def test_split_pass_matches_branches_and_enumeration():
+    # At every vertex on no terminal edge (where the trace may split): the
+    # branch records of the pass rooted there are the branches of
+    # `branches_at`, and every part the split step reads (G, each branch,
+    # and with each branch as G2: G1, G'1 and G2bar) has the height, big
+    # height and forced flag of that part built as a graph and enumerated.
+    known = {}
+
+    def old(h, x=None):
+        if (h, x) not in known:
+            stats = old_cover_stats(h)
+            known[h, x] = (stats.height, stats.big_height) if x is None \
+                else (stats.height, stats.big_height,
+                      not old_vertex_in_every_maximum_cover(h, x))
+        return known[h, x]
+
+    seen = set()
+    comps = [c for g in TRACE_CORPUS + list(catalog.unicyclic_upto(8))
+             for c in g.drop_isolated().component_graphs()]
+    for g in comps:
+        vs = g.vertices
+        off = ((1 << len(vs)) - 1) & ~graphs._on_terminal_edges(g.masks)
+        for xi in graphs._bits(off):
+            x = vs[xi]
+            h, bh, avoidable, branches = covers._cactus_numbers(g, xi)
+            assert (h, bh, avoidable) == old(g, x)
+            parts = {frozenset(v for j, v in enumerate(vs)
+                               if (br.mask | 1 << xi) >> j & 1): br
+                     for br in branches}
+            expected = graphs.branches_at(g, x)
+            assert sorted((sorted(s), br.two) for s, br in parts.items()) == \
+                sorted((list(b.subgraph.vertices), b.kind == graphs.TWO_BRANCH)
+                       for b in expected)
+            for b in expected:
+                br = parts[frozenset(b.subgraph.vertices)]
+                g2 = b.subgraph
+                rest = [r for r in branches if r is not br]
+                ys = sorted(g2.neighbors(x))
+                g1 = g.edge_subgraph(g.edges - g2.edges)
+                g1p = g1.with_edges((x, y) for y in ys)
+                g2bar = g2.without_edges((x, y) for y in ys).drop_isolated()
+                assert covers._joined([br]) == old(g2, x)
+                assert covers._joined(rest) == old(g1, x)
+                assert covers._joined(rest, len(ys)) == old(g1p, x)
+                assert covers._without_root(br) == old(g2bar)
+                seen.add((b.kind, len(ys)))
+    assert seen == {(graphs.ONE_BRANCH, 1), (graphs.TWO_BRANCH, 2)}
+
+
 # The Bron-Kerbosch runs and the DP passes that the first 100 and the last
 # 10 traces of TRACE_CORPUS make, from an empty memo.  Before the DP, these
 # traces ran 943 full enumerations; now only Case 1.2 enumerates, and only
-# the maximal independent sets of G2 through x.
+# the maximal independent sets of G2 through x.  The split passes (rooted at
+# the split vertex, one per split step) are counted apart from the others.
 TRACE_ENUMERATIONS = 96
-TRACE_DP_PASSES = 945
+TRACE_DP_PASSES = 456
+TRACE_SPLIT_PASSES = 194
 
 
 def test_trace_enumeration_count_is_pinned(monkeypatch):
     # the trace asks for covers in a fixed order, so with the memo emptied
     # the number of enumerations and passes that really run is fixed too
-    counts = {"full": 0, "all": 0, "dp": 0}
+    counts = {"full": 0, "all": 0, "dp": 0, "split": 0}
+    real_pass = covers._cactus_numbers
 
     def counted(key, fn):
         def wrapper(*args):
@@ -286,18 +375,21 @@ def test_trace_enumeration_count_is_pinned(monkeypatch):
             return fn(*args)
         return wrapper
 
+    def dp_pass(g, x=-1):
+        counts["split" if x >= 0 else "dp"] += 1
+        return real_pass(g, x)
+
     monkeypatch.setattr(covers, "_independent_masks",
                         counted("full", covers._independent_masks))
     monkeypatch.setattr(covers, "bron_kerbosch",
                         counted("all", covers.bron_kerbosch))
-    monkeypatch.setattr(covers, "_cactus_numbers",
-                        counted("dp", covers._cactus_numbers))
+    monkeypatch.setattr(covers, "_cactus_numbers", dp_pass)
     covers._memo.clear()
     for g in TRACE_CORPUS[:100] + TRACE_CORPUS[-10:]:
         bounds.theorem34_trace(g)
     covers._memo.clear()
     assert counts == {"full": 0, "all": TRACE_ENUMERATIONS,
-                      "dp": TRACE_DP_PASSES}
+                      "dp": TRACE_DP_PASSES, "split": TRACE_SPLIT_PASSES}
 
 
 def test_open_cycle_matches_the_edge_edit():

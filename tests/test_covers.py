@@ -338,7 +338,7 @@ def test_all_covers_are_ordered_by_their_independent_sets(g):
 def _dp_answers(g):
     """Height, big height, unmixedness and the vertices in every maximum
     cover, all from DP passes (one per non-isolated vertex)."""
-    h, bh, _ = covers._cactus_numbers(g)
+    h, bh = covers._cactus_numbers(g)[:2]
     forced = []
     for i, v in enumerate(g.vertices):
         if g.masks[i]:

@@ -397,6 +397,31 @@ def test_recognizers_match_oracles_on_connected_graphs():
         assert graphs.is_chordal(g) == chordal_oracle(g)
 
 
+def test_short_cycle_recognizers_on_cacti_and_other_graphs():
+    # is_chordal and has_cycle_subgraph read a cactus's cycles and search
+    # any other graph; both paths against the oracles, with both answers
+    cacti = catalog.random_cacti(seed=5, count=60, max_vertices=10) + \
+        list(catalog.unicyclic_upto(7)) + [BOWTIE]
+    others = [g for g in catalog.connected_graphs_upto(6)
+              if not graphs.is_cactus(g)]
+    answers = set()
+    for group, cactus in ((cacti, True), (others, False)):
+        for g in group:
+            assert graphs.is_cactus(g) == cactus
+            chordal = graphs.is_chordal(g)
+            assert chordal == chordal_oracle(g)
+            has = {k: cycle_subgraph_oracle(g, k) for k in (3, 4, 5)}
+            for lengths in ((3,), (4,), (5,), (4, 5), (3, 4, 5)):
+                assert graphs.has_cycle_subgraph(g, lengths) == \
+                    any(has[k] for k in lengths)
+            answers.add((cactus, chordal, has[4]))
+    # (cactus, chordal, has a C4): a chordal cactus has only triangles, and
+    # a chordal graph with two cycles sharing an edge has a diamond
+    assert answers == {(True, True, False), (True, False, True),
+                       (True, False, False), (False, True, True),
+                       (False, False, True), (False, False, False)}
+
+
 def test_whisker_tree_matches_oracle():
     corpus = catalog.connected_graphs_upto(7) + catalog.trees_upto(9)
     assert sum(graphs.is_whisker_tree(g) for g in corpus) > 0
