@@ -9,10 +9,15 @@ means an implementation bug.  The cycles are found once, on the input graph,
 and each proof step hands its parts the cycles they keep and their big
 heights; degrees and terminal edges are read off the neighbourhood masks.
 The numbers come from the linear dynamic program of `covers` (every part of
-a cactus is a cactus): a split step makes one pass rooted at its vertex,
-combines its branch records into the numbers of every part and checks its
-own big height against the one handed down.  Only Case 1.2 enumerates: the
-maximum covers of G2 that avoid x, under the cover guard.
+a cactus is a cactus), at most one pass per graph: a split step makes one
+pass rooted at its vertex, takes its own big height from it (or checks the
+one handed down) and combines its branch records into the numbers of every
+part.  A graph whose big height is not handed down (the input, each
+component, each graph with a cycle opened) and that does not split asks
+`covers.big_height` once; an opening step reads its child's big height off
+the child's node.  Only Case 1.2 enumerates: the maximum covers of G2 that
+avoid x, under the cover guard, sized by the big height of G2 that the
+split already holds.
 
 The structural questions (cactus, cycles, branches, fully whiskered) are
 answered by `graphs`, which also builds the Prop 4.2 graphs.
@@ -187,67 +192,73 @@ def theorem34_trace(g):
         return TraceNode(g, "Base-FullyWhiskered", 0)
     if not g.is_connected():
         children = tuple(
-            _trace(c, [cyc for cyc in cycles if cyc.vertices[0] in c.vertices],
-                   covers.big_height(c))
+            _trace(c, [cyc for cyc in cycles if cyc.vertices[0] in c.vertices])
             for c in g.component_graphs())
         return _budget_check(TraceNode(g, "Components",
                                        covers.big_height(g) + len(cycles),
                                        children=children))
-    return _trace(g, cycles, covers.big_height(g))
+    return _trace(g, cycles)
 
 
-def _trace(g, cycles, b):
+def _trace(g, cycles, b=None):
     """The proof step at g, a connected cactus with no isolated vertex.
 
-    `cycles` are g's cycles in `graphs.cycles` order and b its big height,
-    both handed down by the step above: an opened graph drops the opened
-    cycle, G2 keeps the cycles inside it, G1 and G'1 keep the rest, and
-    G2bar keeps those of G2 that avoid x; a split step's DP pass gives the
-    big height of each part.  Degrees and terminal edges are read off
+    `cycles` are g's cycles in `graphs.cycles` order, handed down by the
+    step above: an opened graph drops the opened cycle, G2 keeps the cycles
+    inside it, G1 and G'1 keep the rest, and G2bar keeps those of G2 that
+    avoid x.  A split step also hands each part its big height b, from its
+    DP pass.  When b is not handed down, g's own step finds it: a split
+    from its rooted pass, any other step from `covers.big_height`; so no
+    graph gets two passes.  Degrees and terminal edges are read off
     `g.masks`.  Every inequality is still checked on exact cover numbers."""
-    bound = b + len(cycles)
-
-    if len(g.edges) == 1:
-        return TraceNode(g, "Base-SingleEdge", bound)
+    if len(g.edges) == 1:   # bight 1, no cycle
+        return TraceNode(g, "Base-SingleEdge", 1)
 
     # Preprocessing: open cycles at degree-2 vertices until every cycle
-    # vertex has degree > 2.
+    # vertex has degree > 2.  The child's bight is read off its node, as
+    # the child's own step finds it.
     two = {v for v, m in zip(g.vertices, g.masks) if m.bit_count() == 2}
     for cycle in cycles:
         v = min(two.intersection(cycle.vertices), default=None)
         if v is not None:
-            opened = open_cycle(g, cycle, v)
-            bh_child = covers.big_height(opened)
+            if b is None:
+                b = covers.big_height(g)
+            rest = [c for c in cycles if c is not cycle]
+            child = _trace(open_cycle(g, cycle, v), rest)
+            bh_child = child.bound - len(rest)
             _check(b <= bh_child <= b + 1,
                    "opening a cycle must keep bight within +1",
                    before=b, after=bh_child)
-            child = _trace(opened, [c for c in cycles if c is not cycle],
-                           bh_child)
-            node = TraceNode(g, "OpenCycle", bound, detail={"opened_at": v},
-                             children=(child,))
+            node = TraceNode(g, "OpenCycle", b + len(cycles),
+                             detail={"opened_at": v}, children=(child,))
             return _budget_check(node)
 
     # Base case when every vertex lies on a terminal edge, else split at the
     # least vertex on none.
     off_terminal = ((1 << len(g.vertices)) - 1) & ~_on_terminal_edges(g.masks)
     if not off_terminal:
-        return TraceNode(g, "Base-FullyWhiskered", bound)
+        if b is None:
+            b = covers.big_height(g)
+        return TraceNode(g, "Base-FullyWhiskered", b + len(cycles))
     xi = (off_terminal & -off_terminal).bit_length() - 1
-    return _split(g, xi, b, bound, cycles)
+    return _split(g, xi, b, cycles)
 
 
-def _split(g, xi, b, bound, cycles):
+def _split(g, xi, b, cycles):
     """One inductive step at x = g.vertices[xi]: pick the branch G2,
     classify by which maximum minimal covers contain x, recurse on the two
-    parts.  One DP pass rooted at x gives the branches at x, and combining
-    their records gives the numbers of every part (`covers._joined`)."""
+    parts.  One DP pass rooted at x gives g's big height (checked against
+    b when b is handed down) and the branches at x, and combining their
+    records gives the numbers of every part (`covers._joined`)."""
     x, xbit, full = g.vertices[xi], 1 << xi, (1 << len(g.vertices)) - 1
     dp = covers._cactus_numbers(g, xi)
     if dp is None or sum(br.mask for br in dp[3]) | xbit != full:
         raise GraphError("graph is not a connected cactus")
     _, bg, _, branches = dp
-    _check(bg == b, "the split pass must give the big height handed down",
+    _check(b is None or bg == b,
+           "the split pass must give the big height handed down",
            handed=b, split=bg)
+    b, bound = bg, bg + len(cycles)
     _check(len(branches) >= 2, "split vertex must have at least two branches",
            branches=len(branches))
     for br in branches:
@@ -309,7 +320,7 @@ def _split(g, xi, b, bound, cycles):
             # one of them leaves x without redundant neighbours: every
             # neighbour of x keeps a neighbour other than x outside the
             # cover, in its independent complement s.
-            avoiding = covers.maximum_covers_avoiding(g2, x)
+            avoiding = covers.maximum_covers_avoiding(g2, x, b2)
             _check(bool(avoiding), "unforced branch must have an avoiding "
                                    "maximum cover")
             masks, at = g2.masks, g2.vertices.index

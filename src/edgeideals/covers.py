@@ -21,13 +21,14 @@ covers API behind the `covers` report, always enumerate; so does
 `maximum_covers_avoiding`, which lists only the sets through one vertex.
 
 One memo keeps, for the _COVER_MEMO_SIZE most recently used graphs, keyed
-by graph value, the cover numbers, which vertices are known to lie in some
-smallest maximal independent set, and once `cover_stats` has run its
-CoverStats.  A vertex lies in every maximum cover iff it is non-isolated and
-in no smallest maximal independent set.  The guard is checked on every
-enumerating call and on every read of numbers that only an enumeration gave,
-outside the memo, so a CoverSizeError is never cached.  The MinimalCover
-values are built only when `all_covers` is first read.
+by graph value, the height and big height, and once `cover_stats` has run
+its CoverStats.  `vertex_in_every_maximum_cover` is not memoised: a vertex
+lies in every maximum cover iff it is non-isolated and in no smallest
+maximal independent set, which one DP pass rooted at it tells on a cactus
+and the memoised CoverStats on any other graph.  The guard is checked on
+every enumerating call and on every read of numbers that only an
+enumeration gave, outside the memo, so a CoverSizeError is never cached.
+The MinimalCover values are built only when `all_covers` is first read.
 
 The paper's cover-union lemmas are checked where they are used:
 `bounds.theorem34_trace` re-verifies the inequalities of each proof step
@@ -240,15 +241,13 @@ def _without_root(branch):
 
 
 class _Entry:
-    """The memoised cover numbers of one graph.  `known` has the bits of the
-    vertices whose answer is in `avoidable` (the vertices in some smallest
-    maximal independent set); `stats` is set once `cover_stats` has run."""
+    """The memoised cover numbers of one graph; `stats` is set once
+    `cover_stats` has run."""
 
-    __slots__ = ("height", "big_height", "known", "avoidable", "stats")
+    __slots__ = ("height", "big_height", "stats")
 
     def __init__(self, height, big_height):
         self.height, self.big_height = height, big_height
-        self.known = self.avoidable = 0
         self.stats = None
 
 
@@ -262,25 +261,20 @@ def _remember(g, entry):
     return entry
 
 
-def _numbers(g, x=-1):
-    """The memo entry of g, holding the answer at vertex index x if x >= 0:
-    from the memo, else from one DP pass rooted at x, else (not a cactus)
-    from `cover_stats`.  An enumerated entry above the guard (set while the
-    guard was raised) is not read, so the guard decides as on enumeration."""
+def _numbers(g):
+    """The memo entry of g: from the memo, else from one DP pass, else (not
+    a cactus) from `cover_stats`.  An enumerated entry above the guard (set
+    while the guard was raised) is not read, so the guard decides as on
+    enumeration."""
     e = _memo.pop(g, None)
-    if e is not None and (e.stats is None or not _over_guard(g)) \
-            and (x < 0 or e.known >> x & 1):
+    if e is not None and (e.stats is None or not _over_guard(g)):
         _memo[g] = e
         return e
-    dp = _cactus_numbers(g, x)
+    dp = _cactus_numbers(g)
     if dp is None:
         cover_stats(g)
         return _memo[g]
-    e = _Entry(dp[0], dp[1]) if e is None else e
-    if x >= 0:
-        e.known |= 1 << x
-        e.avoidable |= dp[2] << x
-    return _remember(g, e)
+    return _remember(g, _Entry(dp[0], dp[1]))
 
 
 # -- enumeration -----------------------------------------------------
@@ -313,7 +307,6 @@ def cover_stats(g):
         k = len(g.non_isolated)
         if e is None:
             e = _Entry(k - largest, k - smallest)
-        e.known, e.avoidable = (1 << len(g.vertices)) - 1, avoidable
         e.stats = CoverStats(height=k - largest, big_height=k - smallest,
                              unmixed=(smallest == largest), graph=g,
                              independent=tuple(sets), avoidable=avoidable)
@@ -344,20 +337,25 @@ def vertex_in_every_maximum_cover(g, x):
     if x not in g.vertices:
         return False
     i = g.vertices.index(x)
-    return bool(g.masks[i]) and not _numbers(g, i).avoidable >> i & 1
+    if not g.masks[i]:
+        return False
+    dp = _cactus_numbers(g, i)
+    avoidable = dp[2] if dp is not None else cover_stats(g).avoidable >> i & 1
+    return not avoidable
 
 
-def maximum_covers_avoiding(g, x):
+def maximum_covers_avoiding(g, x, bh):
     """The complements of the maximum minimal covers of g that avoid the
     vertex x: the smallest maximal independent sets through x, as int
-    masks in `all_covers` order.  Only these are enumerated (x plus a
+    masks in `all_covers` order.  bh is the big height of g, which the
+    caller already holds.  Only these sets are enumerated (x plus a
     maximal independent set of g - N[x]), under the size guard."""
     _guard(g)
     masks = g.masks
     i = g.vertices.index(x)
     rest = sum(1 << j for j, m in enumerate(masks) if m) & ~masks[i] \
         & ~(1 << i)
-    size = len(g.non_isolated) - big_height(g) - 1
+    size = len(g.non_isolated) - bh - 1
     sets = [s | 1 << i
             for s in bron_kerbosch([rest & ~m & ~(1 << j)
                                     for j, m in enumerate(masks)], rest)

@@ -39,7 +39,7 @@ def edge(u, v):
 
 
 def _check_label(v):
-    if not isinstance(v, str) or not v or any(c.isspace() for c in v):
+    if not isinstance(v, str) or v.split() != [v]:
         raise GraphError("bad vertex label %r" % (v,))
 
 

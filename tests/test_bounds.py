@@ -161,10 +161,12 @@ def test_split_pass_guards():
     two_paths = path_graph(3).union(path_graph(3, prefix="q"))
     for g in (diamond, two_paths):
         with pytest.raises(GraphError, match="not a connected cactus"):
-            bounds._split(g, 0, covers.big_height(g), 0, [])
+            bounds._split(g, 0, covers.big_height(g), [])
     p5 = path_graph(5)
     with pytest.raises(bounds.TraceInvariantError, match="handed down"):
-        bounds._split(p5, 2, covers.big_height(p5) + 1, 0, [])
+        bounds._split(p5, 2, covers.big_height(p5) + 1, [])
+    # with no big height handed down, the split takes it from its pass
+    assert bounds._split(p5, 2, None, []).bound == covers.big_height(p5)
 
 
 def test_trace_matches_the_list_based_cover_path(monkeypatch):
@@ -199,6 +201,11 @@ def test_trace_matches_the_list_based_cover_path(monkeypatch):
             return fn(*args)
         return wrapper
 
+    def avoiding(g, x, bh):
+        # the trace hands down the big height of G2 from its split pass
+        assert bh == old_big_height(g)
+        return old_maximum_covers_avoiding(g, x)
+
     def split_pass(g, x=-1):
         assert x >= 0, "an unrooted DP pass ran on the list-based path"
         split["g"], split["x"] = g, x
@@ -229,8 +236,7 @@ def test_trace_matches_the_list_based_cover_path(monkeypatch):
     monkeypatch.setattr(covers, "big_height",
                         counted("big_height", old_big_height))
     monkeypatch.setattr(covers, "maximum_covers_avoiding",
-                        counted("maximum_covers_avoiding",
-                                old_maximum_covers_avoiding))
+                        counted("maximum_covers_avoiding", avoiding))
     assert replay() == dp_path
     # the trace reads its covers through every swapped-in function
     assert all(calls.values()), calls
@@ -357,9 +363,11 @@ def test_split_pass_matches_branches_and_enumeration():
 # 10 traces of TRACE_CORPUS make, from an empty memo.  Before the DP, these
 # traces ran 943 full enumerations; now only Case 1.2 enumerates, and only
 # the maximal independent sets of G2 through x.  The split passes (rooted at
-# the split vertex, one per split step) are counted apart from the others.
+# the split vertex, one per split step) are counted apart from the others,
+# which a graph gets only when its big height is not handed down and it
+# does not split.
 TRACE_ENUMERATIONS = 96
-TRACE_DP_PASSES = 456
+TRACE_DP_PASSES = 267
 TRACE_SPLIT_PASSES = 194
 
 
@@ -390,6 +398,50 @@ def test_trace_enumeration_count_is_pinned(monkeypatch):
     covers._memo.clear()
     assert counts == {"full": 0, "all": TRACE_ENUMERATIONS,
                       "dp": TRACE_DP_PASSES, "split": TRACE_SPLIT_PASSES}
+
+
+def test_no_graph_gets_two_dp_passes_in_one_trace(monkeypatch):
+    # a graph's big height is handed down or taken from the one pass its
+    # own step makes, so within one trace no graph value is passed twice
+    real_pass = covers._cactus_numbers
+    passes = []
+    monkeypatch.setattr(covers, "_cactus_numbers",
+                        lambda g, x=-1: passes.append(g) or real_pass(g, x))
+    total = 0
+    for g in TRACE_CORPUS:
+        covers._memo.clear()
+        del passes[:]
+        bounds.theorem34_trace(g)
+        assert len(set(passes)) == len(passes)
+        total += len(passes)
+    covers._memo.clear()
+    assert total > len(TRACE_CORPUS)
+
+
+def test_open_cycle_check_runs_after_the_recursion(monkeypatch):
+    # The opened graph's big height is read off its trace node, so the
+    # "within +1" check runs after the recursion; it must still fire when
+    # every graph with a cycle opened (a primed vertex) reads two more.
+    # Each opened graph here is fully whiskered, so no split check sees
+    # the wrong number first; the bowtie's inner opening sees it on both
+    # sides and passes, and its outer one fires.
+    real_pass = covers._cactus_numbers
+
+    def inflated(g, x=-1):
+        dp = real_pass(g, x)
+        if dp is not None and any(v.endswith("'") for v in g.vertices):
+            dp = (dp[0], dp[1] + 2) + dp[2:]
+        return dp
+
+    monkeypatch.setattr(covers, "_cactus_numbers", inflated)
+    covers._memo.clear()
+    try:
+        for g in (TRIANGLE, TRI_2W, BOWTIE):
+            with pytest.raises(bounds.TraceInvariantError,
+                               match="within \\+1"):
+                bounds.theorem34_trace(g)
+    finally:
+        covers._memo.clear()
 
 
 def test_open_cycle_matches_the_edge_edit():

@@ -72,7 +72,7 @@ def test_cover_stats_memo_is_by_value(monkeypatch):
     monkeypatch.setattr(covers, "_independent_masks",
                         lambda g: enumerated.append(g) or real(g))
     monkeypatch.setattr(covers, "_cactus_numbers",
-                        lambda g, x=-1: passes.append(g) or dp(g, x))
+                        lambda g, x=-1: passes.append((g, x)) or dp(g, x))
     covers._memo.clear()
     g1 = path_graph(7, prefix="memo")
     g2 = Graph.build(reversed(g1.sorted_edges()))
@@ -81,25 +81,35 @@ def test_cover_stats_memo_is_by_value(monkeypatch):
     assert covers.cover_stats(g1) is covers.cover_stats(g2)
     assert covers.big_height(g2) == 4
     assert covers.height(g1) == 3
+    assert enumerated == [g1]
+    # the enumerated entry answers every number: the DP never runs on it
+    assert passes == []
+    # and a DP entry answers every later read of its graph value
+    g3 = cycle(9, prefix="memo")
+    g4 = Graph.build(reversed(g3.sorted_edges()))
+    assert (covers.height(g3), covers.big_height(g4)) == (5, 6)
+    assert (covers.height(g4), covers.big_height(g3)) == (5, 6)
+    assert passes == [(g3, -1)]
+    # The maximum-cover answer at a vertex is not memoised: on a cactus
+    # each call is one pass rooted at the vertex, with no enumeration,
     maxima = maximum_minimal_covers(g2)
     assert len(maxima) == 6
     for v in g1.vertices:
         assert covers.vertex_in_every_maximum_cover(g2, v) == \
             all(v in c.vertices for c in maxima)
-    assert enumerated == [g1]
-    # the enumerated entry answers every number: the DP never runs on it
-    assert passes == []
-    # and a DP entry answers every later read of its graph value: one pass
-    # rooted at a vertex gives both its answer and the big height
-    g3 = cycle(9, prefix="memo")
-    g4 = Graph.build(reversed(g3.sorted_edges()))
-    assert not covers.vertex_in_every_maximum_cover(g3, "memo2")
-    assert (covers.height(g4), covers.big_height(g4)) == (5, 6)
-    assert not covers.vertex_in_every_maximum_cover(g4, "memo2")
-    assert passes == [g3]
     assert covers.vertex_in_every_maximum_cover(g4, "memo5") is False
-    assert passes == [g3, g4]
+    assert passes == [(g3, -1)] + [(g1, i) for i in range(7)] + [(g3, 5)]
     assert enumerated == [g1]
+    # and on any other graph it is read off the memoised CoverStats.
+    diamond = Graph.build([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+                           ("a", "c")])
+    twin = Graph.build(reversed(diamond.sorted_edges()))
+    assert [covers.vertex_in_every_maximum_cover(g, v)
+            for g in (diamond, twin) for v in "abcd"] == \
+        [False, True, False, True] * 2
+    assert enumerated == [g1, diamond]
+    # (each call tries the pass first, which finds no cactus)
+    assert passes[9:] == [(diamond, i) for i in range(4)] * 2
 
 
 def test_memo_keeps_the_most_recently_used_graphs(monkeypatch):
@@ -482,7 +492,7 @@ def test_maximum_covers_avoiding_matches_the_filtered_cover_list():
     seen = 0
     for g in corpus:
         for x in g.non_isolated:
-            got = covers.maximum_covers_avoiding(g, x)
+            got = covers.maximum_covers_avoiding(g, x, covers.big_height(g))
             assert got == old_maximum_covers_avoiding(g, x)
             assert bool(got) == \
                 (not covers.vertex_in_every_maximum_cover(g, x))
@@ -494,4 +504,4 @@ def test_maximum_covers_avoiding_is_guarded():
     g = path_graph(40, prefix="avoid")
     assert covers.big_height(g) == 26
     with pytest.raises(covers.CoverSizeError):
-        covers.maximum_covers_avoiding(g, "avoid0")
+        covers.maximum_covers_avoiding(g, "avoid0", 26)

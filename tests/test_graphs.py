@@ -33,6 +33,22 @@ def test_loops_and_bad_labels_rejected():
         Graph.build([("a", "")])
 
 
+def test_labels_with_whitespace_are_rejected_on_every_code_point():
+    # a label is rejected exactly when it holds a whitespace character
+    rejected = set()
+    for c in map(chr, range(0x110000)):
+        for label in ("a" + c + "b", c):
+            try:
+                graphs._check_label(label)
+            except GraphError:
+                rejected.add(label)
+    spaces = {c for c in map(chr, range(0x110000)) if c.isspace()}
+    assert spaces and rejected == spaces | {"a" + c + "b" for c in spaces}
+    for label in ("", None, 7, b"ab", ("a",)):
+        with pytest.raises(GraphError, match="bad vertex label"):
+            graphs._check_label(label)
+
+
 def test_degree_neighbors_terminal():
     g = WHISKER_P3
     assert g.degree("b") == 3
