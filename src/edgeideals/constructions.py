@@ -14,8 +14,6 @@ exponential one: in sv_layer_search and gens_prop42.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from . import covers
 from .certificates import CertBuilder
 from .graphs import (WHISKER, Graph, GraphError, _bits, build_attached_graph,
@@ -199,43 +197,56 @@ def gens_lemma52(r, s, x=None, r_paths=None, s_paths=None):
 
 
 def _witness_table(monomials):
-    bit = {frozenset(v for v, _ in m.exps): 1 << i
-           for i, m in enumerate(monomials)}
-    ends = list(bit)
-    return [[sum(bit.get(frozenset(d), 0)
-                 for d in combinations(e | f, 2)) for f in ends]
-            for e in ends]
+    """witnesses[i][j] for edges i = ab and j = cd: the bits of ab and cd
+    and of whichever of ac, ad, bc, bd are edges (a pair with a repeated
+    vertex is no edge)."""
+    ends = [[v for v, _ in m.exps] for m in monomials]
+    nbr = {}  # nbr[u][w]: the bit of the edge uw
+    for i, (u, w) in enumerate(ends):
+        nbr.setdefault(u, {})[w] = nbr.setdefault(w, {})[u] = 1 << i
+    table = []
+    for i, (a, b) in enumerate(ends):
+        at_a, at_b = nbr[a].get, nbr[b].get
+        table.append([1 << i | 1 << j | at_a(c, 0) | at_a(d, 0) | at_b(c, 0)
+                      | at_b(d, 0) for j, (c, d) in enumerate(ends)])
+    return table
 
 
-def _compatible_cliques(remaining, monomials, witnesses):
+def _compatible_cliques(remaining, keys, witnesses):
     """Maximal sets of remaining edges that can share a layer, as masks,
-    largest first (Bron-Kerbosch on the compatibility graph).  The recursion
-    runs on frozensets of Monomials, so its pivot ties and hence the clique
-    order follow string-hash order."""
+    largest first (Bron-Kerbosch on the compatibility graph).
+
+    The recursion's sets hold keys[i] = (m.exps,) for the i-th edge
+    monomial m, not m itself.  A frozen dataclass hashes a Monomial as
+    hash((self.exps,)) and compares (self.exps,), so key sets get the same
+    hashes, table layout and iteration order that Monomial sets had, with
+    the hashing done in C.  Pivot ties and the clique order are therefore
+    those of the Monomial recursion: they follow string-hash order, so they
+    can differ between PYTHONHASHSEED values."""
     earlier = ~remaining
     idx = list(_bits(remaining))
-    # Every set is filled in sort_key order, which fixes its iteration order
-    # for a given hash seed.
-    rem = [monomials[i] for i in idx]
-    compat = {monomials[i]: {monomials[j] for j in idx
-                             if j != i and witnesses[i][j] & earlier}
-              for i in idx}
+    # Every set is filled in bit order, which is sort_key order (see
+    # _edge_monomials), as the Monomial sets were: this fixes its iteration
+    # order for a given hash seed.  Branches also go in bit order, and r is
+    # the clique's mask.
+    rem = [keys[i] for i in idx]
+    rank = dict(zip(rem, idx))
+    compat = {k: {keys[j] for j in idx if j != i and witnesses[i][j] & earlier}
+              for i, k in zip(idx, rem)}
     out = []
 
     def bk(r, p, x):
         if not p and not x:
-            out.append(frozenset(r))
+            out.append(r)
             return
-        pivot = max(p | x, key=lambda m: len(compat[m] & p))
-        for m in sorted(p - compat[pivot], key=lambda m: m.sort_key()):
-            bk(r | {m}, p & compat[m], x & compat[m])
-            p = p - {m}
-            x = x | {m}
+        pivot = max(p | x, key=lambda k: len(compat[k] & p))
+        for k in sorted(p - compat[pivot], key=rank.__getitem__):
+            bk(r | 1 << rank[k], p & compat[k], x & compat[k])
+            p = p - {k}
+            x = x | {k}
 
-    bk(frozenset(), frozenset(rem), frozenset())
-    bit = {monomials[i]: 1 << i for i in idx}
-    return [sum(bit[m] for m in c)
-            for c in sorted(out, key=len, reverse=True)]
+    bk(0, frozenset(rem), frozenset())
+    return sorted(out, key=int.bit_count, reverse=True)
 
 
 def _search_layers(n, p0, max_layers, cliques):
@@ -289,10 +300,12 @@ def sv_layer_search(g, max_layers=None):
 
     Among equally short layerings the search returns the first it meets,
     in an order that follows the string hashes of the vertex labels, so the
-    generators can differ between PYTHONHASHSEED values.  The minimal layer
-    count does not depend on that order: the count found was the same
-    under eight seeds on every tree of at most 9 vertices and on 40 random
-    cacti.
+    generators can differ between PYTHONHASHSEED values.  The clique
+    recursion hashes 1-tuples (m.exps,) in place of the edge monomials m.
+    These hash and compare exactly as the Monomials do, so the order is the
+    one that sets of Monomials give.  The minimal layer count does not
+    depend on that order: the count found was the same under eight seeds
+    on every tree of at most 9 vertices and on 40 random cacti.
     """
     found = _layer_search(g, max_layers)
     if found is None:
@@ -318,11 +331,12 @@ def _layer_search(g, max_layers):
     if cap < floor:
         return None
     witnesses = _witness_table(monomials)
+    keys = [(m.exps,) for m in monomials]
     table = {}
 
     def cliques(remaining):
         if remaining not in table:
-            table[remaining] = _compatible_cliques(remaining, monomials,
+            table[remaining] = _compatible_cliques(remaining, keys,
                                                    witnesses)
         return table[remaining]
 

@@ -30,10 +30,16 @@ class Monomial:
 
     @staticmethod
     def from_dict(d):
+        """The monomial of {var: exponent}, zero exponents dropped, in one
+        pass: the first exponent that is not a nonnegative int raises."""
+        exps = []
         for v, e in d.items():
             if not isinstance(e, int) or e < 0:
                 raise PolyError("bad exponent %r for %r" % (e, v))
-        return Monomial(tuple(sorted((v, e) for v, e in d.items() if e > 0)))
+            if e:
+                exps.append((v, e))
+        exps.sort()
+        return Monomial(tuple(exps))
 
     def as_dict(self):
         return dict(self.exps)
@@ -81,11 +87,19 @@ ONE = Monomial()
 
 
 def _canon(terms):
+    """The canonical tuple of a sequence of (Monomial, int) terms: like
+    monomials merged, zero coefficients dropped, sorted by Monomial.sort_key
+    (degree descending, then exps).  One term, as in every Polynomial.term,
+    needs no merge and no sort."""
+    if len(terms) == 1:
+        (m, c), = terms
+        return ((m, c),) if c else ()
     out = {}
     for m, c in terms:
         out[m] = out.get(m, 0) + c
     return tuple(sorted(((m, c) for m, c in out.items() if c),
-                        key=lambda t: t[0].sort_key()))
+                        key=lambda t: (-sum(e for _, e in t[0].exps),
+                                       t[0].exps)))
 
 
 @dataclass(frozen=True)
@@ -172,13 +186,16 @@ def _json_int(x):
 
 def monomial_from_data(data):
     """The monomial of [[var, exponent], ...] in any order: a repeated
-    variable's exponents add up and zero exponents drop out.  A negative
-    exponent is a PolyError."""
+    variable's exponents add up and zero exponents drop out.  A variable
+    that is not a string (5 for "5", ["a"]) and a negative exponent are
+    PolyErrors: refused, not converted."""
     d = {}
     for v, e in data:
+        if not isinstance(v, str):
+            raise PolyError("expected a variable name, got %r" % (v,))
         if _json_int(e) < 0:
             raise PolyError("bad exponent %r for %r" % (e, v))
-        d[str(v)] = d.get(str(v), 0) + e
+        d[v] = d.get(v, 0) + e
     return Monomial.from_dict(d)
 
 

@@ -25,8 +25,9 @@ from edgeideals.constructions import sv_layer_search
 from edgeideals.covers import (DEFAULT_VERTEX_LIMIT, CoverSizeError,
                                MinimalCover, big_height, cover_stats,
                                vertex_in_every_maximum_cover)
-from edgeideals.graphs import (Cycle, Graph, GraphError, _bits, _vertex_sets,
-                               edge, parse_edge_list)
+from edgeideals.graphs import (WHISKER, Cycle, Graph, GraphError, _bits,
+                               _vertex_sets, build_attached_graph, edge,
+                               parse_edge_list)
 from edgeideals.polynomials import Monomial, Polynomial
 
 
@@ -501,6 +502,34 @@ def layer_search_mismatches(cases):
     sv_layer_search and the old search return different results."""
     return [(g.sorted_edges(), kw) for g, kw in cases
             if sv_layer_search(g, **kw) != old_sv_layer_search(g, **kw)]
+
+
+# Non-cactus bases of at most 5 vertices.  gens_prop42 runs the layer
+# search on the whisker graph of its base (a whisker at every base vertex),
+# capped at the base's vertex count.
+NON_CACTUS_BASES = {
+    "K4": "a b\na c\na d\nb c\nb d\nc d",
+    "diamond": "a b\na c\na d\nb c\nb d",
+    "K4+pendant": "a b\na c\na d\nb c\nb d\nc d\nd e",
+    "diamond+pendant": "a b\na c\na d\nb c\nb d\nd e",
+    "house": "a b\nb c\nc d\nd a\nc e\nd e",
+    "house+chord": "a b\nb c\nc d\nd a\na c\nc e\nd e",
+    "K2,3": "a c\na d\na e\nb c\nb d\nb e",
+    "gem": "a b\nb c\nc d\ne a\ne b\ne c\ne d",
+    "wheel W4": "a b\nb c\nc d\nd a\na e\nb e\nc e\nd e",
+    "K5-e": "a b\na c\na d\na e\nb c\nb d\nb e\nc d\nc e",
+    "book B3": "a b\na c\na d\na e\nb c\nb d\nb e",
+}
+
+
+def whisker_graph_cases():
+    """(whisker graph, options) of every NON_CACTUS_BASES entry, as
+    gens_prop42 searches it."""
+    for text in NON_CACTUS_BASES.values():
+        base = parse_edge_list(text)
+        g, _ = build_attached_graph(base,
+                                    dict.fromkeys(base.vertices, WHISKER))
+        yield g, {"max_layers": len(base.vertices)}
 
 
 # -- certificate tampering --------------------------------------------

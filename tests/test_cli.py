@@ -473,6 +473,25 @@ def test_verify_non_object_certificate_exits_2(tmp_path, capsys):
     input_error(["verify", str(out)], capsys)
 
 
+@pytest.mark.parametrize("edge,term", [
+    (["5", "6"], [[5, 1], [6, 1]]),
+    (["['a']", "b"], [[["a"], 1], ["b", 1]]),
+], ids=["number", "list"])
+def test_verify_refuses_a_variable_that_is_not_a_string(run, tmp_path,
+                                                         capsys, edge, term):
+    # Converted with str(), each of these would name the edge's ends and
+    # verify.  The string form of the same certificate verifies.
+    out = tmp_path / "cert.json"
+    data = {"edges": [edge], "isolated": [], "steps": [],
+            "generators": [[[term, 1]]]}
+    out.write_text(json.dumps(data))
+    err = input_error(["verify", str(out)], capsys)
+    assert "expected a variable name" in err
+    data["generators"] = [[[[[v, 1] for v in edge], 1]]]
+    out.write_text(json.dumps(data))
+    assert run(["verify", str(out)])["verified"]
+
+
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 def test_non_utf8_input_exits_2(tmp_path, capsys, command):
     f = tmp_path / "bad.txt"

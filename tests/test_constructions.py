@@ -17,11 +17,12 @@ from edgeideals import constructions as cons
 from edgeideals import covers
 from edgeideals.certificates import verify_certificate
 from edgeideals.constructions import ConstructionError
-from edgeideals.graphs import Graph, GraphError, parse_edge_list
+from edgeideals.graphs import Graph, GraphError, is_cactus, parse_edge_list
 from edgeideals.polynomials import Monomial
 
 import catalog
-from conftest import WHISKER_P3, cycle, layer_search_mismatches, path_graph
+from conftest import (WHISKER_P3, cycle, layer_search_mismatches, path_graph,
+                      whisker_graph_cases)
 
 
 def _check(gs, cert):
@@ -200,6 +201,28 @@ def test_mask_search_matches_the_old_search_on_cacti_under_hash_seed_4():
         p for p in (str(src), str(tests), env.get("PYTHONPATH")) if p)
     script = ("import catalog, conftest\n"
               "cases = [(g, {}) for g in catalog.random_cacti(2026, 40, 10)]\n"
+              "print(conftest.layer_search_mismatches(cases))\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env=env, cwd=tests).stdout
+    assert out.strip() == "[]"
+
+
+def test_mask_search_matches_the_old_search_on_non_cactus_whisker_graphs():
+    # The graphs gens_prop42 searches, under this process's hash seed and
+    # under seed 4.  Their bases have cycles that share edges, unlike the
+    # trees and cacti above.  Each gets a layering of n layers.
+    cases = list(whisker_graph_cases())
+    assert not any(is_cactus(g) for g, _ in cases)
+    assert layer_search_mismatches(cases) == []
+    for g, kw in cases:
+        assert len(_check(*cons.sv_layer_search(g, **kw))) == kw["max_layers"]
+    tests = Path(__file__).resolve().parent
+    src = Path(cons.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONHASHSEED="4")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), str(tests), env.get("PYTHONPATH")) if p)
+    script = ("import conftest\n"
+              "cases = list(conftest.whisker_graph_cases())\n"
               "print(conftest.layer_search_mismatches(cases))\n")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True, env=env, cwd=tests).stdout

@@ -43,6 +43,39 @@ def test_polynomial_canonicalization():
     assert q.terms == ((Monomial.of("a"), 2),)
 
 
+def test_one_term_canonical_form():
+    x = Monomial.of("x")
+    assert Polynomial.term(x, 0).is_zero
+    assert Polynomial.term(x, 0) == Polynomial() == Polynomial([(x, 0)])
+    p = Polynomial([[x, 3]])  # a list of one list term
+    assert type(p.terms) is tuple and p.terms == ((x, 3),)
+    assert hash(p) == hash(Polynomial.term(x, 3))
+
+
+@given(st.lists(st.tuples(st.sampled_from(["x1", "x2", "y"]),
+                          st.integers(min_value=0, max_value=2)), max_size=3),
+       st.integers(min_value=-3, max_value=3))
+def test_one_term_fast_path_matches_a_sum_of_terms(pairs, c):
+    # Polynomial.term skips the merge and sort; sums of several terms that
+    # come to the same one go through them.
+    m, z = Monomial.from_dict(dict(pairs)), Monomial.of("z")
+    fast = Polynomial.term(m, c)
+    for slow in (Polynomial.term(m, c - 1) + Polynomial.term(m, 1),
+                 Polynomial.term(m, c) + Polynomial.term(z) - Polynomial.of(z)):
+        assert fast == slow and hash(fast) == hash(slow)
+        assert fast.terms == slow.terms
+
+
+def test_from_dict_drops_zero_exponents_and_checks_each_exponent():
+    assert Monomial.from_dict({"y": 0, "x": 2, "z": 0}).exps == (("x", 2),)
+    assert Monomial.from_dict({"x": 0}) == ONE
+    for bad, culprit in (({"a": 1, "b": -1, "c": 1.5}, "-1 for 'b'"),
+                         ({"a": 1.5, "b": -1}, "1.5 for 'a'"),
+                         ({"a": 0, "b": "2"}, "'2' for 'b'")):
+        with pytest.raises(PolyError, match=culprit):
+            Monomial.from_dict(bad)
+
+
 def test_polynomial_ring_identities():
     x, y = Polynomial.term(Monomial.of("x")), Polynomial.term(Monomial.of("y"))
     assert (x + y) * (x - y) == x * x - y * y
