@@ -29,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphError
-from .polynomials import (Monomial, Polynomial, _json_int, edge_monomial,
-                          monomial_from_data, monomial_to_data,
-                          poly_from_data, poly_to_data)
+from .polynomials import (Monomial, Polynomial, _json_int, monomial_from_data,
+                          monomial_to_data, poly_from_data, poly_to_data)
 
 
 class CertificateFormatError(GraphError):
@@ -118,7 +117,6 @@ def verify_certificate(gs: GeneratorSet, cert: Certificate) -> Verdict:
     (c) every edge monomial of the graph ends up established.  Together
     these prove that the generators generate the edge ideal up to radical.
     """
-    edge_monomials = {edge_monomial(u, v) for u, v in gs.graph.edges}
     adj = gs.graph.adj
     work = 0
     for i, p in enumerate(gs.polys):
@@ -203,8 +201,10 @@ def verify_certificate(gs: GeneratorSet, cert: Certificate) -> Verdict:
         except IndexError:
             return fail(idx, "reference out of range")
 
-    have = {_unit_monomial(p) for p in established}
-    missing = sorted(str(m) for m in edge_monomials if m not in have)
+    have = {m.exps for m in map(_unit_monomial, established) if m is not None}
+    # an edge (u, v) is sorted, so ((u, 1), (v, 1)) are its monomial's exps
+    edges = (((u, 1), (v, 1)) for u, v in gs.graph.edges)
+    missing = sorted(str(Monomial(e)) for e in edges if e not in have)
     if missing:
         return Verdict(False, -1, "edge monomials not established: %s"
                        % ", ".join(missing))

@@ -64,13 +64,14 @@ def _case5_split(g, cycle):
     whisker tree.  Returns evidence or None."""
     walk = cycle.vertices
     off_cycle = g.without_edges(cycle.edge_list())
+    comps = off_cycle.components()
     for i in range(4):
         x3, x4 = walk[i], walk[(i + 1) % 4]
         x2, x1 = walk[(i + 2) % 4], walk[(i + 3) % 4]
         if g.degree(x3) != 2 or g.degree(x4) != 2:
             continue
-        comp1 = next(c for c in off_cycle.components() if x1 in c)
-        comp2 = next(c for c in off_cycle.components() if x2 in c)
+        comp1 = next(c for c in comps if x1 in c)
+        comp2 = next(c for c in comps if x2 in c)
         h1 = off_cycle.induced(comp1)
         h2 = off_cycle.induced(comp2)
         if not h1.edges or not h2.edges:

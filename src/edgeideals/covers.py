@@ -9,9 +9,10 @@ unmixed when the two agree.
 
 Two paths give these numbers:
 - on a cactus or forest, `_cactus_numbers` runs one linear dynamic program
-  over a DFS tree of the neighbourhood masks, with no size guard; rooted at
-  a vertex, it also returns one record per branch there, which `_joined`
-  combines into the numbers of any union of branches (the trace's parts);
+  over the post-order of `graphs._cactus_dfs`, the DFS walk that also lists
+  the cycles, with no size guard; rooted at a vertex, it also returns one
+  record per branch there, which `_joined` combines into the numbers of any
+  union of branches (the trace's parts);
 - otherwise every maximal independent set is enumerated as an int mask, as
   a maximal clique of the complement (`graphs.bron_kerbosch` on complement
   bitmasks), under the size guard DEFAULT_VERTEX_LIMIT.
@@ -41,7 +42,8 @@ import functools
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .graphs import Graph, GraphError, _bits, _vertex_sets, bron_kerbosch
+from .graphs import (Graph, GraphError, _bits, _cactus_dfs, _vertex_sets,
+                     bron_kerbosch)
 
 # Worst-case enumeration is exponential; this keeps interactive use under
 # seconds.  It is the one size guard of the enumeration; the dynamic program
@@ -135,86 +137,62 @@ def _cactus_numbers(g, x=-1):
     maximal independent set, branches at x) of g, or None when g is not
     a cactus.
 
-    One DFS, rooted at x first, finds the tree edges and the back edges;
-    each back edge closes a cycle through a chain of tree edges, and a tree
-    edge on two chains means two cycles share an edge.  As the DFS leaves a
-    vertex, its state (see `_absorb`) holds the best sizes of the part
-    hanging below it.  The cycles whose top it is fold in first, each by
-    chain DPs along its chain (its vertices other than the top): one with
-    the top in the set, and two with the top out, one of them with the top
+    One DP over the post-order of `graphs._cactus_dfs`, rooted at x first:
+    a vertex's state (see `_absorb`) holds the best sizes of the part below
+    it.  The cycles topped at it fold in first, each by chain DPs along its
+    chain: one with the top in the set, and two with it out, one of them
     waiting for the first chain vertex.  Then it folds into its parent
     across a bridge.
 
-    Each DFS tree child of x gives a `_Branch`: its subtree as a vertex
-    mask, whether its tree edge lies on a cycle topped at x (a 2-branch),
-    the terms it folds into x (`_absorb`), and the least size of a maximal
-    independent set of the subtree alone (its alpha is the last term)."""
-    masks = g.masks
-    n = len(masks)
-    parent = [-1] * n
-    chains = {}   # top vertex -> the chains of the cycles below it
-    state = [_ALONE] * n
-    branches, below, done = [], {}, 1 << x if x >= 0 else 0
-    seen = used = 0   # bit v of used: the tree edge above v is on a cycle
+    Each DFS tree child of x gives a `_Branch`: its subtree as a vertex mask
+    (the post-order run since the previous child of x), whether its tree
+    edge lies on a cycle topped at x (a 2-branch), the terms it folds into
+    x (`_absorb`), and the least size of a maximal independent set of the
+    subtree alone (its alpha is the last term)."""
+    dfs = _cactus_dfs(g.masks, x)
+    if dfs is None:
+        return None
+    post, parent, chains, on_cycle = dfs
+    below, run = {}, 0   # the subtree masks of the children of x
+    for v in post if x >= 0 else ():
+        run |= 1 << v
+        if parent[v] == x:
+            below[v], run = run, 0
+    state, branches = [_ALONE] * len(parent), []
     alpha = least = 0
-    for root in ([x] if x >= 0 else []) + list(range(n)):
-        if seen >> root & 1 or not masks[root]:
-            continue
-        seen |= 1 << root
-        stack = [(root, masks[root])]
-        while stack:
-            v, todo = stack.pop()
-            todo &= ~seen
-            if todo:
-                low = todo & -todo
-                w = low.bit_length() - 1
-                parent[w] = v
-                # a neighbour of w reached before w is an ancestor of w
-                up = masks[w] & seen & ~(1 << v)
-                for top in _bits(up) if up else ():
-                    chain, u = [], w
-                    while u != top:
-                        if used >> u & 1:
-                            return None
-                        used |= 1 << u
-                        chain.append(u)
-                        u = parent[u]
-                    chains.setdefault(top, []).append(chain)
-                seen |= low
-                stack += ((v, todo ^ low), (w, masks[w]))
-                continue
-            for chain in chains.get(v, ()):
-                xi, xd, xw = 0, _INF, _INF   # v in the set
-                yi, yd, yw = _INF, _INF, 0   # v out, waiting for chain[0]
-                zi, zd, zw = _INF, 0, _INF   # v out
-                ai, ao, bi, bo = 0, -_INF, -_INF, 0   # alpha: v in, v out
-                for c in chain:
-                    i, d, w, ci, co = state[c]
-                    m = min(d, w)
-                    xi, xd, xw = i + min(xd, xw), min(xi + m, xd + d), xd + w
-                    yi, yd, yw = i + min(yd, yw), min(yi + m, yd + d), yd + w
-                    zi, zd, zw = i + min(zd, zw), min(zi + m, zd + d), zd + w
-                    ai, ao, bi, bo = ci + ao, co + max(ai, ao), ci + bo, \
-                        co + max(bi, bo)
-                # zd may count sets with chain[0] in; as a waiting state of
-                # v it is then only used where v is dominated anyway
-                t = (min(xd, xw), min(yi, yd, zi), zd, ao, max(bi, bo))
-                state[v] = _absorb(state[v], t)
-                if v == x:
-                    branches.append(_Branch(below[chain[-1]], True, t, min(zi, zd)))
-            p = parent[v]
-            if p == x >= 0:
-                below[v], done = seen & ~done, seen
-            if p >= 0 and not used >> v & 1:
-                i, d, w, ai, ao = state[v]
-                t = (min(d, w), i, d, ao, max(ai, ao))
-                state[p] = _absorb(state[p], t)
-                if p == x:
-                    branches.append(_Branch(below[v], False, t, min(i, d)))
-        i, d, w, ai, ao = state[root]
-        alpha += max(ai, ao)
-        least += min(i, d)
-    k = seen.bit_count()
+    for v in post:
+        for chain in chains[v] if v in chains else ():
+            xi, xd, xw = 0, _INF, _INF   # v in the set
+            yi, yd, yw = _INF, _INF, 0   # v out, waiting for chain[0]
+            zi, zd, zw = _INF, 0, _INF   # v out
+            ai, ao, bi, bo = 0, -_INF, -_INF, 0   # alpha: v in, v out
+            for c in chain:
+                i, d, w, ci, co = state[c]
+                m = min(d, w)
+                xi, xd, xw = i + min(xd, xw), min(xi + m, xd + d), xd + w
+                yi, yd, yw = i + min(yd, yw), min(yi + m, yd + d), yd + w
+                zi, zd, zw = i + min(zd, zw), min(zi + m, zd + d), zd + w
+                ai, ao, bi, bo = ci + ao, co + max(ai, ao), ci + bo, \
+                    co + max(bi, bo)
+            # zd may count sets with chain[0] in; as a waiting state of
+            # v it is then only used where v is dominated anyway
+            t = (min(xd, xw), min(yi, yd, zi), zd, ao, max(bi, bo))
+            state[v] = _absorb(state[v], t)
+            if v == x:
+                branches.append(_Branch(below[chain[-1]], True, t,
+                                        min(zi, zd)))
+        if on_cycle >> v & 1:
+            continue   # its top's chain DP reads its state
+        p, (i, d, w, ai, ao) = parent[v], state[v]
+        if p < 0:
+            alpha += max(ai, ao)
+            least += min(i, d)
+        else:
+            t = (min(d, w), i, d, ao, max(ai, ao))
+            state[p] = _absorb(state[p], t)
+            if p == x:
+                branches.append(_Branch(below[v], False, t, min(i, d)))
+    k = len(post)
     return (k - alpha, k - least, x >= 0 and state[x][0] <= state[x][1],
             branches)
 

@@ -11,9 +11,10 @@ The kernels run on vertex bitmasks: vertex i in sorted order is bit i, and
 adjacency built from the edge set (`Graph.adj` is read off it), and
 `_components` is the one component walk: components, connectivity,
 `branches_at` and the Hochster split in `homology` all run it.  One
-DFS-forest pass (`Graph._cactus_cycles`, cached on the Graph like `masks`)
-decides the cactus property, lists the cycles and, on a cactus, answers
-chordality and the cycle screen; on other graphs maximum cardinality search
+DFS-forest walk (`_cactus_dfs`) decides the cactus property: its cycle
+list (`Graph._cactus_cycles`, cached like `masks`) answers the cycles and,
+on a cactus, chordality and the cycle screen, and the cover DP in `covers`
+runs over its post-order; on other graphs maximum cardinality search
 decides chordality and one DFS over simple paths (`_cycles`) answers the
 cycle screen; and one pivoting Bron-Kerbosch (`bron_kerbosch`), which
 returns int masks, enumerates maximal cliques here and maximal independent
@@ -65,6 +66,54 @@ def _components(masks, w):
             todo |= new
         yield comp
         w ^= comp
+
+
+def _cactus_dfs(masks, first=-1):
+    """The cactus pass: one DFS forest over the non-isolated vertices, where
+    masks[i] is the neighbourhood of vertex i, rooted at `first` first.
+    Returns (post-order, parent, chains, on_cycle), or None when two cycles
+    share an edge.  Each non-tree edge joins a vertex to an ancestor, and
+    walking it up the tree gives its fundamental cycle; these are pairwise
+    edge-disjoint exactly on a cactus (any other cycle is a sum of several),
+    and then they are all of its cycles.  chains[top] lists the cycles whose
+    highest vertex is top, each as its other vertices from the bottom up;
+    bit v of on_cycle: the tree edge above v lies on one.  Roots have parent
+    -1."""
+    n = len(masks)
+    parent = [-1] * n
+    chains = {}
+    post = []
+    seen = on_cycle = 0
+    for root in ([first] if first >= 0 else []) + list(range(n)):
+        if seen >> root & 1 or not masks[root]:
+            continue
+        seen |= 1 << root
+        # the tree path from the root: it grows by the least unvisited
+        # neighbour of its last vertex, which is finished when it has none
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            todo = masks[v] & ~seen
+            if not todo:
+                post.append(stack.pop())
+                continue
+            low = todo & -todo
+            w = low.bit_length() - 1
+            parent[w] = v
+            # a neighbour of w reached before w is an ancestor of w
+            up = masks[w] & seen & ~(1 << v)
+            for top in _bits(up) if up else ():
+                chain, u = [], w
+                while u != top:
+                    if on_cycle >> u & 1:
+                        return None
+                    on_cycle |= 1 << u
+                    chain.append(u)
+                    u = parent[u]
+                chains.setdefault(top, []).append(chain)
+            seen |= low
+            stack.append(w)
+    return post, parent, chains, on_cycle
 
 
 @dataclass(frozen=True)
@@ -123,47 +172,15 @@ class Graph:
     def _cactus_cycles(self):
         """The cycles of the graph as a sorted tuple of canonical vertex
         index tuples, or None when it is not a cactus; is_cactus, cycles,
-        cycle_count and branches_at read this one pass.
-
-        In a DFS forest every non-tree edge joins a vertex to an ancestor,
-        and walking it up the tree gives its fundamental cycle.  These are
-        pairwise edge-disjoint exactly when the graph is a cactus (any other
-        cycle is a sum of several of them), and then they are all of its
-        cycles.
-        """
-        masks = self.masks
-        parent = list(range(len(masks)))
-        ups = [0] * len(masks)  # bit t of ups[u]: a non-tree edge from u to t
-        seen = 0
-        for root in range(len(masks)):
-            if seen >> root & 1:
-                continue
-            seen |= 1 << root
-            # one entry per tree edge on the path from the root: a vertex
-            # and its neighbours not yet looked at
-            stack = [(root, masks[root])]
-            while stack:
-                v, todo = stack.pop()
-                todo &= ~seen
-                if todo:
-                    low = todo & -todo
-                    w = low.bit_length() - 1
-                    # a neighbour of w reached before w is an ancestor of w
-                    parent[w], ups[w] = v, masks[w] & seen & ~(1 << v)
-                    seen |= low
-                    stack += ((v, todo ^ low), (w, masks[w]))
-        used = 0   # bit v: the tree edge from v to its parent lies on a cycle
+        cycle_count and branches_at read this, which reads `_cactus_dfs`."""
+        dfs = _cactus_dfs(self.masks)
+        if dfs is None:
+            return None
         out = []
-        for u, up in enumerate(ups):
-            for top in _bits(up):
-                walk = [u]
-                while walk[-1] != top:
-                    v = walk[-1]
-                    if used >> v & 1:
-                        return None
-                    used |= 1 << v
-                    walk.append(parent[v])
+        for top, chains in dfs[2].items():
+            for chain in chains:
                 # start at the least vertex, then its lesser side
+                walk = chain + [top]
                 i = walk.index(min(walk))
                 walk = walk[i:] + walk[:i]
                 if walk[1] > walk[-1]:

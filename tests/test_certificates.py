@@ -102,6 +102,18 @@ def test_missing_edge_monomial_rejected():
     assert "not established" in v.reason
 
 
+def test_missing_edge_monomials_are_named_in_string_order():
+    # "a!" sorts after "a" as a label but "a!*b" before "a*c" as a string:
+    # the reason lists the missing monomials sorted as strings
+    g = Graph.build([("a", "c"), ("a!", "b"), ("b", "c"), ("a", "d"),
+                     ("a!", "e"), ("d", "e"), ("c", "e")])
+    gs = GeneratorSet(g, (-_p("b", "c"), _p("d", "e")))
+    v = verify_certificate(gs, Certificate())
+    assert (v.ok, v.failed_step) == (False, -1)
+    assert v.reason == ("edge monomials not established: "
+                        "a!*b, a!*e, a*c, a*d, c*e")
+
+
 def test_sv_step_divisibility_enforced():
     g = Graph.build([("a", "b"), ("c", "d"), ("a", "c"), ("b", "d")])
     gs = GeneratorSet(g, (_p("a", "b"), _p("c", "d") + _p("a", "c"),

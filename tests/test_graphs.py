@@ -327,6 +327,66 @@ def test_non_cacti_match_oracle():
         _assert_cactus_matches_oracle(g)
 
 
+def _starts(g):
+    """Every start the cactus pass takes: none, then each vertex index."""
+    return [-1] + list(range(len(g.vertices)))
+
+
+def _least_rotation(walk):
+    """The least tuple among the rotations of a cyclic walk and of its
+    reverse."""
+    turns = [walk, walk[::-1]]
+    return min(tuple(w[i:] + w[:i]) for w in turns for i in range(len(w)))
+
+
+def test_cactus_dfs_rejects_non_cacti_from_every_start():
+    others = [g for g in catalog.connected_graphs_upto(6)
+              if not cactus_oracle(g)[0]]
+    assert len(others) > 50
+    for g in NON_CACTI + others:
+        for first in _starts(g):
+            assert graphs._cactus_dfs(g.masks, first) is None
+
+
+def _cacti_with_isolated_vertices():
+    return catalog.random_cacti(seed=11, count=40, max_vertices=12) + \
+        list(catalog.unicyclic_upto(7)) + \
+        [parse_edge_list("m\na b\nb c\nc a\nz\nq r"),
+         Graph.build(isolated=["a"])]
+
+
+def test_cactus_dfs_post_order_finishes_children_first():
+    for g in _cacti_with_isolated_vertices():
+        active = [i for i, m in enumerate(g.masks) if m]
+        for first in _starts(g):
+            post, parent, _, _ = graphs._cactus_dfs(g.masks, first)
+            assert sorted(post) == active
+            at = {v: n for n, v in enumerate(post)}
+            for v in post:
+                p = parent[v]
+                assert p == -1 or (g.masks[v] >> p & 1 and at[v] < at[p])
+            roots = [v for v in post if parent[v] == -1]
+            if first in at:
+                # the tree of `first` is walked, so finished, first
+                assert roots[0] == first
+
+
+def test_cactus_dfs_chains_are_the_cycles_from_every_start():
+    for g in _cacti_with_isolated_vertices():
+        for first in _starts(g):
+            _, parent, chains, on_cycle = graphs._cactus_dfs(g.masks, first)
+            walks, lower_ends = [], []   # lower ends of cycle tree edges
+            for top, found in chains.items():
+                for chain in found:
+                    # the chain climbs the tree from its bottom to below top
+                    assert [parent[u] for u in chain] == chain[1:] + [top]
+                    lower_ends += chain
+                    walks.append(_least_rotation(chain + [top]))
+            assert len(set(lower_ends)) == len(lower_ends)
+            assert on_cycle == sum(1 << u for u in lower_ends)
+            assert sorted(walks) == list(g._cactus_cycles)
+
+
 @settings(deadline=None)
 @given(st.one_of(random_graphs(max_n=9), sparse_graphs(), cactus_unions()))
 def test_cactus_and_cycles_match_oracle(g):
