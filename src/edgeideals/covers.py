@@ -21,15 +21,19 @@ fall back on the second.  `cover_stats` and `enumerate_minimal_covers`, the
 covers API behind the `covers` report, always enumerate; so does
 `maximum_covers_avoiding`, which lists only the sets through one vertex.
 
-One memo keeps, for the _COVER_MEMO_SIZE most recently used graphs, keyed
-by graph value, the height and big height, and once `cover_stats` has run
-its CoverStats.  `vertex_in_every_maximum_cover` is not memoised: a vertex
-lies in every maximum cover iff it is non-isolated and in no smallest
-maximal independent set, which one DP pass rooted at it tells on a cactus
-and the memoised CoverStats on any other graph.  The guard is checked on
-every enumerating call and on every read of numbers that only an
-enumeration gave, outside the memo, so a CoverSizeError is never cached.
-The MinimalCover values are built only when `all_covers` is first read.
+One memo keeps, for the _COVER_MEMO_SIZE most recently used graphs, what
+was computed for each, and never changes a stored value: a
+(height, big_height) pair from one DP pass, or an enumeration's CoverStats
+(the same two fields and more), which `cover_stats` stores over the pair.
+Its keys are graph values, as the trace builds equal graphs anew: on the
+pinned 110-trace test corpus a per-object cache made 288 unrooted DP
+passes where value keys make 267.  `vertex_in_every_maximum_cover` is not
+memoised: a vertex lies in every maximum cover iff it is non-isolated and
+in no smallest maximal independent set, which one DP pass rooted at it
+tells on a cactus and the memoised CoverStats on any other graph.  The
+guard is checked on every enumerating call, outside the memo, and a
+CoverStats above the guard is not read, so a CoverSizeError is never
+cached.  The MinimalCover values are built only when `all_covers` is read.
 
 The paper's cover-union lemmas are checked where they are used:
 `bounds.theorem34_trace` re-verifies the inequalities of each proof step
@@ -84,16 +88,15 @@ class MinimalCover:
 @dataclass(frozen=True)
 class CoverStats:
     """The cover numbers of `graph`, kept as the int masks of its maximal
-    independent sets (bit i: graph.vertices[i]); `avoidable` is the union of
-    the smallest ones, whose complements are the maximum covers.
-    `all_covers` is built from the masks on first read."""
+    independent sets (bit i: graph.vertices[i]); the complements of the
+    smallest ones are the maximum covers.  `all_covers` is built from the
+    masks on first read."""
 
     height: int
     big_height: int
     unmixed: bool
     graph: Graph = field(repr=False)
     independent: tuple = field(repr=False)
-    avoidable: int = field(repr=False)
 
     @functools.cached_property
     def all_covers(self):
@@ -218,52 +221,47 @@ def _without_root(branch):
 # -- the memo ------------------------------------------------------------
 
 
-class _Entry:
-    """The memoised cover numbers of one graph; `stats` is set once
-    `cover_stats` has run."""
-
-    __slots__ = ("height", "big_height", "stats")
-
-    def __init__(self, height, big_height):
-        self.height, self.big_height = height, big_height
-        self.stats = None
-
-
+_Numbers = namedtuple("_Numbers", "height big_height")   # from a DP pass
 _memo = {}
 
 
-def _remember(g, entry):
+def _remember(g, value):
     if len(_memo) >= _COVER_MEMO_SIZE:
         del _memo[next(iter(_memo))]
-    _memo[g] = entry
-    return entry
+    _memo[g] = value
+    return value
 
 
 def _numbers(g):
-    """The memo entry of g: from the memo, else from one DP pass, else (not
-    a cactus) from `cover_stats`.  An enumerated entry above the guard (set
+    """The memo value of g: from the memo, else from one DP pass, else (not
+    a cactus) from `cover_stats`.  A CoverStats above the guard (stored
     while the guard was raised) is not read, so the guard decides as on
     enumeration."""
-    e = _memo.pop(g, None)
-    if e is not None and (e.stats is None or not _over_guard(g)):
-        _memo[g] = e
-        return e
+    value = _memo.pop(g, None)
+    if value is not None and not (isinstance(value, CoverStats)
+                                  and _over_guard(g)):
+        _memo[g] = value
+        return value
     dp = _cactus_numbers(g)
     if dp is None:
-        cover_stats(g)
-        return _memo[g]
-    return _remember(g, _Entry(dp[0], dp[1]))
+        return cover_stats(g)
+    return _remember(g, _Numbers(dp[0], dp[1]))
 
 
 # -- enumeration -----------------------------------------------------
 
 
+def _maximal_independent(masks, drop=0):
+    """The masks of the maximal independent sets of the non-isolated
+    vertices outside `drop`, where masks[i] is the neighbourhood of vertex
+    i: Bron-Kerbosch with pivoting on the complement adjacency masks."""
+    w = sum(1 << i for i, m in enumerate(masks) if m) & ~drop
+    return bron_kerbosch([w & ~m & ~(1 << i) for i, m in enumerate(masks)], w)
+
+
 def _independent_masks(g):
-    """The masks of the maximal independent sets of the non-isolated part of
-    g: Bron-Kerbosch with pivoting on the complement adjacency masks."""
-    active = sum(1 << i for i, m in enumerate(g.masks) if m)
-    non_adj = [active & ~m & ~(1 << i) for i, m in enumerate(g.masks)]
-    return bron_kerbosch(non_adj, active)
+    """The maximal independent sets of g's non-isolated part, as masks."""
+    return _maximal_independent(g.masks)
 
 
 def cover_stats(g):
@@ -271,24 +269,18 @@ def cover_stats(g):
     enumeration (memoised per g; a CoverSizeError is raised again on every
     call)."""
     _guard(g)
-    e = _memo.pop(g, None)
-    if e is None or e.stats is None:
+    stats = _memo.pop(g, None)
+    if not isinstance(stats, CoverStats):
         # _independent_masks is looked up as a module global, so that a
         # test can count the enumerations that really run.
         sets = _independent_masks(g)
         sizes = [s.bit_count() for s in sets]
         smallest, largest = min(sizes), max(sizes)
-        avoidable = 0
-        for s, size in zip(sets, sizes):
-            if size == smallest:
-                avoidable |= s
         k = len(g.non_isolated)
-        if e is None:
-            e = _Entry(k - largest, k - smallest)
-        e.stats = CoverStats(height=k - largest, big_height=k - smallest,
-                             unmixed=(smallest == largest), graph=g,
-                             independent=tuple(sets), avoidable=avoidable)
-    return _remember(g, e).stats
+        stats = CoverStats(height=k - largest, big_height=k - smallest,
+                           unmixed=(smallest == largest), graph=g,
+                           independent=tuple(sets))
+    return _remember(g, stats)
 
 
 def enumerate_minimal_covers(g):
@@ -318,8 +310,12 @@ def vertex_in_every_maximum_cover(g, x):
     if not g.masks[i]:
         return False
     dp = _cactus_numbers(g, i)
-    avoidable = dp[2] if dp is not None else cover_stats(g).avoidable >> i & 1
-    return not avoidable
+    if dp is not None:
+        return not dp[2]
+    stats = cover_stats(g)
+    smallest = len(g.non_isolated) - stats.big_height
+    return not any(s >> i & 1 for s in stats.independent
+                   if s.bit_count() == smallest)
 
 
 def maximum_covers_avoiding(g, x, bh):
@@ -331,11 +327,8 @@ def maximum_covers_avoiding(g, x, bh):
     _guard(g)
     masks = g.masks
     i = g.vertices.index(x)
-    rest = sum(1 << j for j, m in enumerate(masks) if m) & ~masks[i] \
-        & ~(1 << i)
     size = len(g.non_isolated) - bh - 1
     sets = [s | 1 << i
-            for s in bron_kerbosch([rest & ~m & ~(1 << j)
-                                    for j, m in enumerate(masks)], rest)
+            for s in _maximal_independent(masks, masks[i] | 1 << i)
             if s.bit_count() == size]
     return sorted(sets, key=lambda s: list(_bits(s)))

@@ -120,8 +120,8 @@ def _cactus_dfs(masks, first=-1):
 class Graph:
     """A finite simple graph: sorted vertex tuple plus a set of sorted edge pairs.
 
-    Immutable value; all edit operations return new graphs.  Isolated
-    vertices are permitted.
+    Immutable value, rejected unless in that canonical form; all edit
+    operations return new graphs.  Isolated vertices are permitted.
     """
 
     vertices: tuple = ()
@@ -143,12 +143,15 @@ class Graph:
         return Graph(tuple(sorted(vs)), frozenset(es))
 
     def __post_init__(self):
-        vs = set(self.vertices)
+        vs, order = set(self.vertices), list(self.vertices)
+        if len(vs) != len(order) or sorted(order) != order:
+            raise GraphError("vertices %r not distinct and sorted"
+                             % (self.vertices,))
         for u, v in self.edges:
             if u not in vs or v not in vs:
                 raise GraphError("edge endpoint %r not a vertex" % ((u, v),))
-            if u == v:
-                raise GraphError("loop edge")
+            if not u < v:
+                raise GraphError("edge %r is a loop or not sorted" % ((u, v),))
 
     @cached_property
     def adj(self):
@@ -259,7 +262,10 @@ class Graph:
         return Graph(vs, self.edges | other.edges)
 
     def drop_isolated(self):
-        return Graph(self.non_isolated, self.edges)
+        """The graph without its isolated vertices: the graph itself when
+        it has none, so what it has cached (masks, cycles) carries over."""
+        vs = self.non_isolated
+        return self if len(vs) == len(self.vertices) else Graph(vs, self.edges)
 
     # -- connectivity --------------------------------------------------
 

@@ -243,9 +243,7 @@ def projective_dimension(g):
     active = _guard(g)
     if not g.edges:
         return 0, BettiTable({}, 0)
-    if len(active) < len(g.vertices):
-        g = g.drop_isolated()
-    table = _ranks_table(g.masks, len(active))
+    table = _ranks_table(g.drop_isolated().masks, len(active))
     entries = {}
     for w, ranks in compress(enumerate(table), table):
         if w:

@@ -113,6 +113,19 @@ def test_trace_disconnected_components():
     assert len(t.children) == 2
 
 
+def test_trace_keeps_its_input_when_nothing_is_isolated():
+    # with no isolated vertex the trace replays the input graph itself, so
+    # the masks and cycles it has cached carry over
+    for g in (TRI_2W, BOWTIE, cycle(5), path_graph(4)):
+        assert g.drop_isolated() is g
+        assert bounds.theorem34_trace(g).graph is g
+    readme = parse_edge_list("a b\nb c\nc a\na aw\nz")
+    t = bounds.theorem34_trace(readme)
+    assert t.graph.vertices == ("a", "aw", "b", "c")
+    assert t.graph == readme.drop_isolated() and t.graph is not readme
+    assert t.bound == bounds.theorem34_bound(readme).bound
+
+
 def test_trace_bound_matches_closed_form():
     for g in (BOWTIE, TRI_2W, cycle(5), cycle(6), WHISKER_P3):
         assert bounds.theorem34_trace(g).bound == \

@@ -65,6 +65,22 @@ def test_isolated_vertices():
     assert g.drop_isolated().vertices == ("a", "b")
 
 
+@pytest.mark.parametrize("vertices, edges", [
+    (("a", "a", "b"), {("a", "b")}),
+    (("b", "a", "c"), {("a", "b"), ("a", "c")}),
+    (("b", "a", "c"), {("b", "a"), ("c", "a")}),
+    (("a", "b", "c"), {("b", "a")}),
+    (("a", "b"), {("a", "a")}),
+    (("a", "b"), {("a", "z")}),
+], ids=["repeated-vertex", "unsorted-vertices", "unsorted-both",
+        "unsorted-edge", "loop", "unknown-endpoint"])
+def test_graph_rejects_values_that_are_not_canonical(vertices, edges):
+    # Graph(...) takes its fields as given, so a repeated or unsorted vertex
+    # or an unsorted pair would break the masks, has_edge and equality
+    with pytest.raises(GraphError):
+        Graph(vertices, frozenset(edges))
+
+
 def test_derived_graphs():
     g = TRIANGLE
     assert g.without_vertex("a").sorted_edges() == [("b", "c")]
