@@ -19,8 +19,10 @@ the child's node.  Only Case 1.2 enumerates: the maximum covers of G2 that
 avoid x, under the cover guard, sized by the big height of G2 that the
 split already holds.
 
-The structural questions (cactus, cycles, branches, fully whiskered) are
-answered by `graphs`, which also builds the Prop 4.2 graphs.
+The structural questions (cactus, cycles) are answered by `graphs`, which
+also builds the Prop 4.2 graphs.  The branches at a split vertex are the
+records of the `covers` DP pass rooted there, and the fully whiskered base
+case reads `graphs._on_terminal_edges`.
 """
 
 from __future__ import annotations

@@ -310,7 +310,8 @@ def step_from_data(d):
 def certified_set_to_data(gs: GeneratorSet, cert: Certificate):
     return {
         "edges": [list(e) for e in gs.graph.sorted_edges()],
-        "isolated": [v for v in gs.graph.vertices if not gs.graph.adj[v]],
+        "isolated": [v for v, m in zip(gs.graph.vertices, gs.graph.masks)
+                     if not m],
         "generators": [poly_to_data(p) for p in gs.polys],
         "steps": [step_to_data(s) for s in cert.steps],
     }

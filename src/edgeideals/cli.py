@@ -180,16 +180,16 @@ def cmd_verify(args):
     return 0 if verdict.ok else 1
 
 
+# classify --result: the name of the `classify` function behind each choice,
+# looked up when the command runs, so that a wrapper set on the module (the
+# perfbench tracer) is the one called
+_RESULTS = {"auto": "stci_verdict", "unicyclic": "classify_unicyclic",
+            "cor44": "corollary44", "cor61": "corollary61"}
+
+
 def cmd_classify(args):
     g = _load_graph(args.graph)
-    if args.result == "unicyclic":
-        verdict = classify.classify_unicyclic(g)
-    elif args.result == "cor44":
-        verdict = classify.corollary44(g)
-    elif args.result == "cor61":
-        verdict = classify.corollary61(g)
-    else:
-        verdict = classify.stci_verdict(g)
+    verdict = getattr(classify, _RESULTS[args.result])(g)
     evidence = {k: (sorted(v) if isinstance(v, (set, frozenset)) else
                     _graph_summary(v) if isinstance(v, graphs.Graph) else v)
                 for k, v in verdict.evidence.items()}
@@ -264,8 +264,7 @@ def build_parser():
 
     p = graph_cmd("classify", cmd_classify,
                   "Cohen-Macaulay / STCI classification")
-    p.add_argument("--result", default="auto",
-                   choices=["auto", "unicyclic", "cor44", "cor61"])
+    p.add_argument("--result", default="auto", choices=list(_RESULTS))
 
     graph_cmd("pd", cmd_pd, "projective dimension oracle")
     return parser

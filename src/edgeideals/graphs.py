@@ -1,7 +1,7 @@
 """Immutable finite simple graphs and every structural recognizer the rest
-of the package uses: cactus, cycles and branches, chordality, cliques,
-whisker graphs and whisker trees, and the short-cycle screen; also the
-cycle and attached-graph (Prop 4.2) builders.
+of the package uses: cactus and cycles, chordality, cliques, whisker graphs
+and whisker trees, and the short-cycle screen; also the cycle and
+attached-graph (Prop 4.2) builders.
 
 Vertices are nonempty whitespace-free string labels, ordered lexicographically.
 All outputs are canonically sorted so that every operation is deterministic.
@@ -9,22 +9,24 @@ All outputs are canonically sorted so that every operation is deterministic.
 The kernels run on vertex bitmasks: vertex i in sorted order is bit i, and
 `Graph.masks` holds each neighbourhood as an int.  `masks` is the one
 adjacency built from the edge set (`Graph.adj` is read off it), and
-`_components` is the one component walk: components, connectivity,
-`branches_at` and the Hochster split in `homology` all run it.  One
-DFS-forest walk (`_cactus_dfs`) decides the cactus property: its cycle
-list (`Graph._cactus_cycles`, cached like `masks`) answers the cycles and,
-on a cactus, chordality and the cycle screen, and the cover DP in `covers`
-runs over its post-order; on other graphs maximum cardinality search
-decides chordality and one DFS over simple paths (`_cycles`) answers the
-cycle screen; and one pivoting Bron-Kerbosch (`bron_kerbosch`), which
-returns int masks, enumerates maximal cliques here and maximal independent
-sets in `covers`; `maximal_cliques` turns the masks into sorted frozensets.
+`_components` is the one component walk: components, connectivity and
+the Hochster split in `homology` run it.  One DFS-forest walk
+(`_cactus_dfs`) decides the cactus property: its cycle list
+(`Graph._cactus_cycles`, cached like `masks`) answers the cycles and, on a
+cactus, chordality and the cycle screen, and the cover DP in `covers` runs
+over its post-order.  Rooted at a vertex x, the DFS subtrees of x are the
+branches at x, which the trace's split pass reads off that DP.  On other
+graphs maximum cardinality search decides chordality and one DFS over
+simple paths (`_cycles`) answers the cycle screen; and one pivoting
+Bron-Kerbosch (`bron_kerbosch`), which returns int masks, enumerates
+maximal cliques here and maximal independent sets in `covers`;
+`maximal_cliques` turns the masks into sorted frozensets.
 This module imports no other module of the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -122,6 +124,8 @@ class Graph:
 
     Immutable value, rejected unless in that canonical form; all edit
     operations return new graphs.  Isolated vertices are permitted.
+    `Graph(...)` checks only the canonical form: labels are checked where
+    they enter, in `build`, `parse_edge_list` and `with_edges`.
     """
 
     vertices: tuple = ()
@@ -175,7 +179,8 @@ class Graph:
     def _cactus_cycles(self):
         """The cycles of the graph as a sorted tuple of canonical vertex
         index tuples, or None when it is not a cactus; is_cactus, cycles,
-        cycle_count and branches_at read this, which reads `_cactus_dfs`."""
+        cycle_count and, on a cactus, is_chordal and has_cycle_subgraph read
+        this, which reads `_cactus_dfs`."""
         dfs = _cactus_dfs(self.masks)
         if dfs is None:
             return None
@@ -224,7 +229,10 @@ class Graph:
 
     def with_edges(self, new_edges):
         es = set(self.edges)
-        es.update(edge(u, v) for u, v in new_edges)
+        for u, v in new_edges:
+            _check_label(u)
+            _check_label(v)
+            es.add(edge(u, v))
         vs = set(self.vertices) | {w for e in es for w in e}
         return Graph(tuple(sorted(vs)), frozenset(es))
 
@@ -249,13 +257,6 @@ class Graph:
             raise GraphError("unknown vertices %s" % sorted(unknown))
         return Graph(tuple(sorted(vs)),
                      frozenset(e for e in self.edges if e[0] in vs and e[1] in vs))
-
-    def edge_subgraph(self, edge_subset):
-        es = frozenset(edge(u, v) for u, v in edge_subset)
-        if not es <= self.edges:
-            raise GraphError("not a subset of the edge set")
-        vs = sorted({w for e in es for w in e})
-        return Graph(tuple(vs), es)
 
     def union(self, other):
         vs = tuple(sorted(set(self.vertices) | set(other.vertices)))
@@ -305,19 +306,6 @@ class Cycle:
         return [edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
 
-ONE_BRANCH = "OneBranch"
-TWO_BRANCH = "TwoBranch"
-
-
-@dataclass(frozen=True)
-class Branch:
-    """A 1- or 2-branch of a cactus at a root vertex."""
-
-    kind: str
-    root: str
-    subgraph: Graph = field(compare=False)
-
-
 # -- the cactus property ----------------------------------------------
 
 
@@ -340,51 +328,17 @@ def cycle_count(g):
     return len(g._cactus_cycles)
 
 
-def branches_at(g, x):
-    """The branches of a connected cactus g at x.
-
-    Pairwise they share only x and their union is g; each component of g - x
-    reached by one edge gives a 1-branch, by two edges a 2-branch.
-    """
-    if not is_cactus(g):
-        raise GraphError("graph is not a cactus")
-    if not g.is_connected():
-        raise GraphError("graph is not connected")
-    if x not in g.vertices:
-        raise GraphError("unknown vertex %r" % (x,))
-    masks, i = g.masks, g.vertices.index(x)
-    out = []
-    for comp in _components(masks, ((1 << len(masks)) - 1) & ~(1 << i)):
-        into = (masks[i] & comp).bit_count()
-        sub = g.induced(map(g.vertices.__getitem__, _bits(comp | 1 << i)))
-        if into == 1:
-            out.append(Branch(ONE_BRANCH, x, sub))
-        elif into == 2:
-            out.append(Branch(TWO_BRANCH, x, sub))
-        else:
-            # Three edges from x into one component would force two cycles
-            # sharing an edge, impossible in a cactus.
-            raise GraphError("internal invariant violation: %d edges from %r "
-                             "into one component of a cactus" % (into, x))
-    return sorted(out, key=lambda br: br.subgraph.vertices)
-
-
 # -- whisker recognizers ----------------------------------------------
 
 
 def _on_terminal_edges(masks):
-    """Mask of the leaves and their neighbours (the terminal-edge vertices)."""
+    """Mask of the leaves and their neighbours (the terminal-edge vertices);
+    the graph is fully whiskered when it holds every vertex."""
     out = 0
     for i, m in enumerate(masks):
         if m.bit_count() == 1:
             out |= 1 << i | m
     return out
-
-
-def is_fully_whiskered(g):
-    """Every vertex lies on some terminal edge.  (Then ara = bight.)"""
-    return bool(g.edges) and \
-        _on_terminal_edges(g.masks) == (1 << len(g.vertices)) - 1
 
 
 def is_whisker_graph(g):

@@ -165,10 +165,6 @@ class Polynomial:
         return "".join(parts) if len(parts) == 1 else " ".join(parts)
 
 
-def edge_monomial(u, v):
-    return Monomial.of(u, v)
-
-
 # -- serialization (stable, bit-exact round-trip) ---------------------
 
 

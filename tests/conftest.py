@@ -3,12 +3,13 @@
 The oracles here deliberately avoid the library's own fast paths: minimal
 covers, maximal cliques and short cycles are re-derived by brute-force subset
 enumeration over labels, so agreement with the bitmask kernels (Bron-Kerbosch
-and the cycle DFS) is a genuine cross-check.  The cactus and chordality
-oracles go through networkx (biconnected blocks, `nx.is_chordal`), and the
-whisker-tree oracle checks the degree conditions directly.  The paper's
-cover-combination lemmas and its redundancy remark are checked here by full
-cover enumeration; in the library, `bounds.theorem34_trace` re-verifies the
-same inequalities on each proof step.
+and the cycle DFS) is a genuine cross-check.  The cactus, chordality and
+branch oracles go through networkx (biconnected blocks, `nx.is_chordal`,
+the components of g - x), and the whisker-tree oracle checks the degree
+conditions directly.  The paper's cover-combination lemmas and its
+redundancy remark are checked here by full cover enumeration; in the
+library, `bounds.theorem34_trace` re-verifies the same inequalities on each
+proof step.
 """
 
 from __future__ import annotations
@@ -133,6 +134,18 @@ def to_networkx(g):
     return nxg
 
 
+def branch_oracle(g, x):
+    """The branches of a connected graph g at the vertex x, through networkx:
+    for each component of g - x, its vertices with x as a sorted tuple and
+    the number of edges from x into it (1 for a 1-branch, 2 for a 2-branch
+    of a cactus), sorted."""
+    nxg = to_networkx(g)
+    return sorted(
+        (tuple(sorted(comp | {x})), sum(y in comp for y in nxg[x]))
+        for comp in nx.connected_components(
+            nxg.subgraph(set(g.vertices) - {x})))
+
+
 def cactus_oracle(g):
     """(is_cactus, cycles) from networkx's biconnected blocks: g is a cactus
     when every block is a bridge or a cycle (as many edges as vertices), and
@@ -223,7 +236,7 @@ def _split_overlap(g, g1):
     """Check g1 is a subgraph of g meeting its complement in one vertex x."""
     if not (set(g1.vertices) <= set(g.vertices) and g1.edges <= g.edges):
         raise GraphError("g1 is not a subgraph of g")
-    rest = g.edge_subgraph(g.edges - g1.edges)
+    rest = g.without_edges(g1.edges).drop_isolated()
     overlap = set(g1.vertices) & set(rest.vertices)
     if len(overlap) != 1:
         raise GraphError("vertex sets must overlap in exactly one vertex, "

@@ -14,8 +14,8 @@ from edgeideals import bounds, covers, graphs
 from edgeideals.graphs import Graph, GraphError, parse_edge_list
 
 import catalog
-from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, cycle,
-                      format_edge_list, old_big_height, old_cover_stats,
+from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, branch_oracle,
+                      cycle, format_edge_list, old_big_height, old_cover_stats,
                       old_maximum_covers_avoiding,
                       old_vertex_in_every_maximum_cover, path_graph)
 
@@ -75,8 +75,11 @@ def test_corollary41_requires_consecutive_high_vertices():
 
 
 def test_whisker_recognizers():
-    assert graphs.is_fully_whiskered(WHISKER_P3)
-    assert not graphs.is_fully_whiskered(TRI_2W)
+    # fully whiskered: every vertex lies on a terminal edge
+    assert graphs._on_terminal_edges(WHISKER_P3.masks) == \
+        (1 << len(WHISKER_P3.vertices)) - 1
+    assert graphs._on_terminal_edges(TRI_2W.masks) != \
+        (1 << len(TRI_2W.vertices)) - 1
     ok, base = graphs.is_whisker_graph(WHISKER_P3)
     assert ok and set(base.vertices) == {"a", "b", "c"}
     assert not graphs.is_whisker_graph(TRIANGLE)[0]
@@ -167,8 +170,8 @@ def test_bound_report_invariant():
 
 
 def test_split_pass_guards():
-    # the split pass rejects a graph that is not a connected cactus, as the
-    # guards of branches_at did, and checks the big height handed down
+    # the split pass rejects a graph that is not a connected cactus, and
+    # checks the big height handed down
     diamond = Graph.build([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
                            ("a", "c")])
     two_paths = path_graph(3).union(path_graph(3, prefix="q"))
@@ -325,8 +328,8 @@ def test_every_trace_node_bound_is_bight_plus_cycles():
 
 def test_split_pass_matches_branches_and_enumeration():
     # At every vertex on no terminal edge (where the trace may split): the
-    # branch records of the pass rooted there are the branches of
-    # `branches_at`, and every part the split step reads (G, each branch,
+    # branch records of the pass rooted there are the branches of the
+    # networkx oracle, and every part the split step reads (G, each branch,
     # and with each branch as G2: G1, G'1 and G2bar) has the height, big
     # height and forced flag of that part built as a graph and enumerated.
     known = {}
@@ -349,27 +352,26 @@ def test_split_pass_matches_branches_and_enumeration():
             x = vs[xi]
             h, bh, avoidable, branches = covers._cactus_numbers(g, xi)
             assert (h, bh, avoidable) == old(g, x)
-            parts = {frozenset(v for j, v in enumerate(vs)
-                               if (br.mask | 1 << xi) >> j & 1): br
+            parts = {tuple(v for j, v in enumerate(vs)
+                           if (br.mask | 1 << xi) >> j & 1): br
                      for br in branches}
-            expected = graphs.branches_at(g, x)
-            assert sorted((sorted(s), br.two) for s, br in parts.items()) == \
-                sorted((list(b.subgraph.vertices), b.kind == graphs.TWO_BRANCH)
-                       for b in expected)
-            for b in expected:
-                br = parts[frozenset(b.subgraph.vertices)]
-                g2 = b.subgraph
+            expected = branch_oracle(g, x)
+            assert sorted((s, 2 if br.two else 1)
+                          for s, br in parts.items()) == expected
+            for s, into in expected:
+                br = parts[s]
+                g2 = g.induced(s)
                 rest = [r for r in branches if r is not br]
                 ys = sorted(g2.neighbors(x))
-                g1 = g.edge_subgraph(g.edges - g2.edges)
+                g1 = g.without_edges(g2.edges).drop_isolated()
                 g1p = g1.with_edges((x, y) for y in ys)
                 g2bar = g2.without_edges((x, y) for y in ys).drop_isolated()
                 assert covers._joined([br]) == old(g2, x)
                 assert covers._joined(rest) == old(g1, x)
                 assert covers._joined(rest, len(ys)) == old(g1p, x)
                 assert covers._without_root(br) == old(g2bar)
-                seen.add((b.kind, len(ys)))
-    assert seen == {(graphs.ONE_BRANCH, 1), (graphs.TWO_BRANCH, 2)}
+                seen.add((br.two, into, len(ys)))
+    assert seen == {(False, 1, 1), (True, 2, 2)}
 
 
 # The Bron-Kerbosch runs and the DP passes that the first 100 and the last

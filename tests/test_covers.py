@@ -237,7 +237,7 @@ def test_redundancy_remark(g):
 
 def test_induced_cover():
     c = maximum_minimal_covers(WHISKER_P3)[0]
-    sub = WHISKER_P3.edge_subgraph([("a", "b"), ("a", "aw")])
+    sub = Graph.build([("a", "b"), ("a", "aw")])
     assert induced_cover(c, sub) <= c.vertices
     with pytest.raises(GraphError):
         induced_cover(c, TRIANGLE)
@@ -255,7 +255,7 @@ def test_lemma26_at_a_forced_vertex():
 def test_lemma26_hypothesis_enforced():
     # In C5 glued from two paths at c0, c0 is not forced in the part.
     g = cycle(5)
-    g1 = g.edge_subgraph([("c0", "c1"), ("c1", "c2")])
+    g1 = Graph.build([("c0", "c1"), ("c1", "c2")])
     with pytest.raises(GraphError):
         lemma26_check(g, g1, "c0")
 

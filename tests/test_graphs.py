@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgeideals import graphs
+from edgeideals.covers import _cactus_numbers
 from edgeideals.graphs import Graph, GraphError, edge, parse_edge_list
 
 import catalog
-from conftest import (BOWTIE, TRIANGLE, WHISKER_P3,
+from conftest import (BOWTIE, TRIANGLE, WHISKER_P3, branch_oracle,
                       brute_force_maximal_cliques, cactus_oracle,
                       chordal_oracle, cycle, cycle_subgraph_oracle,
                       format_edge_list, induced_cycles_oracle, path_graph,
@@ -91,6 +92,15 @@ def test_derived_graphs():
     assert h.has_edge("c", "d") and h.has_edge("a", "b")
 
 
+def test_with_edges_checks_labels_as_build_does():
+    g = parse_edge_list("a b")
+    # a label with a space would write an edge list that does not parse
+    with pytest.raises(GraphError, match="bad vertex label"):
+        g.with_edges([("a", "x y")])
+    with pytest.raises(GraphError, match="bad vertex label"):
+        g.with_edges([("a", 3)])
+
+
 def test_components_and_connectivity():
     g = Graph.build([("a", "b"), ("c", "d")])
     assert len(g.components()) == 2
@@ -137,21 +147,28 @@ def test_cactus_pass_is_kept_on_the_graph():
     found = graphs.cycles(g)
     found.clear()   # a caller's list is its own
     assert graphs.cycle_count(g) == 2
-    assert len(graphs.branches_at(g, "c")) == 2
+    assert graphs.is_chordal(g)   # reads the kept cycles: two triangles
     assert vars(g)["_cactus_cycles"] is kept
     assert [c.vertices for c in graphs.cycles(g)] == [("a", "b", "c"),
                                                       ("c", "d", "e")]
 
 
+def _branch_records(g, x):
+    """The branches at x that the split pass rooted there records, in the
+    form of `branch_oracle`."""
+    xi = g.vertices.index(x)
+    return sorted((tuple(v for j, v in enumerate(g.vertices)
+                         if (br.mask | 1 << xi) >> j & 1), 2 if br.two else 1)
+                  for br in _cactus_numbers(g, xi)[3])
+
+
 def test_branches_at():
     # Bowtie: the shared vertex c has two 2-branches.
-    brs = graphs.branches_at(BOWTIE, "c")
-    assert len(brs) == 2
-    assert all(b.kind == graphs.TWO_BRANCH for b in brs)
-    # A whiskered path at b: whisker is a 1-branch.
-    brs = graphs.branches_at(WHISKER_P3, "b")
-    kinds = sorted(b.kind for b in brs)
-    assert kinds == [graphs.ONE_BRANCH] * 3
+    assert _branch_records(BOWTIE, "c") == [(("a", "b", "c"), 2),
+                                            (("c", "d", "e"), 2)]
+    # A whiskered path at b: each side and the whisker is a 1-branch.
+    assert _branch_records(WHISKER_P3, "b") == [
+        (("a", "aw", "b"), 1), (("b", "bw"), 1), (("b", "c", "cw"), 1)]
 
 
 def test_maximal_cliques_and_simplexes():
@@ -451,18 +468,11 @@ def test_is_connected_matches_networkx(g):
 
 
 def test_branches_at_match_networkx_components():
+    # each record of the pass rooted at x, with x, is a component of g - x
+    # with x, and it is a 2-branch exactly when two edges enter it
     for g in catalog.random_cacti(12, 40):
-        nxg = to_networkx(g)
         for x in g.vertices:
-            expected = []
-            for comp in nx.connected_components(
-                    nxg.subgraph(set(g.vertices) - {x})):
-                into = sum(y in comp for y in nxg[x])
-                kind = {1: graphs.ONE_BRANCH, 2: graphs.TWO_BRANCH}[into]
-                expected.append((kind, x, g.induced(comp | {x})))
-            assert [(b.kind, b.root, b.subgraph)
-                    for b in graphs.branches_at(g, x)] \
-                == sorted(expected, key=lambda b: b[2].vertices)
+            assert _branch_records(g, x) == branch_oracle(g, x)
 
 
 @given(random_graphs())

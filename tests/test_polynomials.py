@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edgeideals.polynomials import (ONE, Monomial, PolyError, Polynomial,
-                                    edge_monomial, monomial_from_data,
-                                    monomial_to_data, poly_from_data,
-                                    poly_to_data)
+                                    monomial_from_data, monomial_to_data,
+                                    poly_from_data, poly_to_data)
 
 
 def test_monomial_canonical_form():
@@ -100,7 +99,10 @@ def test_single_term_and_coefficient():
 
 
 def test_edge_monomial():
-    assert edge_monomial("u", "v") == Monomial.of("u", "v")
+    # the edge monomial x_u x_v is Monomial.of(u, v), in either order
+    m = Monomial.of("v", "u")
+    assert m == Monomial.of("u", "v") == Monomial.of("u") * Monomial.of("v")
+    assert m.exps == (("u", 1), ("v", 1)) and m.degree() == 2
 
 
 def test_str_rendering():
