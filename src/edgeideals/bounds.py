@@ -27,7 +27,7 @@ case reads `graphs._on_terminal_edges`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import covers, graphs
 from .graphs import (WHISKER, Graph, GraphError, _bits, _on_terminal_edges,
@@ -38,20 +38,16 @@ class TraceInvariantError(GraphError):
     """A proof-step inequality failed on a concrete instance."""
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    graph: Graph
-    n_cycles: int
-    big_height: int
-    bound: int
-    improvement_k: int = 0
-    source: str = "Thm 3.4"
-    stci: bool = False
+class BoundReport(namedtuple("BoundReport", "graph n_cycles big_height bound "
+                             "improvement_k source stci")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        assert self.bound == self.big_height + self.n_cycles - \
-            self.improvement_k
-        assert 0 <= self.improvement_k <= self.n_cycles
+    def __new__(cls, graph, n_cycles, big_height, bound, improvement_k=0,
+                source="Thm 3.4", stci=False):
+        assert bound == big_height + n_cycles - improvement_k
+        assert 0 <= improvement_k <= n_cycles
+        return tuple.__new__(cls, (graph, n_cycles, big_height, bound,
+                                   improvement_k, source, stci))
 
 
 def theorem34_bound(g):
@@ -137,14 +133,17 @@ def proposition42_bound(base, attachments):
 # -- proof-mirroring decomposition trace ------------------------------
 
 
-@dataclass(frozen=True)
-class TraceNode:
-    graph: Graph
-    case_tag: str
-    bound: int  # = bight + n of this node's graph
-    cover_numbers: dict = field(default_factory=dict)
-    detail: dict = field(default_factory=dict)
-    children: tuple = ()
+class TraceNode(namedtuple("TraceNode", "graph case_tag bound cover_numbers "
+                           "detail children")):
+    # bound = bight + n of this node's graph; each node has its own dicts
+    __slots__ = ()
+
+    def __new__(cls, graph, case_tag, bound, cover_numbers=None, detail=None,
+                children=()):
+        return tuple.__new__(cls, (
+            graph, case_tag, bound,
+            {} if cover_numbers is None else cover_numbers,
+            {} if detail is None else detail, children))
 
     def walk(self):
         yield self

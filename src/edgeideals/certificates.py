@@ -22,11 +22,16 @@ The containment test and the power and linear steps of one certificate may
 ask for at most _MAX_TERM_WORK units of monomial work in all; past that,
 verification fails.  Containment needs no scan of the edges: a term lies in
 the edge ideal iff two of its variables are adjacent in the graph.
+
+The generator set, the certificate, its steps and the verdict are records:
+subclasses of a `collections.namedtuple` base, immutable, with the hash and
+equality of their field tuple.  `step_to_data` and `verify_certificate`
+tell the step kinds apart by class, never by shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphs import Graph, GraphError
 from .polynomials import (Monomial, Polynomial, _json_int, monomial_from_data,
@@ -51,44 +56,34 @@ _OVER_BUDGET = ("verification needs more than %d units of work on monomial "
                 "products and probes" % _MAX_TERM_WORK)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    graph: Graph
-    polys: tuple
+class GeneratorSet(namedtuple("GeneratorSet", "graph polys")):
+    __slots__ = ()
 
     def __len__(self):
         return len(self.polys)
 
 
-@dataclass(frozen=True)
-class SVStep:
-    rho_ref: int
-    sum_ref: int
+class SVStep(namedtuple("SVStep", "rho_ref sum_ref")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LinearStep:
-    target_ref: int
-    subtract_refs: tuple
+class LinearStep(namedtuple("LinearStep", "target_ref subtract_refs")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PowerStep:
-    target: Monomial
-    k: int
-    combination: tuple  # ((coeff Polynomial, established ref), ...)
+class PowerStep(namedtuple("PowerStep", "target k combination")):
+    # combination: ((coeff Polynomial, established ref), ...)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Certificate:
-    steps: tuple = ()
+class Certificate(namedtuple("Certificate", "steps", defaults=((),))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    failed_step: int = -1  # -1: generator containment or final coverage
-    reason: str = ""
+class Verdict(namedtuple("Verdict", "ok failed_step reason",
+                         defaults=(-1, ""))):
+    # failed_step -1: generator containment or final coverage
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

@@ -10,7 +10,7 @@ matchers here (`_match_case`, `_prop42_tail`) combine them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import covers, graphs
 from .graphs import WHISKER, GraphError
@@ -24,17 +24,15 @@ class HypothesisError(GraphError):
     """A classification result was invoked outside its hypothesis."""
 
 
-@dataclass(frozen=True)
-class CmVerdict:
-    status: str
-    stci: str = UNKNOWN  # "Yes" requires a citation in case_tag
-    case_tag: str = "none"
-    evidence: dict = field(default_factory=dict)
+class CmVerdict(namedtuple("CmVerdict", "status stci case_tag evidence")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.stci == "Yes":
-            assert self.case_tag != "none"
-            assert self.status == CM
+    def __new__(cls, status, stci=UNKNOWN, case_tag="none", evidence=None):
+        if stci == "Yes":  # requires a citation in case_tag
+            assert case_tag != "none"
+            assert status == CM
+        return tuple.__new__(cls, (status, stci, case_tag,
+                                   {} if evidence is None else evidence))
 
 
 def simplex_partition_check(g):

@@ -212,26 +212,23 @@ def _witness_table(monomials):
     return table
 
 
-def _compatible_cliques(remaining, keys, witnesses):
+def _compatible_cliques(remaining, monomials, witnesses):
     """Maximal sets of remaining edges that can share a layer, as masks,
     largest first (Bron-Kerbosch on the compatibility graph).
 
-    The recursion's sets hold keys[i] = (m.exps,) for the i-th edge
-    monomial m, not m itself.  A frozen dataclass hashes a Monomial as
-    hash((self.exps,)) and compares (self.exps,), so key sets get the same
-    hashes, table layout and iteration order that Monomial sets had, with
-    the hashing done in C.  Pivot ties and the clique order are therefore
-    those of the Monomial recursion: they follow string-hash order, so they
-    can differ between PYTHONHASHSEED values."""
+    The recursion's sets hold the edge monomials, which hash and compare
+    as their field tuples (m.exps,), in C.  Pivot ties and the clique order
+    follow those hashes, that is string-hash order, so they can differ
+    between PYTHONHASHSEED values."""
     earlier = ~remaining
     idx = list(_bits(remaining))
     # Every set is filled in bit order, which is sort_key order (see
-    # _edge_monomials), as the Monomial sets were: this fixes its iteration
-    # order for a given hash seed.  Branches also go in bit order, and r is
-    # the clique's mask.
-    rem = [keys[i] for i in idx]
+    # _edge_monomials): this fixes its iteration order for a given hash
+    # seed.  Branches also go in bit order, and r is the clique's mask.
+    rem = [monomials[i] for i in idx]
     rank = dict(zip(rem, idx))
-    compat = {k: {keys[j] for j in idx if j != i and witnesses[i][j] & earlier}
+    compat = {k: {monomials[j] for j in idx
+                  if j != i and witnesses[i][j] & earlier}
               for i, k in zip(idx, rem)}
     out = []
 
@@ -300,11 +297,10 @@ def sv_layer_search(g, max_layers=None):
 
     Among equally short layerings the search returns the first it meets,
     in an order that follows the string hashes of the vertex labels, so the
-    generators can differ between PYTHONHASHSEED values.  The clique
-    recursion hashes 1-tuples (m.exps,) in place of the edge monomials m.
-    These hash and compare exactly as the Monomials do, so the order is the
-    one that sets of Monomials give.  The minimal layer count does not
-    depend on that order: the count found was the same under eight seeds
+    generators can differ between PYTHONHASHSEED values: the clique
+    recursion keeps sets of the edge monomials, whose hashes are those of
+    their field tuples.  The minimal layer count does not depend on that
+    order: the count found was the same under eight seeds
     on every tree of at most 9 vertices and on 40 random cacti.
     """
     found = _layer_search(g, max_layers)
@@ -331,12 +327,11 @@ def _layer_search(g, max_layers):
     if cap < floor:
         return None
     witnesses = _witness_table(monomials)
-    keys = [(m.exps,) for m in monomials]
     table = {}
 
     def cliques(remaining):
         if remaining not in table:
-            table[remaining] = _compatible_cliques(remaining, keys,
+            table[remaining] = _compatible_cliques(remaining, monomials,
                                                    witnesses)
         return table[remaining]
 

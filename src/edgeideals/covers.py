@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 from .graphs import (Graph, GraphError, _bits, _cactus_dfs, _vertex_sets,
                      bron_kerbosch)
@@ -71,12 +70,10 @@ class CoverSizeError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class MinimalCover:
+class MinimalCover(namedtuple("MinimalCover", "vertices host")):
     """A minimal vertex cover of `host` (a generator set of a minimal prime)."""
 
-    vertices: frozenset
-    host: Graph
+    __slots__ = ()
 
     def __len__(self):
         return len(self.vertices)
@@ -85,18 +82,20 @@ class MinimalCover:
         return tuple(sorted(self.vertices))
 
 
-@dataclass(frozen=True)
-class CoverStats:
+class CoverStats(namedtuple("CoverStats",
+                            "height big_height unmixed graph independent")):
     """The cover numbers of `graph`, kept as the int masks of its maximal
     independent sets (bit i: graph.vertices[i]); the complements of the
     smallest ones are the maximum covers.  `all_covers` is built from the
-    masks on first read."""
+    masks on first read and kept in the instance `__dict__`; assignment is
+    refused, as on a Graph."""
 
-    height: int
-    big_height: int
-    unmixed: bool
-    graph: Graph = field(repr=False)
-    independent: tuple = field(repr=False)
+    __setattr__ = Graph.__setattr__
+    __delattr__ = Graph.__delattr__
+
+    def __repr__(self):
+        return "CoverStats(height=%r, big_height=%r, unmixed=%r)" % (
+            self.height, self.big_height, self.unmixed)
 
     @functools.cached_property
     def all_covers(self):

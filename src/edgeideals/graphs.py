@@ -21,12 +21,19 @@ simple paths (`_cycles`) answers the cycle screen; and one pivoting
 Bron-Kerbosch (`bron_kerbosch`), which returns int masks, enumerates
 maximal cliques here and maximal independent sets in `covers`;
 `maximal_cliques` turns the masks into sorted frozensets.
+
+`Graph` and `Cycle`, like every record of the package, subclass a
+`collections.namedtuple` base: an immutable value checked in `__new__`,
+whose hash and equality are those of its field tuple, so sets and
+dicts of records keep one layout and order for a given hash seed.
+`Graph` keeps an instance `__dict__` for its cached properties, as
+`covers.CoverStats` does, and refuses every attribute assignment.
 This module imports no other module of the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 
@@ -118,8 +125,7 @@ def _cactus_dfs(masks, first=-1):
     return post, parent, chains, on_cycle
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "vertices edges")):
     """A finite simple graph: sorted vertex tuple plus a set of sorted edge pairs.
 
     Immutable value, rejected unless in that canonical form; all edit
@@ -128,8 +134,24 @@ class Graph:
     they enter, in `build`, `parse_edge_list` and `with_edges`.
     """
 
-    vertices: tuple = ()
-    edges: frozenset = frozenset()
+    def __new__(cls, vertices=(), edges=frozenset()):
+        vs, order = set(vertices), list(vertices)
+        if len(vs) != len(order) or sorted(order) != order:
+            raise GraphError("vertices %r not distinct and sorted"
+                             % (vertices,))
+        for u, v in edges:
+            if u not in vs or v not in vs:
+                raise GraphError("edge endpoint %r not a vertex" % ((u, v),))
+            if not u < v:
+                raise GraphError("edge %r is a loop or not sorted" % ((u, v),))
+        return tuple.__new__(cls, (vertices, edges))
+
+    # cached_property writes __dict__ directly, past these two
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
 
     @staticmethod
     def build(edges=(), isolated=()):
@@ -145,17 +167,6 @@ class Graph:
             _check_label(v)
             vs.add(v)
         return Graph(tuple(sorted(vs)), frozenset(es))
-
-    def __post_init__(self):
-        vs, order = set(self.vertices), list(self.vertices)
-        if len(vs) != len(order) or sorted(order) != order:
-            raise GraphError("vertices %r not distinct and sorted"
-                             % (self.vertices,))
-        for u, v in self.edges:
-            if u not in vs or v not in vs:
-                raise GraphError("edge endpoint %r not a vertex" % ((u, v),))
-            if not u < v:
-                raise GraphError("edge %r is a loop or not sorted" % ((u, v),))
 
     @cached_property
     def adj(self):
@@ -287,15 +298,15 @@ class Graph:
                            isolated=(mapping[v] for v in self.vertices))
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(namedtuple("Cycle", "vertices")):
     """A cycle as a canonical cyclic vertex sequence (length >= 3)."""
 
-    vertices: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.vertices) < 3 or len(set(self.vertices)) != len(self.vertices):
-            raise GraphError("not a valid cycle: %r" % (self.vertices,))
+    def __new__(cls, vertices):
+        if len(vertices) < 3 or len(set(vertices)) != len(vertices):
+            raise GraphError("not a valid cycle: %r" % (vertices,))
+        return tuple.__new__(cls, (vertices,))
 
     @property
     def length(self):

@@ -42,7 +42,7 @@ eliminator ranks them (`_reduced_ranks`).  The module imports only `graphs`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache
 from itertools import compress
 
@@ -114,10 +114,12 @@ def _independent_faces(masks, w):
     return levels
 
 
-@dataclass(frozen=True)
-class BettiTable:
-    entries: dict = field(default_factory=dict)  # (i, |W|) -> total rank
-    pd: int = 0
+class BettiTable(namedtuple("BettiTable", "entries pd")):
+    # entries: (i, |W|) -> total rank
+    __slots__ = ()
+
+    def __new__(cls, entries=None, pd=0):
+        return tuple.__new__(cls, ({} if entries is None else entries, pd))
 
     def to_data(self):
         return {"pd": self.pd,

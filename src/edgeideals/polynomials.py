@@ -3,20 +3,28 @@
 Variables are vertex labels.  Monomials are sorted (var, exponent) tuples,
 polynomials are sorted (monomial, coefficient) tuples; both are hashable
 values in canonical form, so equality is structural.
+
+Both are records: subclasses of a one-field `collections.namedtuple`
+base, whose hash is that of the field tuple.  `Polynomial` canonicalises
+its terms in `__new__` and, left of `==`, equals only a `Polynomial`:
+`Polynomial() == ONE` is False, though both are the tuple ((),).
+`Monomial` keeps the tuple's equality, which the layer search hashes on
+(so `ONE == Polynomial()` compares tuples), and refuses `+` and
+`int * Monomial`, which a tuple would read as concatenation and repetition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class PolyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Monomial:
-    exps: tuple = ()  # sorted ((var, e), ...) with e >= 1
+class Monomial(namedtuple("Monomial", "exps", defaults=((),))):
+    # exps: sorted ((var, e), ...) with e >= 1
+    __slots__ = ()
 
     @staticmethod
     def of(*variables, **powers):
@@ -56,6 +64,12 @@ class Monomial:
         for v, e in other.exps:
             d[v] = d.get(v, 0) + e
         return Monomial.from_dict(d)
+
+    def __add__(self, other):
+        return NotImplemented
+
+    def __rmul__(self, other):
+        return NotImplemented
 
     def __pow__(self, k):
         if k < 0:
@@ -102,9 +116,20 @@ def _canon(terms):
                                        t[0].exps)))
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    terms: tuple = ()  # canonical ((Monomial, nonzero int), ...)
+class Polynomial(namedtuple("Polynomial", "terms")):
+    # terms: canonical ((Monomial, nonzero int), ...)
+    __slots__ = ()
+
+    def __new__(cls, terms=()):
+        return tuple.__new__(cls, (_canon(terms),))
+
+    def __eq__(self, other):
+        return isinstance(other, Polynomial) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     @staticmethod
     def of(*monomials):
@@ -114,9 +139,6 @@ class Polynomial:
     @staticmethod
     def term(m, c=1):
         return Polynomial(((m, c),))
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", _canon(self.terms))
 
     @property
     def is_zero(self):

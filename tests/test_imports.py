@@ -118,3 +118,28 @@ def test_cli_import_leaves_networkx_out():
          "import sys, edgeideals.cli; print('networkx' in sys.modules)"],
         capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # the records are namedtuple subclasses: `dataclasses`, which pulls in
+    # `inspect`, cost a CLI run about 11 ms of its start-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, edgeideals.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+    assert [n for n in found if n.split(".")[0] == "dataclasses"] == []
