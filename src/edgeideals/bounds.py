@@ -68,11 +68,11 @@ def fresh_vertex(g, base):
 
 
 def open_cycle(g, cycle, v):
-    """Open a cycle at a degree-2 vertex v: a fresh vertex y replaces v as
-    the endpoint of one cycle edge at v, turning the cycle into a path.
-    The edge count is preserved; ara does not decrease and bight increases
-    at most by one, so the bight + n budget is unchanged."""
-    on_cycle = set(cycle.vertices)
+    """Open a cycle (a vertex tuple) at a degree-2 vertex v: a fresh vertex
+    y replaces v as the endpoint of one cycle edge at v, turning the cycle
+    into a path.  The edge count is preserved; ara does not decrease and
+    bight increases at most by one, so the bight + n budget is unchanged."""
+    on_cycle = set(cycle)
     if v not in on_cycle:
         raise GraphError("%r does not lie on the cycle" % (v,))
     if v not in g.vertices:
@@ -193,7 +193,7 @@ def theorem34_trace(g):
         return TraceNode(g, "Base-FullyWhiskered", 0)
     if not g.is_connected():
         children = tuple(
-            _trace(c, [cyc for cyc in cycles if cyc.vertices[0] in c.vertices])
+            _trace(c, [cyc for cyc in cycles if cyc[0] in c.vertices])
             for c in g.component_graphs())
         return _budget_check(TraceNode(g, "Components",
                                        covers.big_height(g) + len(cycles),
@@ -204,13 +204,13 @@ def theorem34_trace(g):
 def _trace(g, cycles, b=None):
     """The proof step at g, a connected cactus with no isolated vertex.
 
-    `cycles` are g's cycles in `graphs.cycles` order, handed down by the
-    step above: an opened graph drops the opened cycle, G2 keeps the cycles
-    inside it, G1 and G'1 keep the rest, and G2bar keeps those of G2 that
-    avoid x.  A split step also hands each part its big height b, from its
-    DP pass.  When b is not handed down, g's own step finds it: a split
-    from its rooted pass, any other step from `covers.big_height`; so no
-    graph gets two passes.  Degrees and terminal edges are read off
+    `cycles` are g's cycles, vertex tuples in `graphs.cycles` order, handed
+    down by the step above: an opened graph drops the opened cycle, G2 keeps
+    the cycles inside it, G1 and G'1 keep the rest, and G2bar keeps those of
+    G2 that avoid x.  A split step also hands each part its big height b,
+    from its DP pass.  When b is not handed down, g's own step finds it: a
+    split from its rooted pass, any other step from `covers.big_height`; so
+    no graph gets two passes.  Degrees and terminal edges are read off
     `g.masks`.  Every inequality is still checked on exact cover numbers."""
     if len(g.edges) == 1:   # bight 1, no cycle
         return TraceNode(g, "Base-SingleEdge", 1)
@@ -220,7 +220,7 @@ def _trace(g, cycles, b=None):
     # the child's own step finds it.
     two = {v for v, m in zip(g.vertices, g.masks) if m.bit_count() == 2}
     for cycle in cycles:
-        v = min(two.intersection(cycle.vertices), default=None)
+        v = min(two.intersection(cycle), default=None)
         if v is not None:
             if b is None:
                 b = covers.big_height(g)
@@ -282,8 +282,8 @@ def _split(g, xi, b, cycles):
     g2 = part(mask2 | xbit, frozenset(e for e in g.edges
                                       if e[0] in in_g2 and e[1] in in_g2))
     g1 = part(full & ~mask2, g.edges - g2.edges)
-    cycles1 = [c for c in cycles if not in_g2.issuperset(c.vertices)]
-    cycles2 = [c for c in cycles if in_g2.issuperset(c.vertices)]
+    cycles1 = [c for c in cycles if not in_g2.issuperset(c)]
+    cycles2 = [c for c in cycles if in_g2.issuperset(c)]
     ys = [vs[j] for j in _bits(g.masks[xi] & mask2)]
     detail = {"x": x, "g2_vertices": in_g2,
               "branch_kind": "2-branch" if two_branch else "1-branch"}
@@ -298,7 +298,7 @@ def _split(g, xi, b, cycles):
         b2bar = covers._without_root(g2_branch)[1]
         numbers["b1_prime"] = b1p
         numbers["b2_bar"] = b2bar
-        cycles2bar = [c for c in cycles2 if x not in c.vertices]
+        cycles2bar = [c for c in cycles2 if x not in c]
         if two_branch:
             _check(b1p <= b1 + 1, "2-branch: b1' <= b1 + 1 fails", **numbers)
             _check(len(cycles2bar) == len(cycles2) - 1,

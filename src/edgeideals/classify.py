@@ -3,9 +3,11 @@
 Covers the unicyclic characterization (five structural cases), the chordal /
 no-C4-C5 equivalence, the girth-at-least-6 characterization, and a dispatcher
 that returns the strongest applicable verdict with its citation tag.  The
-structural recognizers it applies (cactus, cycles, chordality, whisker
-graphs and trees, the short-cycle screen) live in `graphs`; the case
-matchers here (`_match_case`, `_prop42_tail`) combine them.
+structural recognizers it applies (cactus, cycles as vertex tuples,
+chordality, simplexes, whisker graphs and trees, the short-cycle screen)
+live in `graphs`; the case matchers here (`_match_case`, `_prop42_tail`)
+combine them.  Cor 4.4's simplexes are the closed neighbourhoods of the
+simplicial vertices, so its partition test enumerates no cliques.
 """
 
 from __future__ import annotations
@@ -56,12 +58,11 @@ def _whisker_trees_and_edges(h):
                for comp in h.drop_isolated().component_graphs())
 
 
-def _case5_split(g, cycle):
+def _case5_split(g, walk):
     """Match the length-4 case: two adjacent cycle vertices of degree 2; the
     graphs attached to the other two, joined across their cycle edge, form a
     whisker tree.  Returns evidence or None."""
-    walk = cycle.vertices
-    off_cycle = g.without_edges(cycle.edge_list())
+    off_cycle = g.without_edges(graphs.cycle_graph(walk).edges)
     comps = off_cycle.components()
     for i in range(4):
         x3, x4 = walk[i], walk[(i + 1) % 4]
@@ -85,12 +86,12 @@ def _match_case(g, cycle):
     into; returns (tag, evidence) or None.  The structural descriptions are
     faithful only under unmixedness (e.g. a triangle with a single whisker
     fits the wording of case 3 but is mixed, hence not Cohen-Macaulay)."""
-    ell = cycle.length
-    on_cycle = set(cycle.vertices)
+    ell = len(cycle)
+    on_cycle = set(cycle)
     rest = g.induced(set(g.vertices) - on_cycle)
 
     if set(g.vertices) == on_cycle and ell in (3, 5):
-        return "Thm 5.1 case 1", {"cycle": cycle.vertices}
+        return "Thm 5.1 case 1", {"cycle": cycle}
 
     ok, dec = graphs.is_whisker_graph(g)
     if ok:
@@ -98,15 +99,14 @@ def _match_case(g, cycle):
 
     if ell == 3 and any(g.degree(v) == 2 for v in on_cycle) \
             and _whisker_trees_and_edges(rest):
-        return "Thm 5.1 case 3", {"cycle": cycle.vertices}
+        return "Thm 5.1 case 3", {"cycle": cycle}
 
     if ell == 5 and _whisker_trees_and_edges(rest):
-        walk = cycle.vertices
         adjacent_high = any(
-            g.degree(walk[i]) > 2 and g.degree(walk[(i + 1) % 5]) > 2
+            g.degree(cycle[i]) > 2 and g.degree(cycle[(i + 1) % 5]) > 2
             for i in range(5))
         if not adjacent_high:
-            return "Thm 5.1 case 4", {"cycle": cycle.vertices}
+            return "Thm 5.1 case 4", {"cycle": cycle}
 
     if ell == 4:
         evidence = _case5_split(g, cycle)
@@ -127,14 +127,14 @@ def classify_unicyclic(g):
     if len(cycle_list) != 1:
         raise GraphError("graph must have exactly one cycle")
     (cycle,) = cycle_list
-    ell = cycle.length
+    ell = len(cycle)
 
     h, bh = covers.height(g), covers.big_height(g)
     if h != bh:
         return CmVerdict(NOT_CM, case_tag="Thm 5.1",
                          evidence={"cycle_length": ell,
                                    "height": h, "big_height": bh})
-    if set(g.vertices) == set(cycle.vertices) and ell in (4, 7):
+    if set(g.vertices) == set(cycle) and ell in (4, 7):
         return CmVerdict(NOT_CM, case_tag="Thm 5.1",
                          evidence={"cycle_length": ell,
                                    "excluded_cycle": True})
@@ -205,7 +205,7 @@ def _prop42_tail(g):
     interiors = {}   # root -> frozenset of attachment-interior vertices
     kinds = {}
     for cyc in graphs.cycles(g):
-        contacts = [v for v in cyc.vertices if degree[v] > 2]
+        contacts = [v for v in cyc if degree[v] > 2]
         if len(contacts) != 1:
             # A cycle touching the rest of the graph in several vertices
             # belongs to the base (every one of its vertices must then
@@ -214,8 +214,8 @@ def _prop42_tail(g):
         root = contacts[0]
         if root in interiors:
             return None
-        interiors[root] = frozenset(cyc.vertices) - {root}
-        kinds[root] = cyc.length
+        interiors[root] = frozenset(cyc) - {root}
+        kinds[root] = len(cyc)
     for u, v in g.terminal_edges():
         tip, root = (u, v) if degree[u] == 1 else (v, u)
         if root in interiors or degree[root] == 1:

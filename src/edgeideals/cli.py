@@ -48,7 +48,7 @@ def cmd_analyze(args):
         "terminal_edges": [list(e) for e in sorted(g.terminal_edges())],
     }
     if cactus:
-        report["cycles"] = [list(c.vertices) for c in graphs.cycles(g)]
+        report["cycles"] = [list(c) for c in graphs.cycles(g)]
     _emit(report)
     return 0
 

@@ -12,21 +12,24 @@ adjacency built from the edge set (`Graph.adj` is read off it), and
 `_components` is the one component walk: components, connectivity and
 the Hochster split in `homology` run it.  One DFS-forest walk
 (`_cactus_dfs`) decides the cactus property: its cycle list
-(`Graph._cactus_cycles`, cached like `masks`) answers the cycles and, on a
-cactus, chordality and the cycle screen, and the cover DP in `covers` runs
-over its post-order.  Rooted at a vertex x, the DFS subtrees of x are the
-branches at x, which the trace's split pass reads off that DP.  On other
-graphs maximum cardinality search decides chordality and one DFS over
-simple paths (`_cycles`) answers the cycle screen; and one pivoting
-Bron-Kerbosch (`bron_kerbosch`), which returns int masks, enumerates
-maximal cliques here and maximal independent sets in `covers`;
-`maximal_cliques` turns the masks into sorted frozensets.
+(`Graph._cactus_cycles`, cached like `masks`) answers the cycles, each a
+canonical tuple of vertex labels, and, on a cactus, chordality and the
+cycle screen, and the cover DP in `covers` runs over its post-order.
+Rooted at a vertex x, the DFS subtrees of x are the branches at x, which
+the trace's split pass reads off that DP.  On other graphs maximum
+cardinality search decides chordality and one DFS over simple paths
+(`_cycles`) answers the cycle screen.  One pivoting Bron-Kerbosch
+(`bron_kerbosch`), which returns int masks, enumerates maximal cliques
+for `maximal_cliques`, which turns the masks into sorted frozensets, and
+maximal independent sets for `covers`.  The simplexes are read off the
+masks with no enumeration: each is the closed neighbourhood of a
+simplicial vertex.
 
-`Graph` and `Cycle`, like every record of the package, subclass a
-`collections.namedtuple` base: an immutable value checked in `__new__`,
-whose hash and equality are those of its field tuple, so sets and
-dicts of records keep one layout and order for a given hash seed.
-`Graph` keeps an instance `__dict__` for its cached properties, as
+`Graph` is the one record here.  Like every record of the package, it
+subclasses a `collections.namedtuple` base: an immutable value checked
+in `__new__`, whose hash and equality are those of its field tuple, so
+sets and dicts of records keep one layout and order for a given hash
+seed.  It keeps an instance `__dict__` for its cached properties, as
 `covers.CoverStats` does, and refuses every attribute assignment.
 This module imports no other module of the package.
 """
@@ -131,7 +134,8 @@ class Graph(namedtuple("Graph", "vertices edges")):
     Immutable value, rejected unless in that canonical form; all edit
     operations return new graphs.  Isolated vertices are permitted.
     `Graph(...)` checks only the canonical form: labels are checked where
-    they enter, in `build`, `parse_edge_list` and `with_edges`.
+    they enter, in `build` and `parse_edge_list`, and `with_edges` goes
+    through `build`.
     """
 
     def __new__(cls, vertices=(), edges=frozenset()):
@@ -239,13 +243,7 @@ class Graph(namedtuple("Graph", "vertices edges")):
     # -- derived graphs ------------------------------------------------
 
     def with_edges(self, new_edges):
-        es = set(self.edges)
-        for u, v in new_edges:
-            _check_label(u)
-            _check_label(v)
-            es.add(edge(u, v))
-        vs = set(self.vertices) | {w for e in es for w in e}
-        return Graph(tuple(sorted(vs)), frozenset(es))
+        return Graph.build([*self.edges, *new_edges], self.vertices)
 
     def without_edges(self, dropped):
         drop = {edge(u, v) for u, v in dropped}
@@ -298,25 +296,6 @@ class Graph(namedtuple("Graph", "vertices edges")):
                            isolated=(mapping[v] for v in self.vertices))
 
 
-class Cycle(namedtuple("Cycle", "vertices")):
-    """A cycle as a canonical cyclic vertex sequence (length >= 3)."""
-
-    __slots__ = ()
-
-    def __new__(cls, vertices):
-        if len(vertices) < 3 or len(set(vertices)) != len(vertices):
-            raise GraphError("not a valid cycle: %r" % (vertices,))
-        return tuple.__new__(cls, (vertices,))
-
-    @property
-    def length(self):
-        return len(self.vertices)
-
-    def edge_list(self):
-        vs = self.vertices
-        return [edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
-
-
 # -- the cactus property ----------------------------------------------
 
 
@@ -326,11 +305,11 @@ def is_cactus(g):
 
 
 def cycles(g):
-    """The cycles of a cactus, as Cycle values.  Errors on non-cacti."""
+    """The cycles of a cactus, each as its canonical label tuple: the least
+    vertex first, then its lesser neighbour.  Errors on non-cacti."""
     if g._cactus_cycles is None:
         raise GraphError("graph is not a cactus")
-    return [Cycle(tuple(map(g.vertices.__getitem__, c)))
-            for c in g._cactus_cycles]
+    return [tuple(map(g.vertices.__getitem__, c)) for c in g._cactus_cycles]
 
 
 def cycle_count(g):
@@ -488,9 +467,12 @@ def simplicial_vertices(g):
 
 
 def simplexes(g):
-    """Maximal cliques containing at least one simplicial vertex."""
-    simp = simplicial_vertices(g)
-    return [c for c in maximal_cliques(g) if c & simp]
+    """Maximal cliques containing at least one simplicial vertex, sorted as
+    `maximal_cliques` sorts: each is the closed neighbourhood of its
+    simplicial vertices, so none is enumerated."""
+    masks = g.masks
+    return _vertex_sets(g.vertices, {m | 1 << i for i, m in enumerate(masks)
+                                     if _is_clique(masks, m)})
 
 
 def is_chordal(g):

@@ -91,7 +91,7 @@ def girth_at_least_6_upto(max_vertices):
     out = list(trees_upto(max_vertices))
     for g in unicyclic_upto(max_vertices):
         (cyc,) = cycles(g)
-        if cyc.length >= 6:
+        if len(cyc) >= 6:
             out.append(g)
     if max_vertices >= 8:
         edges = []

@@ -1,8 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own fast paths: minimal
-covers, maximal cliques and short cycles are re-derived by brute-force subset
-enumeration over labels, so agreement with the bitmask kernels (Bron-Kerbosch
+covers, maximal cliques, simplexes and short cycles are re-derived by
+brute-force subset enumeration over labels, so agreement with the bitmask kernels (Bron-Kerbosch
 and the cycle DFS) is a genuine cross-check.  The cactus, chordality and
 branch oracles go through networkx (biconnected blocks, `nx.is_chordal`,
 the components of g - x), and the whisker-tree oracle checks the degree
@@ -26,9 +26,8 @@ from edgeideals.constructions import sv_layer_search
 from edgeideals.covers import (DEFAULT_VERTEX_LIMIT, CoverSizeError,
                                MinimalCover, big_height, cover_stats,
                                vertex_in_every_maximum_cover)
-from edgeideals.graphs import (WHISKER, Cycle, Graph, GraphError, _bits,
-                               _vertex_sets, build_attached_graph, edge,
-                               parse_edge_list)
+from edgeideals.graphs import (WHISKER, Graph, GraphError, _bits, _vertex_sets,
+                               build_attached_graph, edge, parse_edge_list)
 from edgeideals.polynomials import Monomial, Polynomial
 
 
@@ -80,6 +79,15 @@ def brute_force_maximal_cliques(g):
                   key=sorted)
 
 
+def simplex_oracle(g):
+    """The members of `brute_force_maximal_cliques` that hold a vertex
+    whose neighbours are pairwise adjacent, in that order."""
+    simplicial = {v for v in g.vertices
+                  if all(g.has_edge(a, b)
+                         for a, b in itertools.combinations(g.adj[v], 2))}
+    return [c for c in brute_force_maximal_cliques(g) if c & simplicial]
+
+
 def maximal_independent_sets(g):
     """The library's maximal independent sets of the non-isolated part of g
     (the masks `cover_stats` keeps), as sorted vertex sets."""
@@ -100,9 +108,9 @@ def cycle_subgraph_oracle(g, length):
 
 
 def cycle_from_vertex_set(g, vset):
-    """The canonical Cycle through exactly the vertices of vset, which must
-    induce a single cycle of g: start at the least vertex and step first to
-    its lesser neighbour."""
+    """The canonical cycle tuple through exactly the vertices of vset, which
+    must induce a single cycle of g: start at the least vertex and step
+    first to its lesser neighbour."""
     start = min(vset)
     walk = [start, min(g.adj[start] & vset)]
     while True:
@@ -111,12 +119,12 @@ def cycle_from_vertex_set(g, vset):
             break
         walk.append(v)
     assert len(walk) == len(vset), "vertex set does not induce one cycle"
-    return Cycle(tuple(walk))
+    return tuple(walk)
 
 
 def induced_cycles_oracle(g, k):
     """Induced cycles of length < k: every vertex set whose induced subgraph
-    is connected and 2-regular, as a canonical Cycle."""
+    is connected and 2-regular, as a canonical cycle tuple."""
     out = []
     for size in range(3, min(k, len(g.vertices) + 1)):
         for vs in itertools.combinations(g.non_isolated, size):
@@ -124,7 +132,7 @@ def induced_cycles_oracle(g, k):
             if (all(sub.degree(v) == 2 for v in vs)
                     and sub.is_connected()):
                 out.append(cycle_from_vertex_set(g, frozenset(vs)))
-    return sorted(out, key=lambda c: c.vertices)
+    return sorted(out)
 
 
 def to_networkx(g):
@@ -149,15 +157,14 @@ def branch_oracle(g, x):
 def cactus_oracle(g):
     """(is_cactus, cycles) from networkx's biconnected blocks: g is a cactus
     when every block is a bridge or a cycle (as many edges as vertices), and
-    its cycles are then the cycle blocks, as canonical Cycles; None for a
-    non-cactus."""
+    its cycles are then the cycle blocks, as canonical cycle tuples; None
+    for a non-cactus."""
     blocks = [(len(b), frozenset(w for e in b for w in e))
               for b in nx.biconnected_component_edges(to_networkx(g))]
     if any(size > 1 and size != len(vs) for size, vs in blocks):
         return False, None
-    return True, sorted((cycle_from_vertex_set(g, vs)
-                         for size, vs in blocks if size > 1),
-                        key=lambda c: c.vertices)
+    return True, sorted(cycle_from_vertex_set(g, vs)
+                        for size, vs in blocks if size > 1)
 
 
 def chordal_oracle(g):

@@ -463,10 +463,10 @@ def test_open_cycle_matches_the_edge_edit():
     opened = 0
     for g in TRACE_CORPUS[:80] + TRACE_CORPUS[-10:]:
         for cyc in graphs.cycles(g):
-            for v in cyc.vertices:
+            for v in cyc:
                 if g.degree(v) != 2:
                     continue
-                xs = min(w for w in g.neighbors(v) if w in cyc.vertices)
+                xs = min(w for w in g.neighbors(v) if w in cyc)
                 y = v + "'"
                 while y in g.vertices:
                     y += "'"

@@ -12,7 +12,9 @@ from edgeideals.classify import CM, NOT_CM, UNKNOWN, HypothesisError
 from edgeideals.graphs import Graph, GraphError, parse_edge_list
 
 import catalog
-from conftest import BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, cycle, path_graph
+from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3,
+                      brute_force_minimal_covers, cycle, path_graph,
+                      simplex_oracle)
 
 
 def test_is_whisker_tree():
@@ -35,6 +37,29 @@ def test_simplex_partition():
     assert not ok
     ok, part = classify.simplex_partition_check(TRIANGLE)
     assert ok and part == [frozenset({"a", "b", "c"})]
+
+
+def test_simplex_partition_enumerates_no_cliques(monkeypatch):
+    chordal = [g for g in catalog.connected_graphs_upto(7)
+               if graphs.is_chordal(g)]
+
+    def refuse(*args):
+        raise AssertionError("the simplex partition enumerated cliques")
+
+    monkeypatch.setattr(graphs, "bron_kerbosch", refuse)
+    answers = set()
+    for g in chordal:
+        simplexes = simplex_oracle(g)
+        assert graphs.simplexes(g) == simplexes
+        ok, partition = classify.simplex_partition_check(g)
+        assert ok == all(sum(v in s for s in simplexes) == 1
+                         for v in g.vertices)
+        assert partition == (sorted(simplexes, key=sorted) if ok else None)
+        # Cor 4.4: on a chordal graph the partition holds iff g is unmixed
+        sizes = {len(c) for c in brute_force_minimal_covers(g)}
+        assert ok == (len(sizes) == 1)
+        answers.add(ok)
+    assert answers == {True, False}
 
 
 def test_unicyclic_case1():

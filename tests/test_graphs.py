@@ -16,7 +16,7 @@ from conftest import (BOWTIE, TRIANGLE, WHISKER_P3, branch_oracle,
                       brute_force_maximal_cliques, cactus_oracle,
                       chordal_oracle, cycle, cycle_subgraph_oracle,
                       format_edge_list, induced_cycles_oracle, path_graph,
-                      to_networkx, whisker_tree_oracle)
+                      simplex_oracle, to_networkx, whisker_tree_oracle)
 
 
 def test_build_canonicalizes_edges():
@@ -124,18 +124,21 @@ def test_cactus_recognition():
 def test_cycles_and_cycle_count():
     assert graphs.cycle_count(BOWTIE) == 2
     cyc = graphs.cycles(BOWTIE)
-    assert [c.length for c in cyc] == [3, 3]
+    assert [len(c) for c in cyc] == [3, 3]
     assert graphs.cycle_count(path_graph(4)) == 0
-    assert graphs.cycles(cycle(6))[0].length == 6
+    assert len(graphs.cycles(cycle(6))[0]) == 6
     with pytest.raises(GraphError):
         graphs.cycles(Graph.build([("a", "b"), ("b", "c"), ("c", "a"),
                                    ("b", "d"), ("d", "c")]))
 
 
+def test_cycles_are_plain_label_tuples():
+    assert type(graphs.cycles(BOWTIE)[0]) is tuple
+
+
 def test_cycle_edge_list_closes_the_walk():
     (cyc,) = graphs.cycles(cycle(5))
-    assert len(cyc.edge_list()) == 5
-    assert set(cyc.edge_list()) == cycle(5).edges
+    assert graphs.cycle_graph(cyc).edges == cycle(5).edges
 
 
 def test_cactus_pass_is_kept_on_the_graph():
@@ -149,8 +152,7 @@ def test_cactus_pass_is_kept_on_the_graph():
     assert graphs.cycle_count(g) == 2
     assert graphs.is_chordal(g)   # reads the kept cycles: two triangles
     assert vars(g)["_cactus_cycles"] is kept
-    assert [c.vertices for c in graphs.cycles(g)] == [("a", "b", "c"),
-                                                      ("c", "d", "e")]
+    assert graphs.cycles(g) == [("a", "b", "c"), ("c", "d", "e")]
 
 
 def _branch_records(g, x):
@@ -177,6 +179,24 @@ def test_maximal_cliques_and_simplexes():
     assert graphs.simplicial_vertices(TRIANGLE) == frozenset("abc")
     assert graphs.simplexes(BOWTIE) == [frozenset({"a", "b", "c"}),
                                         frozenset({"c", "d", "e"})]
+
+
+def test_simplexes_are_read_off_the_simplicial_vertices(monkeypatch):
+    # the closed neighbourhood of a simplicial vertex is the one maximal
+    # clique holding it, so no clique is enumerated
+    def refuse(*args):
+        raise AssertionError("simplexes enumerated cliques")
+
+    monkeypatch.setattr(graphs, "bron_kerbosch", refuse)
+    monkeypatch.setattr(graphs, "maximal_cliques", refuse)
+    triangle_z = parse_edge_list("a b\nb c\nc a\nz")
+    corpus = [*catalog.connected_graphs_upto(7),
+              *catalog.random_cacti(seed=29, count=40, max_vertices=10),
+              triangle_z, Graph.build(isolated="abc"), Graph()]
+    for g in corpus:
+        assert graphs.simplexes(g) == simplex_oracle(g)
+    assert graphs.simplexes(triangle_z) == [frozenset("abc"), frozenset("z")]
+    assert graphs.simplexes(Graph()) == []
 
 
 def test_chordality():

@@ -11,14 +11,14 @@ import pickle
 import pytest
 
 import edgeideals
-from edgeideals import bounds, covers, graphs
+from edgeideals import bounds, covers
 from edgeideals.bounds import BoundReport, TraceNode
 from edgeideals.certificates import (Certificate, GeneratorSet, LinearStep,
                                      PowerStep, SVStep, Verdict, step_to_data,
                                      verify_certificate)
 from edgeideals.classify import CM, NOT_CM, CmVerdict
 from edgeideals.covers import CoverStats, MinimalCover
-from edgeideals.graphs import Cycle, Graph, GraphError
+from edgeideals.graphs import Graph, GraphError
 from edgeideals.homology import BettiTable
 from edgeideals.polynomials import ONE, Monomial, Polynomial
 
@@ -31,11 +31,10 @@ BC = Monomial.of("b", "c")
 
 
 def _hashable_records():
-    """One instance of each of the 13 records without a dict field."""
+    """One instance of each of the 12 records without a dict field."""
     stats = covers.cover_stats(BOWTIE)
     return [
         TRIANGLE,
-        graphs.cycles(TRIANGLE)[0],
         stats.all_covers[0],
         stats,
         bounds.theorem34_bound(BOWTIE),
@@ -53,7 +52,7 @@ def _hashable_records():
 def test_every_record_is_a_namedtuple_subclass():
     records = _hashable_records() + [
         TraceNode(TRIANGLE, "t", 0), CmVerdict(CM), BettiTable()]
-    assert len({type(r) for r in records}) == 16
+    assert len({type(r) for r in records}) == 15
     for r in records:
         assert isinstance(r, tuple) and r._fields, type(r).__name__
 
@@ -88,10 +87,6 @@ def test_defaults_and_keywords():
 
 
 def test_validation_runs_in_new():
-    with pytest.raises(GraphError):
-        Cycle(("a", "b"))
-    with pytest.raises(GraphError):
-        Cycle(("a", "b", "a"))
     with pytest.raises(GraphError):
         Graph(("b", "a"))
     with pytest.raises(GraphError):
