@@ -6,8 +6,12 @@ that returns the strongest applicable verdict with its citation tag.  The
 structural recognizers it applies (cactus, cycles as vertex tuples,
 chordality, simplexes, whisker graphs and trees, the short-cycle screen)
 live in `graphs`; the case matchers here (`_match_case`, `_prop42_tail`)
-combine them.  Cor 4.4's simplexes are the closed neighbourhoods of the
-simplicial vertices, so its partition test enumerates no cliques.
+combine them on `Graph.masks` and the cactus pass.  Cases 3 and 4 ask the
+whisker kernel `graphs._whisker_base` about the graph minus its cycle, and
+the Prop 4.2 tail reads its attachments off the degrees and the cycles,
+building only the base graph it returns.  Cor 4.4's simplexes are the
+closed neighbourhoods of the simplicial vertices, so its partition test
+enumerates no cliques.
 """
 
 from __future__ import annotations
@@ -46,16 +50,8 @@ def simplex_partition_check(g):
         for v in s:
             count[v] += 1
     if all(c == 1 for c in count.values()):
-        return True, sorted(simplexes, key=sorted)
+        return True, simplexes
     return False, None
-
-
-def _whisker_trees_and_edges(h):
-    """Every component of h is a whisker tree or a single edge.  Isolated
-    vertices are permitted: in context they are cycle whiskers, not
-    components of their own."""
-    return all(len(comp.edges) == 1 or graphs.is_whisker_tree(comp)
-               for comp in h.drop_isolated().component_graphs())
 
 
 def _case5_split(g, walk):
@@ -87,25 +83,27 @@ def _match_case(g, cycle):
     faithful only under unmixedness (e.g. a triangle with a single whisker
     fits the wording of case 3 but is mixed, hence not Cohen-Macaulay)."""
     ell = len(cycle)
-    on_cycle = set(cycle)
-    rest = g.induced(set(g.vertices) - on_cycle)
+    masks = g.masks
+    (ring_walk,) = g._cactus_cycles
+    ring = sum(1 << i for i in ring_walk)
+    degree = [masks[i].bit_count() for i in ring_walk]
 
-    if set(g.vertices) == on_cycle and ell in (3, 5):
+    if len(masks) == ell and ell in (3, 5):
         return "Thm 5.1 case 1", {"cycle": cycle}
 
     ok, dec = graphs.is_whisker_graph(g)
     if ok:
         return "Thm 5.1 case 2", {"base": dec}
 
-    if ell == 3 and any(g.degree(v) == 2 for v in on_cycle) \
-            and _whisker_trees_and_edges(rest):
-        return "Thm 5.1 case 3", {"cycle": cycle}
-
-    if ell == 5 and _whisker_trees_and_edges(rest):
-        adjacent_high = any(
-            g.degree(cycle[i]) > 2 and g.degree(cycle[(i + 1) % 5]) > 2
-            for i in range(5))
-        if not adjacent_high:
+    # g minus its cycle is a forest, so the kernel decides whether each of
+    # its components is a whisker tree or a single edge
+    if ell in (3, 5) and graphs._whisker_base(
+            [0 if ring >> i & 1 else m & ~ring
+             for i, m in enumerate(masks)]) is not None:
+        if ell == 3 and 2 in degree:
+            return "Thm 5.1 case 3", {"cycle": cycle}
+        if ell == 5 and not any(degree[i] > 2 and degree[i - 1] > 2
+                                for i in range(5)):
             return "Thm 5.1 case 4", {"cycle": cycle}
 
     if ell == 4:
@@ -198,47 +196,40 @@ def corollary61(g):
 def _prop42_tail(g):
     """Recognize g as a base graph with a whisker or a 3-/5-cycle attached to
     every base vertex (in which case the edge ideal is a set-theoretic
-    complete intersection).  Returns (base, attachments) or None."""
-    if not graphs.is_cactus(g) or not g.edges:
+    complete intersection).  Returns (base, attachments) or None.
+
+    An attached cycle has exactly one vertex of degree above 2, its root; a
+    whisker tip has degree 1 and its neighbour as root.  Each other vertex
+    of an attachment has degree 1, or 2 with both edges on its cycle, so the
+    attachments are disjoint and hold every edge off the base."""
+    cycles = g._cactus_cycles
+    if cycles is None or not g.edges:
         return None
-    degree = {v: m.bit_count() for v, m in zip(g.vertices, g.masks)}
-    interiors = {}   # root -> frozenset of attachment-interior vertices
-    kinds = {}
-    for cyc in graphs.cycles(g):
-        contacts = [v for v in cyc if degree[v] > 2]
-        if len(contacts) != 1:
-            # A cycle touching the rest of the graph in several vertices
-            # belongs to the base (every one of its vertices must then
-            # carry an attachment of its own).
+    degree = [m.bit_count() for m in g.masks]
+    held, kinds = 0, {}   # kinds: root index -> WHISKER or cycle length
+    for cyc in cycles:
+        roots = [i for i in cyc if degree[i] > 2]
+        if len(roots) != 1:   # a cycle of the base
             continue
-        root = contacts[0]
-        if root in interiors:
+        (root,) = roots
+        if root in kinds:
             return None
-        interiors[root] = frozenset(cyc) - {root}
         kinds[root] = len(cyc)
-    for u, v in g.terminal_edges():
-        tip, root = (u, v) if degree[u] == 1 else (v, u)
-        if root in interiors or degree[root] == 1:
-            return None
-        interiors[root] = frozenset([tip])
-        kinds[root] = WHISKER
-    interior_all = set()
-    for s in interiors.values():
-        if s & interior_all:
-            return None
-        interior_all |= s
-    base_vs = set(g.vertices) - interior_all
-    if base_vs != set(interiors):
+        held |= sum(1 << i for i in cyc if i != root)
+    for tip, m in enumerate(g.masks):
+        if degree[tip] == 1:
+            root = m.bit_length() - 1
+            if root in kinds:
+                return None
+            kinds[root] = WHISKER
+            held |= 1 << tip
+    # the base, what no attachment holds, must be exactly the roots
+    if ((1 << len(degree)) - 1) & ~held != sum(1 << r for r in kinds) \
+            or any(k not in (WHISKER, 3, 5) for k in kinds.values()):
         return None
-    base = g.induced(base_vs)
-    # Reconstruct and compare: interiors may not carry extra edges.
-    expected = len(base.edges) + sum(
-        1 if kinds[r] == WHISKER else kinds[r] for r in kinds)
-    if len(g.edges) != expected:
-        return None
-    if any(ell not in (WHISKER, 3, 5) for ell in kinds.values()):
-        return None
-    return base, kinds
+    vs = g.vertices
+    return (g.induced(vs[r] for r in sorted(kinds)),
+            {vs[r]: kinds[r] for r in sorted(kinds)})
 
 
 def stci_verdict(g):

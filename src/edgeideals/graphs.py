@@ -23,7 +23,8 @@ cardinality search decides chordality and one DFS over simple paths
 for `maximal_cliques`, which turns the masks into sorted frozensets, and
 maximal independent sets for `covers`.  The simplexes are read off the
 masks with no enumeration: each is the closed neighbourhood of a
-simplicial vertex.
+simplicial vertex.  One whisker kernel (`_whisker_base`) answers the
+whisker graphs and trees, and the forest test of `classify`'s matchers.
 
 `Graph` is the one record here.  Like every record of the package, it
 subclasses a `collections.namedtuple` base: an immutable value checked
@@ -331,6 +332,16 @@ def _on_terminal_edges(masks):
     return out
 
 
+def _whisker_base(masks):
+    """The whisker kernel: the vertices of degree at least 2, as indices,
+    when each has exactly one neighbour of degree 1, else None.  On a forest:
+    whether every component with an edge is a whisker tree or an edge."""
+    leaves = sum(1 << i for i, m in enumerate(masks) if m.bit_count() == 1)
+    base = [i for i, m in enumerate(masks) if m.bit_count() > 1]
+    ok = all((masks[i] & leaves).bit_count() == 1 for i in base)
+    return base if ok else None
+
+
 def is_whisker_graph(g):
     """Whether g is a base graph with exactly one pendant edge attached to
     each base vertex; returns (bool, base graph or None).
@@ -340,20 +351,17 @@ def is_whisker_graph(g):
     would be empty).  Distinct base vertices have distinct pendants, so
     the pendants are all the other vertices iff there are as many.
     """
-    masks = g.masks
-    leaves = sum(1 << i for i, m in enumerate(masks) if m.bit_count() == 1)
-    base = [i for i, m in enumerate(masks) if m.bit_count() > 1]
-    if base and 2 * len(base) == len(masks) and all(
-            (masks[i] & leaves).bit_count() == 1 for i in base):
+    base = _whisker_base(g.masks)
+    if base and 2 * len(base) == len(g.vertices):
         return True, g.induced(map(g.vertices.__getitem__, base))
     return False, None
 
 
 def is_whisker_tree(g):
-    """Whether g is the whisker graph of a tree: a tree and a whisker graph
-    (connected with fewer edges than vertices: a tree)."""
-    return (is_whisker_graph(g)[0] and g.is_connected()
-            and len(g.edges) < len(g.vertices))
+    """Whether g is the whisker graph of a tree: connected with fewer edges
+    than vertices (a tree), with a nonempty whisker base."""
+    return (len(g.edges) < len(g.vertices) and g.is_connected()
+            and bool(_whisker_base(g.masks)))
 
 
 # -- cycles and attachments ------------------------------------------

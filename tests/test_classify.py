@@ -3,7 +3,11 @@ the two corollary equivalences, and the dispatcher."""
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +159,64 @@ def test_stci_verdict_prop42_tail():
     g, _ = graphs.build_attached_graph(base, {"a": 5, "b": 5, "c": 5})
     v = classify.stci_verdict(g)
     assert (v.status, v.stci, v.case_tag) == (CM, "Yes", "Prop 4.2 tail")
+
+
+def _twins(g, root, kind):
+    """Graphs that miss Prop 4.2's shape by one attachment or component:
+    two more whiskers on a root, a whisker beside a root's cycle (or a
+    triangle beside its whisker), an isolated vertex and a K2 component."""
+    other = (g.with_edges([(root, root + "_t1"), (root + "_t1", root + "_t2"),
+                           (root + "_t2", root)]) if kind == graphs.WHISKER
+             else g.with_edges([(root, root + "_x")]))
+    return [g.with_edges([(root, root + "_x"), (root, root + "_y")]), other,
+            Graph.build(g.edges, g.vertices + ("zz",)),
+            g.with_edges([("zz_a", "zz_b")])]
+
+
+def test_prop42_tail_round_trip():
+    # Every base with an edge gets seeded attachments; the tail reads back
+    # exactly (base, attachments) when Prop 4.2 covers the built graph.
+    rng = random.Random(42)
+    kinds = (graphs.WHISKER, 3, 4, 5, 6)
+    found = 0
+    for base in [b for b in catalog.connected_graphs_upto(5) if b.edges]:
+        for _ in range(8):
+            attachments = {v: rng.choice(kinds) for v in base.vertices}
+            g, _ = graphs.build_attached_graph(base, attachments)
+            expected = None
+            if graphs.is_cactus(g) and all(k in (graphs.WHISKER, 3, 5)
+                                           for k in attachments.values()):
+                expected = (base, attachments)
+                found += 1
+            assert classify._prop42_tail(g) == expected
+            root = rng.choice(base.vertices)
+            for twin in _twins(g, root, attachments[root]):
+                assert classify._prop42_tail(twin) is None
+    assert found > 15
+
+
+# the base a b / b c / c d / d a / d e, a triangle at c, whiskers elsewhere
+_TAIL_GRAPH = ("a b\nb c\nc d\nd a\nd e\nc c2\nc2 c3\nc3 c\n"
+               "a aw\nb bw\nd dw\ne ew\n")
+
+
+def test_prop42_tail_does_not_depend_on_the_hash_seed():
+    src = Path(classify.__file__).resolve().parents[1]
+    script = ("import json, sys\n"
+              "from edgeideals import classify, graphs\n"
+              "g = graphs.parse_edge_list(sys.argv[1])\n"
+              "v = classify.stci_verdict(g)\n"
+              "roots = list(v.evidence['attachments'])\n"
+              "print(json.dumps([v.case_tag, roots]))")
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", script, _TAIL_GRAPH],
+                             capture_output=True, text=True, check=True,
+                             env=env).stdout
+        assert json.loads(out) == ["Prop 4.2 tail",
+                                   ["a", "b", "c", "d", "e"]]
 
 
 def test_stci_verdict_unknown_fallthrough():

@@ -549,3 +549,57 @@ def test_whisker_tree_matches_oracle():
     assert sum(graphs.is_whisker_tree(g) for g in corpus) > 0
     for g in corpus:
         assert graphs.is_whisker_tree(g) == whisker_tree_oracle(g)
+
+
+def _random_forests(seed, count):
+    """Disjoint unions of K2s, isolated vertices, trees of at most 6
+    vertices and whisker trees over trees of at most 4 vertices."""
+    rng = random.Random(seed)
+    trees = catalog.trees_upto(6)
+    small = catalog.trees_upto(4)
+    out = []
+    for _ in range(count):
+        edges, isolated = [], []
+        for k in range(rng.randint(1, 4)):
+            pick = rng.randrange(4)
+            if pick == 0:
+                part = Graph.build([("a", "b")])
+            elif pick == 1:
+                part = Graph.build(isolated=["a"])
+            elif pick == 2:
+                part = rng.choice(trees)
+            else:
+                base = rng.choice(small)
+                part, _ = graphs.build_attached_graph(
+                    base, dict.fromkeys(base.vertices, graphs.WHISKER))
+            part = part.relabel({v: "c%d_%s" % (k, v) for v in part.vertices})
+            edges += part.edges
+            isolated += part.vertices
+        out.append(Graph.build(edges, isolated))
+    return out
+
+
+def test_whisker_base_is_the_forest_test():
+    # On a forest the kernel holds iff every component with an edge is a
+    # single edge or a whisker tree.
+    corpus = [*catalog.trees_upto(9), *_random_forests(9, 400)]
+    answers = set()
+    for g in corpus:
+        expected = all(len(h.edges) == 1 or whisker_tree_oracle(h)
+                       for h in g.component_graphs() if h.edges)
+        assert (graphs._whisker_base(g.masks) is not None) == expected
+        answers.add(expected)
+    assert answers == {True, False}
+
+
+def test_whisker_tree_builds_no_subgraph(monkeypatch):
+    corpus = [*catalog.trees_upto(9), *_random_forests(9, 400),
+              *catalog.connected_graphs_upto(6)]
+    expected = [whisker_tree_oracle(g) for g in corpus]
+
+    def refuse(*args):
+        raise AssertionError("is_whisker_tree built a subgraph")
+
+    monkeypatch.setattr(Graph, "induced", refuse)
+    assert [graphs.is_whisker_tree(g) for g in corpus] == expected
+    assert sum(expected) > 0
