@@ -253,9 +253,9 @@ def _split(g, xi, b, cycles):
     records gives the numbers of every part (`covers._joined`)."""
     x, xbit, full = g.vertices[xi], 1 << xi, (1 << len(g.vertices)) - 1
     dp = covers._cactus_numbers(g, xi)
-    if dp is None or sum(br.mask for br in dp[3]) | xbit != full:
+    if dp is None or sum(br.mask for br in dp[2]) | xbit != full:
         raise GraphError("graph is not a connected cactus")
-    _, bg, _, branches = dp
+    _, bg, branches = dp
     _check(b is None or bg == b,
            "the split pass must give the big height handed down",
            handed=b, split=bg)

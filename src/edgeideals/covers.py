@@ -16,9 +16,8 @@ Two paths give these numbers:
 - otherwise every maximal independent set is enumerated as an int mask, as
   a maximal clique of the complement (`graphs.bron_kerbosch` on complement
   bitmasks), under the size guard DEFAULT_VERTEX_LIMIT.
-`height`, `big_height` and `vertex_in_every_maximum_cover` try the first and
-fall back on the second.  `cover_stats` and `enumerate_minimal_covers`, the
-covers API behind the `covers` report, always enumerate; so does
+`height` and `big_height` try the first and fall back on the second.
+`cover_stats`, behind the `covers` report, always enumerates; so does
 `maximum_covers_avoiding`, which lists only the sets through one vertex.
 
 One memo keeps, for the _COVER_MEMO_SIZE most recently used graphs, what
@@ -27,13 +26,10 @@ was computed for each, and never changes a stored value: a
 (the same two fields and more), which `cover_stats` stores over the pair.
 Its keys are graph values, as the trace builds equal graphs anew: on the
 pinned 110-trace test corpus a per-object cache made 288 unrooted DP
-passes where value keys make 267.  `vertex_in_every_maximum_cover` is not
-memoised: a vertex lies in every maximum cover iff it is non-isolated and
-in no smallest maximal independent set, which one DP pass rooted at it
-tells on a cactus and the memoised CoverStats on any other graph.  The
-guard is checked on every enumerating call, outside the memo, and a
-CoverStats above the guard is not read, so a CoverSizeError is never
-cached.  The MinimalCover values are built only when `all_covers` is read.
+passes where value keys make 267.  The guard is checked on every
+enumerating call, outside the memo, and a CoverStats above the guard is
+not read, so a CoverSizeError is never cached.  The MinimalCover values
+are built only when `all_covers` is read.
 
 The paper's cover-union lemmas are checked where they are used:
 `bounds.theorem34_trace` re-verifies the inequalities of each proof step
@@ -135,9 +131,8 @@ def _absorb(s, t):
 
 
 def _cactus_numbers(g, x=-1):
-    """(height, big height, whether vertex index x lies in some smallest
-    maximal independent set, branches at x) of g, or None when g is not
-    a cactus.
+    """(height, big height, branches at vertex index x) of g, or None when
+    g is not a cactus.
 
     One DP over the post-order of `graphs._cactus_dfs`, rooted at x first:
     a vertex's state (see `_absorb`) holds the best sizes of the part below
@@ -195,8 +190,7 @@ def _cactus_numbers(g, x=-1):
             if p == x:
                 branches.append(_Branch(below[v], False, t, min(i, d)))
     k = len(post)
-    return (k - alpha, k - least, x >= 0 and state[x][0] <= state[x][1],
-            branches)
+    return k - alpha, k - least, branches
 
 
 def _joined(branches, leaves=0):
@@ -258,11 +252,6 @@ def _maximal_independent(masks, drop=0):
     return bron_kerbosch([w & ~m & ~(1 << i) for i, m in enumerate(masks)], w)
 
 
-def _independent_masks(g):
-    """The maximal independent sets of g's non-isolated part, as masks."""
-    return _maximal_independent(g.masks)
-
-
 def cover_stats(g):
     """Height, big height, unmixedness and every minimal cover of g, by
     enumeration (memoised per g; a CoverSizeError is raised again on every
@@ -270,9 +259,7 @@ def cover_stats(g):
     _guard(g)
     stats = _memo.pop(g, None)
     if not isinstance(stats, CoverStats):
-        # _independent_masks is looked up as a module global, so that a
-        # test can count the enumerations that really run.
-        sets = _independent_masks(g)
+        sets = _maximal_independent(g.masks)
         sizes = [s.bit_count() for s in sets]
         smallest, largest = min(sizes), max(sizes)
         k = len(g.non_isolated)
@@ -282,39 +269,12 @@ def cover_stats(g):
     return _remember(g, stats)
 
 
-def enumerate_minimal_covers(g):
-    """Every minimal vertex cover of g, canonically sorted and duplicate-free.
-
-    Isolated vertices never appear in a minimal cover.  The edgeless graph
-    has the empty cover as its only (and maximum) minimal cover.
-    """
-    return list(cover_stats(g).all_covers)
-
-
 def height(g):
     return _numbers(g).height
 
 
 def big_height(g):
     return _numbers(g).big_height
-
-
-def vertex_in_every_maximum_cover(g, x):
-    """Whether x lies in every maximum minimal cover of g: x is not isolated
-    and no smallest maximal independent set holds it (False for a label
-    that is not a vertex of g)."""
-    if x not in g.vertices:
-        return False
-    i = g.vertices.index(x)
-    if not g.masks[i]:
-        return False
-    dp = _cactus_numbers(g, i)
-    if dp is not None:
-        return not dp[2]
-    stats = cover_stats(g)
-    smallest = len(g.non_isolated) - stats.big_height
-    return not any(s >> i & 1 for s in stats.independent
-                   if s.bit_count() == smallest)
 
 
 def maximum_covers_avoiding(g, x, bh):

@@ -19,12 +19,13 @@ Rooted at a vertex x, the DFS subtrees of x are the branches at x, which
 the trace's split pass reads off that DP.  On other graphs maximum
 cardinality search decides chordality and one DFS over simple paths
 (`_cycles`) answers the cycle screen.  One pivoting Bron-Kerbosch
-(`bron_kerbosch`), which returns int masks, enumerates maximal cliques
-for `maximal_cliques`, which turns the masks into sorted frozensets, and
-maximal independent sets for `covers`.  The simplexes are read off the
-masks with no enumeration: each is the closed neighbourhood of a
-simplicial vertex.  One whisker kernel (`_whisker_base`) answers the
-whisker graphs and trees, and the forest test of `classify`'s matchers.
+(`bron_kerbosch`), which returns int masks, enumerates the maximal
+independent sets for `covers`, as the maximal cliques of the complement;
+`_vertex_sets` turns such masks into sorted frozensets.  The simplexes
+are read off the masks with no enumeration: each is the closed
+neighbourhood of a simplicial vertex.  One whisker kernel
+(`_whisker_base`) answers the whisker graphs and trees, and the forest
+test of `classify`'s matchers.
 
 `Graph` is the one record here.  Like every record of the package, it
 subclasses a `collections.namedtuple` base: an immutable value checked
@@ -224,9 +225,6 @@ class Graph(namedtuple("Graph", "vertices edges")):
             raise GraphError("unknown vertex %r" % (v,))
         return self.adj[v]
 
-    def has_edge(self, u, v):
-        return edge(u, v) in self.edges
-
     def sorted_edges(self):
         return sorted(self.edges)
 
@@ -291,10 +289,6 @@ class Graph(namedtuple("Graph", "vertices edges")):
 
     def component_graphs(self):
         return [self.induced(c) for c in self.components()]
-
-    def relabel(self, mapping):
-        return Graph.build(((mapping[u], mapping[v]) for u, v in self.edges),
-                           isolated=(mapping[v] for v in self.vertices))
 
 
 # -- the cactus property ----------------------------------------------
@@ -457,27 +451,15 @@ def _vertex_sets(vertices, masks):
             for r in sorted(list(_bits(m)) for m in masks)]
 
 
-def maximal_cliques(g):
-    """All maximal cliques, canonically sorted."""
-    return _vertex_sets(g.vertices,
-                        bron_kerbosch(g.masks, (1 << len(g.vertices)) - 1))
-
-
 def _is_clique(masks, s):
     """Whether the vertex bits of the mask s are pairwise adjacent."""
     return not any(s & ~masks[u] & ~(1 << u) for u in _bits(s))
 
 
-def simplicial_vertices(g):
-    """Vertices whose neighbourhood is a clique."""
-    return frozenset(v for v, m in zip(g.vertices, g.masks)
-                     if _is_clique(g.masks, m))
-
-
 def simplexes(g):
-    """Maximal cliques containing at least one simplicial vertex, sorted as
-    `maximal_cliques` sorts: each is the closed neighbourhood of its
-    simplicial vertices, so none is enumerated."""
+    """Maximal cliques containing at least one simplicial vertex, sorted by
+    their sorted members (`_vertex_sets`): each is the closed neighbourhood
+    of its simplicial vertices, so none is enumerated."""
     masks = g.masks
     return _vertex_sets(g.vertices, {m | 1 << i for i, m in enumerate(masks)
                                      if _is_clique(masks, m)})

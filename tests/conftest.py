@@ -24,8 +24,7 @@ import pytest
 from edgeideals.certificates import CertBuilder
 from edgeideals.constructions import sv_layer_search
 from edgeideals.covers import (DEFAULT_VERTEX_LIMIT, CoverSizeError,
-                               MinimalCover, big_height, cover_stats,
-                               vertex_in_every_maximum_cover)
+                               MinimalCover, big_height, cover_stats)
 from edgeideals.graphs import (WHISKER, Graph, GraphError, _bits, _vertex_sets,
                                build_attached_graph, edge, parse_edge_list)
 from edgeideals.polynomials import Monomial, Polynomial
@@ -39,6 +38,12 @@ def path_graph(n, prefix="p"):
 def cycle(n, prefix="c"):
     return Graph.build(("%s%d" % (prefix, i), "%s%d" % (prefix, (i + 1) % n))
                        for i in range(n))
+
+
+def relabel(g, mapping):
+    """g with every vertex v renamed mapping[v]."""
+    return Graph.build(((mapping[u], mapping[v]) for u, v in g.edges),
+                       isolated=(mapping[v] for v in g.vertices))
 
 
 def format_edge_list(g):
@@ -74,7 +79,8 @@ def brute_force_maximal_cliques(g):
     cliques = [frozenset(vs)
                for k in range(len(g.vertices) + 1)
                for vs in itertools.combinations(g.vertices, k)
-               if all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))]
+               if all(edge(u, v) in g.edges
+                      for u, v in itertools.combinations(vs, 2))]
     return sorted((c for c in cliques if not any(c < d for d in cliques)),
                   key=sorted)
 
@@ -83,7 +89,7 @@ def simplex_oracle(g):
     """The members of `brute_force_maximal_cliques` that hold a vertex
     whose neighbours are pairwise adjacent, in that order."""
     simplicial = {v for v in g.vertices
-                  if all(g.has_edge(a, b)
+                  if all(edge(a, b) in g.edges
                          for a, b in itertools.combinations(g.adj[v], 2))}
     return [c for c in brute_force_maximal_cliques(g) if c & simplicial]
 
@@ -101,7 +107,7 @@ def cycle_subgraph_oracle(g, length):
         first, rest = vs[0], vs[1:]
         for perm in itertools.permutations(rest):
             walk = (first,) + perm
-            if all(g.has_edge(walk[i], walk[(i + 1) % length])
+            if all(edge(walk[i], walk[(i + 1) % length]) in g.edges
                    for i in range(length)):
                 return True
     return False
@@ -262,7 +268,7 @@ def lemma26_check(g, g1, x):
     ov, _ = _split_overlap(g, g1)
     if ov != x:
         raise GraphError("overlap vertex is %r, not %r" % (ov, x))
-    if not vertex_in_every_maximum_cover(g1, x):
+    if not old_vertex_in_every_maximum_cover(g1, x):
         raise GraphError("hypothesis not satisfied: some maximum minimal "
                          "cover of g1 avoids %r" % (x,))
     b1 = big_height(g1)

@@ -17,7 +17,8 @@ import catalog
 from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, branch_oracle,
                       cycle, format_edge_list, old_big_height, old_cover_stats,
                       old_maximum_covers_avoiding,
-                      old_vertex_in_every_maximum_cover, path_graph)
+                      old_vertex_in_every_maximum_cover, path_graph,
+                      relabel)
 
 
 def test_theorem34_bound_values():
@@ -272,8 +273,8 @@ def _disconnected_cacti(seed, count):
     out = []
     for _ in range(count):
         a, b = (catalog.random_cactus(rng, max_vertices=8) for _ in range(2))
-        g = a.relabel({v: "a" + v for v in a.vertices}).union(
-            b.relabel({v: "b" + v for v in b.vertices}))
+        g = relabel(a, {v: "a" + v for v in a.vertices}).union(
+            relabel(b, {v: "b" + v for v in b.vertices}))
         out.append(g.union(Graph.build(isolated=["z"])))
     return out
 
@@ -350,8 +351,8 @@ def test_split_pass_matches_branches_and_enumeration():
         off = ((1 << len(vs)) - 1) & ~graphs._on_terminal_edges(g.masks)
         for xi in graphs._bits(off):
             x = vs[xi]
-            h, bh, avoidable, branches = covers._cactus_numbers(g, xi)
-            assert (h, bh, avoidable) == old(g, x)
+            h, bh, branches = covers._cactus_numbers(g, xi)
+            assert (h, bh, covers._joined(branches)[2]) == old(g, x)
             parts = {tuple(v for j, v in enumerate(vs)
                            if (br.mask | 1 << xi) >> j & 1): br
                      for br in branches}
@@ -390,7 +391,8 @@ def test_trace_enumeration_count_is_pinned(monkeypatch):
     # the trace asks for covers in a fixed order, so with the memo emptied
     # the number of enumerations and passes that really run is fixed too
     counts = {"full": 0, "all": 0, "dp": 0, "split": 0}
-    real_pass = covers._cactus_numbers
+    real_pass, real_independent = covers._cactus_numbers, \
+        covers._maximal_independent
 
     def counted(key, fn):
         def wrapper(*args):
@@ -402,8 +404,12 @@ def test_trace_enumeration_count_is_pinned(monkeypatch):
         counts["split" if x >= 0 else "dp"] += 1
         return real_pass(g, x)
 
-    monkeypatch.setattr(covers, "_independent_masks",
-                        counted("full", covers._independent_masks))
+    def independent(masks, *drop):
+        # a call with no vertex dropped is a full enumeration
+        counts["full"] += not drop
+        return real_independent(masks, *drop)
+
+    monkeypatch.setattr(covers, "_maximal_independent", independent)
     monkeypatch.setattr(covers, "bron_kerbosch",
                         counted("all", covers.bron_kerbosch))
     monkeypatch.setattr(covers, "_cactus_numbers", dp_pass)

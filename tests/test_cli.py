@@ -108,6 +108,28 @@ def test_bound_trace_above_the_cover_guard_exits_2_promptly(cactus200,
         out.err.endswith("exceeds the enumeration guard (26)\n")
 
 
+# catalog.random_cacti(2026, 300, 24)[188]: 23 vertices and 7 cycles.
+# Opening cycles adds vertices, and Case 1.2 then meets a G2 of 28
+# non-isolated vertices, which is over the guard.
+OPENED_PAST_THE_GUARD = (
+    "v0 v1 / v0 v3 / v0 v8 / v0 v9 / v1 v13 / v1 v17 / v1 v18 / v1 v2 / "
+    "v1 v20 / v10 v21 / v10 v9 / v11 v12 / v11 v9 / v12 v9 / v13 v14 / "
+    "v14 v15 / v15 v16 / v16 v17 / v18 v19 / v19 v20 / v2 v3 / v2 v4 / "
+    "v2 v5 / v22 v9 / v4 v5 / v5 v6 / v5 v7 / v6 v7 / v8 v9")
+
+
+def test_bound_trace_passes_the_guard_on_an_input_under_it(run, graph_file,
+                                                           capsys):
+    # ROADMAP item 14 lifts this: the trace should then answer here.
+    f = graph_file("opened.txt", OPENED_PAST_THE_GUARD.replace(" / ", "\n"))
+    err = input_error(["bound", "--trace", f], capsys)
+    assert err == ("error: 28 non-isolated vertices exceeds the enumeration "
+                   "guard (26)\n")
+    rep = run(["bound", f])
+    assert len(rep["graph"]["vertices"]) == 23
+    assert (rep["big_height"], rep["n_cycles"], rep["bound"]) == (16, 7, 23)
+
+
 def test_classify_above_the_cover_guard(run, graph_file):
     path = "".join("p%d p%d\np%d w%d\n" % (i, i + 1, i, i)
                    for i in range(99)) + "p99 w99\n"

@@ -16,7 +16,7 @@ from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3,
                       lemma27_union, maximal_independent_sets,
                       maximum_minimal_covers, old_cover_stats,
                       old_maximum_covers_avoiding, path_graph,
-                      redundancy_remark_check)
+                      redundancy_remark_check, relabel)
 
 SMALL = [TRIANGLE, TRI_2W, BOWTIE, WHISKER_P3, cycle(4), cycle(5), cycle(7),
          path_graph(2), path_graph(5), path_graph(6),
@@ -24,10 +24,20 @@ SMALL = [TRIANGLE, TRI_2W, BOWTIE, WHISKER_P3, cycle(4), cycle(5), cycle(7),
          Graph.build([("a", "b")], isolated="z")]
 
 
+def _dp_forced(g, x):
+    """Whether x lies in every maximum minimal cover of the cactus g, as the
+    trace's split step reads it: x is not isolated and lies in no smallest
+    maximal independent set of the DP pass rooted at x, whose branch
+    records `covers._joined` combines."""
+    i = g.vertices.index(x)
+    branches = covers._cactus_numbers(g, i)[2]
+    return bool(g.masks[i]) and not covers._joined(branches)[2]
+
+
 @pytest.mark.parametrize("g", SMALL, ids=lambda g: ",".join(
     "%s%s" % e for e in g.sorted_edges()))
 def test_enumeration_matches_brute_force(g):
-    got = sorted((c.vertices for c in covers.enumerate_minimal_covers(g)),
+    got = sorted((c.vertices for c in covers.cover_stats(g).all_covers),
                  key=sorted)
     assert got == brute_force_minimal_covers(g)
 
@@ -44,21 +54,21 @@ def test_known_heights():
 
 def test_edgeless_graph_has_empty_cover():
     g = Graph.build(isolated=["a", "b"])
-    (c,) = covers.enumerate_minimal_covers(g)
+    (c,) = covers.cover_stats(g).all_covers
     assert c.vertices == frozenset()
     assert covers.cover_stats(g).unmixed
 
 
 def test_isolated_vertices_never_in_covers():
     g = parse_edge_list("a b\nz")
-    for c in covers.enumerate_minimal_covers(g):
+    for c in covers.cover_stats(g).all_covers:
         assert "z" not in c.vertices
 
 
 def test_enumeration_guard(monkeypatch):
     big = Graph.build(("v%d" % i, "v%d" % (i + 1)) for i in range(30))
     with pytest.raises(covers.CoverSizeError):
-        covers.enumerate_minimal_covers(big)
+        covers.cover_stats(big)
     # Only non-isolated vertices count against the guard.
     sparse = Graph.build([("a", "b")], isolated=["z%d" % i for i in range(30)])
     assert covers.height(sparse) == 1
@@ -68,9 +78,9 @@ def test_enumeration_guard(monkeypatch):
 
 def test_cover_stats_memo_is_by_value(monkeypatch):
     enumerated, passes = [], []
-    real, dp = covers._independent_masks, covers._cactus_numbers
-    monkeypatch.setattr(covers, "_independent_masks",
-                        lambda g: enumerated.append(g) or real(g))
+    real, dp = covers._maximal_independent, covers._cactus_numbers
+    monkeypatch.setattr(covers, "_maximal_independent",
+                        lambda masks: enumerated.append(masks) or real(masks))
     monkeypatch.setattr(covers, "_cactus_numbers",
                         lambda g, x=-1: passes.append((g, x)) or dp(g, x))
     covers._memo.clear()
@@ -81,7 +91,7 @@ def test_cover_stats_memo_is_by_value(monkeypatch):
     assert covers.cover_stats(g1) is covers.cover_stats(g2)
     assert covers.big_height(g2) == 4
     assert covers.height(g1) == 3
-    assert enumerated == [g1]
+    assert enumerated == [g1.masks]
     # the enumerated entry answers every number: the DP never runs on it
     assert passes == []
     # and a DP entry answers every later read of its graph value
@@ -90,26 +100,15 @@ def test_cover_stats_memo_is_by_value(monkeypatch):
     assert (covers.height(g3), covers.big_height(g4)) == (5, 6)
     assert (covers.height(g4), covers.big_height(g3)) == (5, 6)
     assert passes == [(g3, -1)]
-    # The maximum-cover answer at a vertex is not memoised: on a cactus
-    # each call is one pass rooted at the vertex, with no enumeration,
-    maxima = maximum_minimal_covers(g2)
-    assert len(maxima) == 6
-    for v in g1.vertices:
-        assert covers.vertex_in_every_maximum_cover(g2, v) == \
-            all(v in c.vertices for c in maxima)
-    assert covers.vertex_in_every_maximum_cover(g4, "memo5") is False
-    assert passes == [(g3, -1)] + [(g1, i) for i in range(7)] + [(g3, 5)]
-    assert enumerated == [g1]
-    # and on any other graph it is read off the memoised CoverStats.
+    # A graph that is no cactus tries one pass, which finds none, and its
+    # enumeration then answers every equal graph value.
     diamond = Graph.build([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
                            ("a", "c")])
     twin = Graph.build(reversed(diamond.sorted_edges()))
-    assert [covers.vertex_in_every_maximum_cover(g, v)
-            for g in (diamond, twin) for v in "abcd"] == \
-        [False, True, False, True] * 2
-    assert enumerated == [g1, diamond]
-    # (each call tries the pass first, which finds no cactus)
-    assert passes[9:] == [(diamond, i) for i in range(4)] * 2
+    assert [covers.big_height(g) for g in (diamond, twin)] == [3, 3]
+    assert covers.height(twin) == 2
+    assert enumerated == [g1.masks, diamond.masks]
+    assert passes == [(g3, -1), (diamond, -1)]
 
 
 def test_memo_keeps_the_most_recently_used_graphs(monkeypatch):
@@ -132,13 +131,11 @@ def test_memo_keeps_the_most_recently_used_graphs(monkeypatch):
 
 def test_memo_results_are_not_shared_lists():
     g = cycle(6, prefix="mut")
-    first = covers.enumerate_minimal_covers(g)
-    expected = list(first)
-    first.clear()
-    assert covers.enumerate_minimal_covers(g) == expected
+    expected = covers.cover_stats(g).all_covers
+    assert isinstance(expected, tuple)   # a caller cannot change it
     maxima = maximum_minimal_covers(g)
     maxima.clear()
-    assert covers.cover_stats(g).all_covers == tuple(expected)
+    assert covers.cover_stats(g).all_covers == expected
     assert maximum_minimal_covers(g) == [c for c in expected
                                                 if len(c) == 4]
 
@@ -166,17 +163,16 @@ def test_cover_size_error_is_never_cached(monkeypatch):
         m.setattr(covers, "DEFAULT_VERTEX_LIMIT", 40)
         assert covers.height(big) == 16
     for read in (covers.cover_stats, covers.height, covers.big_height,
-                 covers.enumerate_minimal_covers,
                  maximum_minimal_covers):
         with pytest.raises(covers.CoverSizeError):
             read(big)
     with pytest.raises(covers.CoverSizeError):
-        covers.vertex_in_every_maximum_cover(big, "guard0")
+        covers.maximum_covers_avoiding(big, "guard0", 16)
     # A forest or cactus of that size gets its numbers from the DP, which
     # has no guard; only its enumeration is guarded.
     path = path_graph(31, prefix="guard")
     assert (covers.height(path), covers.big_height(path)) == (15, 20)
-    assert not covers.vertex_in_every_maximum_cover(path, "guard0")
+    assert not _dp_forced(path, "guard0")
     with pytest.raises(covers.CoverSizeError):
         covers.cover_stats(path)
 
@@ -191,12 +187,12 @@ def test_maximum_covers_and_forcing():
     maxima = maximum_minimal_covers(TRI_2W)
     assert all(len(c) == 3 for c in maxima)
     # In C5 every vertex is avoided by some maximum cover.
-    assert not covers.vertex_in_every_maximum_cover(cycle(5), "c0")
+    assert not _dp_forced(cycle(5), "c0")
     # In a triangle whose other two vertices are whiskered, the bare vertex
     # lies in every maximum minimal cover.
     g = parse_edge_list("a b\nb x\na x\na aw\nb bw")
-    assert covers.vertex_in_every_maximum_cover(g, "x")
-    assert not covers.vertex_in_every_maximum_cover(g, "a")
+    assert _dp_forced(g, "x")
+    assert not _dp_forced(g, "a")
 
 
 def test_vertex_in_every_maximum_cover_matches_its_definition():
@@ -209,14 +205,13 @@ def test_vertex_in_every_maximum_cover_matches_its_definition():
         for x in g.vertices:
             expected = bool(g.neighbors(x)) and \
                 all(x in c.vertices for c in maxima)
-            assert covers.vertex_in_every_maximum_cover(g, x) == expected
-        assert not covers.vertex_in_every_maximum_cover(g, "zz")
-        assert not covers.vertex_in_every_maximum_cover(g, "not-a-vertex")
+            assert _dp_forced(g, x) == expected
+        assert not _dp_forced(g, "zz")
 
 
 def test_redundant_neighbor_definition():
     g = WHISKER_P3
-    (c,) = [c for c in covers.enumerate_minimal_covers(g)
+    (c,) = [c for c in covers.cover_stats(g).all_covers
             if c.vertices == frozenset({"a", "b", "c"})]
     # aw is outside; its neighbour a has all other neighbours (b) in c.
     assert is_redundant_neighbor(g, c, "aw", "a")
@@ -228,7 +223,7 @@ def test_redundant_neighbor_definition():
                          ids=["tri", "tri2w", "wp3", "c5"])
 def test_redundancy_remark(g):
     """y redundant in c <=> c - y is a minimal cover of g - xy, always."""
-    for c in covers.enumerate_minimal_covers(g):
+    for c in covers.cover_stats(g).all_covers:
         outside = [v for v in g.non_isolated if v not in c.vertices]
         for x in outside:
             for y in g.neighbors(x):
@@ -289,7 +284,7 @@ def small_graphs(draw, max_n=6):
 @settings(max_examples=60, deadline=None)
 @given(small_graphs(max_n=8))
 def test_covers_match_brute_force_random(g):
-    got = sorted((c.vertices for c in covers.enumerate_minimal_covers(g)),
+    got = sorted((c.vertices for c in covers.cover_stats(g).all_covers),
                  key=sorted)
     assert got == brute_force_minimal_covers(g)
     independent = maximal_independent_sets(g)
@@ -304,7 +299,7 @@ def test_heights_are_relabeling_invariant(g, rng):
     perm = list(g.vertices)
     rng.shuffle(perm)
     mapping = dict(zip(g.vertices, perm))
-    h = g.relabel(mapping)
+    h = relabel(g, mapping)
     assert covers.height(h) == covers.height(g)
     assert covers.big_height(h) == covers.big_height(g)
 
@@ -312,7 +307,7 @@ def test_heights_are_relabeling_invariant(g, rng):
 @settings(max_examples=60, deadline=None)
 @given(small_graphs())
 def test_every_enumerated_cover_is_minimal(g):
-    for c in covers.enumerate_minimal_covers(g):
+    for c in covers.cover_stats(g).all_covers:
         assert is_minimal_cover(g, c.vertices) or not g.edges
 
 
@@ -322,11 +317,16 @@ def test_forced_vertices_match_brute_force(g):
     g = g.union(Graph.build(isolated=["zz"]))
     brute = brute_force_minimal_covers(g)
     top = max(len(c) for c in brute)
+    bh = covers.big_height(g)
+    cactus = graphs.is_cactus(g)
     for x in g.vertices:
         expected = all(x in c for c in brute if len(c) == top)
-        assert covers.vertex_in_every_maximum_cover(g, x) == expected
-    assert not covers.vertex_in_every_maximum_cover(g, "zz")
-    assert not covers.vertex_in_every_maximum_cover(g, "not-a-vertex")
+        if g.adj[x]:
+            # Case 1.2 asks for the maximum covers that avoid x
+            avoiding = covers.maximum_covers_avoiding(g, x, bh)
+            assert (not avoiding) == expected
+        if cactus:
+            assert _dp_forced(g, x) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -347,13 +347,15 @@ def test_all_covers_are_ordered_by_their_independent_sets(g):
 
 def _dp_answers(g):
     """Height, big height, unmixedness and the vertices in every maximum
-    cover, all from DP passes (one per non-isolated vertex)."""
+    cover, all from DP passes (one per non-isolated vertex, whose root flag
+    `covers._joined` reads off its branch records)."""
     h, bh = covers._cactus_numbers(g)[:2]
     forced = []
     for i, v in enumerate(g.vertices):
         if g.masks[i]:
-            assert covers._cactus_numbers(g, i)[:2] == (h, bh)
-            if not covers._cactus_numbers(g, i)[2]:
+            dp = covers._cactus_numbers(g, i)
+            assert dp[:2] == (h, bh)
+            if not covers._joined(dp[2])[2]:
                 forced.append(v)
     return h, bh, h == bh, forced
 
@@ -368,9 +370,7 @@ def _enumerated_answers(g):
 
 def _public_answers(g):
     return (covers.height(g), covers.big_height(g),
-            covers.height(g) == covers.big_height(g),
-            [v for v in g.vertices
-             if covers.vertex_in_every_maximum_cover(g, v)])
+            covers.height(g) == covers.big_height(g))
 
 
 def _random_cacti_and_forests(seed, count):
@@ -383,7 +383,7 @@ def _random_cacti_and_forests(seed, count):
                                   rng.choice([(3, 4, 5, 6), ()]))
         if rng.random() < 0.25:
             h = catalog.random_cactus(rng, rng.randint(2, 8))
-            g = g.union(h.relabel({v: "b" + v for v in h.vertices}))
+            g = g.union(relabel(h, {v: "b" + v for v in h.vertices}))
         if rng.random() < 0.25:
             g = g.union(Graph.build(isolated=["zz"]))
         out.append(g)
@@ -399,13 +399,13 @@ def test_dp_matches_enumeration(corpus, monkeypatch):
     for g in graphs_:
         assert _dp_answers(g) == _enumerated_answers(g), g.sorted_edges()
     # The public functions answer every cactus from the DP: no enumeration.
-    def no_enumeration(g):
+    def no_enumeration(*args):
         raise AssertionError("a cactus was enumerated")
 
-    monkeypatch.setattr(covers, "_independent_masks", no_enumeration)
+    monkeypatch.setattr(covers, "_maximal_independent", no_enumeration)
     covers._memo.clear()
     for g in graphs_[:300]:
-        assert _public_answers(g) == _enumerated_answers(g)
+        assert _public_answers(g) == _enumerated_answers(g)[:3]
     covers._memo.clear()
 
 
@@ -451,12 +451,12 @@ def test_non_cacti_fall_back_to_enumeration(g, monkeypatch):
     assert covers._cactus_numbers(g) is None
     assert covers._cactus_numbers(g, 1) is None
     enumerated = []
-    real = covers._independent_masks
-    monkeypatch.setattr(covers, "_independent_masks",
-                        lambda h: enumerated.append(h) or real(h))
+    real = covers._maximal_independent
+    monkeypatch.setattr(covers, "_maximal_independent",
+                        lambda masks: enumerated.append(masks) or real(masks))
     covers._memo.clear()
-    assert _public_answers(g) == _enumerated_answers(g)
-    assert enumerated == [g]
+    assert _public_answers(g) == _enumerated_answers(g)[:3]
+    assert enumerated == [g.masks]
     covers._memo.clear()
 
 
@@ -467,13 +467,13 @@ def test_dp_answers_far_above_the_guard():
     g = Graph.build([("p%d" % i, "p%d" % (i + 1)) for i in range(n - 1)]
                     + [("p%d" % i, "w%d" % i) for i in range(n)])
     assert (covers.height(g), covers.big_height(g)) == (n, n)
-    assert not covers.vertex_in_every_maximum_cover(g, "p7")
+    assert not _dp_forced(g, "p7")
     # A star: the centre alone is the smallest maximal independent set, so
     # the leaves form the one maximum cover.
     star = Graph.build(("c", "leaf%d" % i) for i in range(1000))
     assert (covers.height(star), covers.big_height(star)) == (1, 1000)
-    assert covers.vertex_in_every_maximum_cover(star, "leaf7")
-    assert not covers.vertex_in_every_maximum_cover(star, "c")
+    assert _dp_forced(star, "leaf7")
+    assert not _dp_forced(star, "c")
     # A cycle of length 3m: alpha = floor(3m/2) and i = m.
     c = cycle(3000, prefix="big")
     assert (covers.height(c), covers.big_height(c)) == (1500, 2000)
@@ -494,8 +494,8 @@ def test_maximum_covers_avoiding_matches_the_filtered_cover_list():
         for x in g.non_isolated:
             got = covers.maximum_covers_avoiding(g, x, covers.big_height(g))
             assert got == old_maximum_covers_avoiding(g, x)
-            assert bool(got) == \
-                (not covers.vertex_in_every_maximum_cover(g, x))
+            if graphs.is_cactus(g):
+                assert bool(got) == (not _dp_forced(g, x))
             seen += len(got)
     assert seen > 500
 

@@ -16,7 +16,8 @@ from conftest import (BOWTIE, TRIANGLE, WHISKER_P3, branch_oracle,
                       brute_force_maximal_cliques, cactus_oracle,
                       chordal_oracle, cycle, cycle_subgraph_oracle,
                       format_edge_list, induced_cycles_oracle, path_graph,
-                      simplex_oracle, to_networkx, whisker_tree_oracle)
+                      relabel, simplex_oracle, to_networkx,
+                      whisker_tree_oracle)
 
 
 def test_build_canonicalizes_edges():
@@ -77,7 +78,7 @@ def test_isolated_vertices():
         "unsorted-edge", "loop", "unknown-endpoint"])
 def test_graph_rejects_values_that_are_not_canonical(vertices, edges):
     # Graph(...) takes its fields as given, so a repeated or unsorted vertex
-    # or an unsorted pair would break the masks, has_edge and equality
+    # or an unsorted pair would break the masks, edge lookups and equality
     with pytest.raises(GraphError):
         Graph(vertices, frozenset(edges))
 
@@ -89,7 +90,7 @@ def test_derived_graphs():
     with pytest.raises(GraphError):
         g.without_edges([("a", "z")])
     h = g.with_edges([("c", "d")])
-    assert h.has_edge("c", "d") and h.has_edge("a", "b")
+    assert edge("c", "d") in h.edges and edge("a", "b") in h.edges
 
 
 def test_with_edges_checks_labels_as_build_does():
@@ -161,7 +162,7 @@ def _branch_records(g, x):
     xi = g.vertices.index(x)
     return sorted((tuple(v for j, v in enumerate(g.vertices)
                          if (br.mask | 1 << xi) >> j & 1), 2 if br.two else 1)
-                  for br in _cactus_numbers(g, xi)[3])
+                  for br in _cactus_numbers(g, xi)[2])
 
 
 def test_branches_at():
@@ -173,10 +174,23 @@ def test_branches_at():
         (("a", "aw", "b"), 1), (("b", "bw"), 1), (("b", "c", "cw"), 1)]
 
 
+def _maximal_cliques(g):
+    """Every maximal clique of g from the Bron-Kerbosch kernel, as sorted
+    vertex sets."""
+    full = (1 << len(g.vertices)) - 1
+    return graphs._vertex_sets(g.vertices, graphs.bron_kerbosch(g.masks, full))
+
+
+def _simplicial(g):
+    """The vertices whose neighbourhood mask is a clique (`_is_clique`), as
+    `simplexes` picks them."""
+    return {v for v, m in zip(g.vertices, g.masks)
+            if graphs._is_clique(g.masks, m)}
+
+
 def test_maximal_cliques_and_simplexes():
-    cliques = graphs.maximal_cliques(TRIANGLE)
-    assert cliques == [frozenset({"a", "b", "c"})]
-    assert graphs.simplicial_vertices(TRIANGLE) == frozenset("abc")
+    assert _maximal_cliques(TRIANGLE) == [frozenset({"a", "b", "c"})]
+    assert _simplicial(TRIANGLE) == set("abc")
     assert graphs.simplexes(BOWTIE) == [frozenset({"a", "b", "c"}),
                                         frozenset({"c", "d", "e"})]
 
@@ -188,7 +202,6 @@ def test_simplexes_are_read_off_the_simplicial_vertices(monkeypatch):
         raise AssertionError("simplexes enumerated cliques")
 
     monkeypatch.setattr(graphs, "bron_kerbosch", refuse)
-    monkeypatch.setattr(graphs, "maximal_cliques", refuse)
     triangle_z = parse_edge_list("a b\nb c\nc a\nz")
     corpus = [*catalog.connected_graphs_upto(7),
               *catalog.random_cacti(seed=29, count=40, max_vertices=10),
@@ -281,7 +294,7 @@ def test_degree_sum_is_twice_edges(g):
 @given(random_graphs())
 def test_relabel_preserves_structure(g):
     mapping = {v: "w_%s" % v for v in g.vertices}
-    h = g.relabel(mapping)
+    h = relabel(g, mapping)
     assert len(h.edges) == len(g.edges)
     assert sorted(h.degree(mapping[v]) for v in g.vertices) == \
         sorted(g.degree(v) for v in g.vertices)
@@ -307,13 +320,13 @@ def test_induced_cycles_match_oracle(g):
 @settings(deadline=None)
 @given(random_graphs(max_n=8))
 def test_maximal_cliques_match_oracle(g):
-    assert graphs.maximal_cliques(g) == brute_force_maximal_cliques(g)
+    assert _maximal_cliques(g) == brute_force_maximal_cliques(g)
 
 
 @settings(deadline=None)
 @given(random_graphs(max_n=8))
 def test_maximal_cliques_match_networkx(g):
-    assert graphs.maximal_cliques(g) == sorted(
+    assert _maximal_cliques(g) == sorted(
         (frozenset(c) for c in nx.find_cliques(to_networkx(g))), key=sorted)
 
 
@@ -343,8 +356,8 @@ def cactus_unions(draw):
     """Two disjoint random cacti, sometimes joined by a few edges."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     a, b = (catalog.random_cactus(rng, max_vertices=9) for _ in range(2))
-    g = a.relabel({v: "a" + v for v in a.vertices}).union(
-        b.relabel({v: "b" + v for v in b.vertices}))
+    g = relabel(a, {v: "a" + v for v in a.vertices}).union(
+        relabel(b, {v: "b" + v for v in b.vertices}))
     bridges = draw(st.integers(min_value=0, max_value=3))
     return g.with_edges(("a" + rng.choice(a.vertices),
                          "b" + rng.choice(b.vertices))
@@ -507,9 +520,9 @@ def test_adj_matches_the_edge_set(g):
 @settings(deadline=None)
 @given(st.one_of(random_graphs(max_n=8), sparse_graphs()))
 def test_simplicial_vertices_match_pairwise_check(g):
-    assert graphs.simplicial_vertices(g) == {
+    assert _simplicial(g) == {
         v for v in g.vertices
-        if all(g.has_edge(a, b) for a in g.neighbors(v)
+        if all(edge(a, b) in g.edges for a in g.neighbors(v)
                for b in g.neighbors(v) if a < b)}
 
 
@@ -572,7 +585,7 @@ def _random_forests(seed, count):
                 base = rng.choice(small)
                 part, _ = graphs.build_attached_graph(
                     base, dict.fromkeys(base.vertices, graphs.WHISKER))
-            part = part.relabel({v: "c%d_%s" % (k, v) for v in part.vertices})
+            part = relabel(part, {v: "c%d_%s" % (k, v) for v in part.vertices})
             edges += part.edges
             isolated += part.vertices
         out.append(Graph.build(edges, isolated))

@@ -1,10 +1,14 @@
-"""The public functions of the traced library layers stay plain functions.
+"""The public functions of the traced library layers stay plain functions,
+and each of them has a caller in the package or in the README.
 
 perfbench's tracer wraps only callables that carry `__code__`, so a
 decorator such as functools.lru_cache on a public name would silently take
 that function out of the per-layer counters; memoise a private helper
 instead.
 """
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +27,64 @@ def test_public_functions_have_code(mod):
     assert public
     assert [name for name, obj in public.items()
             if getattr(obj, "__code__", None) is None] == []
+
+
+# Public API kept with no caller yet, each waiting on the ROADMAP item that
+# wires it in: Prop 4.2's bound goes into `bound --improve` (item 15).
+UNCALLED_ON_PURPOSE = {"proposition42_bound"}
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _referenced_names(tree, skip=frozenset()):
+    """Every name a tree refers to: names, attributes, import aliases and
+    string constants (`cli._RESULTS` names functions as strings), outside
+    the nodes in `skip`."""
+    out = set()
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _public_definitions(tree):
+    """The public module-level functions and public `Graph` methods."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "Graph":
+            yield from (("Graph." + f.name, f) for f in node.body
+                        if isinstance(f, ast.FunctionDef)
+                        and not f.name.startswith("_"))
+        elif isinstance(node, ast.FunctionDef) \
+                and not node.name.startswith("_"):
+            yield node.name, node
+
+
+def test_every_public_function_has_a_caller():
+    # A public function that nothing in `src/` calls, and that the README
+    # `## Library` block does not document, is dead API: delete it, or move
+    # it to `tests/conftest.py` as an oracle.
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "edgeideals").glob("*.py"))}
+    library = (ROOT / "README.md").read_text().split("## Library", 1)[1]
+    documented = _referenced_names(ast.parse(
+        library.split("```python\n", 1)[1].split("```", 1)[0]))
+    uncalled = []
+    for module, tree in trees.items():
+        for qualified, node in _public_definitions(tree):
+            inside = {id(n) for n in ast.walk(node)}
+            used = set().union(*(_referenced_names(t, inside)
+                                 for t in trees.values()))
+            if node.name not in used | documented | UNCALLED_ON_PURPOSE:
+                uncalled.append("%s:%s" % (module, qualified))
+    assert uncalled == []
