@@ -9,9 +9,10 @@ live in `graphs`; the case matchers here (`_match_case`, `_prop42_tail`)
 combine them on `Graph.masks` and the cactus pass.  Cases 3 and 4 ask the
 whisker kernel `graphs._whisker_base` about the graph minus its cycle, and
 the Prop 4.2 tail reads its attachments off the degrees and the cycles,
-building only the base graph it returns.  Cor 4.4's simplexes are the
-closed neighbourhoods of the simplicial vertices, so its partition test
-enumerates no cliques.
+building only the base graph it returns.  Case 5 tests Lemma 5.4's
+hypothesis, G - {x3, x4} a whisker tree, as `constructions.gens_lemma54`
+does.  Cor 4.4's simplexes are the closed neighbourhoods of the simplicial
+vertices, so its partition test enumerates no cliques.
 """
 
 from __future__ import annotations
@@ -54,25 +55,23 @@ def simplex_partition_check(g):
     return False, None
 
 
-def _case5_split(g, walk):
-    """Match the length-4 case: two adjacent cycle vertices of degree 2; the
-    graphs attached to the other two, joined across their cycle edge, form a
-    whisker tree.  Returns evidence or None."""
-    off_cycle = g.without_edges(graphs.cycle_graph(walk).edges)
-    comps = off_cycle.components()
+def _case5_split(g, walk, degree):
+    """Match the length-4 case by Lemma 5.4's hypothesis: two adjacent
+    cycle vertices x3, x4 of degree 2, the other two, x1 and x2, of degree
+    above 2, and G - {x3, x4} a whisker tree.  degree[i] is the degree of
+    walk[i].  Returns evidence or None; its h1 and h2 are the sides of that
+    tree once the edge x1x2 is cut."""
     for i in range(4):
-        x3, x4 = walk[i], walk[(i + 1) % 4]
-        x2, x1 = walk[(i + 2) % 4], walk[(i + 3) % 4]
-        if g.degree(x3) != 2 or g.degree(x4) != 2:
+        x3, x4, x2, x1 = walk[i:] + walk[:i]
+        d3, d4, d2, d1 = degree[i:] + degree[:i]
+        if not d3 == d4 == 2 < min(d1, d2):
             continue
-        comp1 = next(c for c in comps if x1 in c)
-        comp2 = next(c for c in comps if x2 in c)
-        h1 = off_cycle.induced(comp1)
-        h2 = off_cycle.induced(comp2)
-        if not h1.edges or not h2.edges:
-            continue
-        bridge = h1.union(h2).with_edges([(x1, x2)])
+        bridge = g.induced(set(g.vertices) - {x3, x4})
         if graphs.is_whisker_tree(bridge):
+            cut = graphs.Graph(bridge.vertices,
+                               bridge.edges - {graphs.edge(x1, x2)})
+            h1, h2 = sorted(cut.component_graphs(),
+                            key=lambda h: x2 in h.vertices)
             return {"x1": x1, "x2": x2, "h1": h1, "h2": h2}
     return None
 
@@ -107,7 +106,7 @@ def _match_case(g, cycle):
             return "Thm 5.1 case 4", {"cycle": cycle}
 
     if ell == 4:
-        evidence = _case5_split(g, cycle)
+        evidence = _case5_split(g, cycle, degree)
         if evidence is not None:
             return "Thm 5.1 case 5", evidence
 

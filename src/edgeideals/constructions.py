@@ -9,7 +9,10 @@ Each constructor writes into one CertBuilder.  The pieces it glues together
 that take the builder and add their generators and steps in any
 interleaving: refs are handed out in call order, and CertBuilder.result
 numbers the generators first.  Only the layerings come from a search, an
-exponential one: in sv_layer_search and gens_prop42.
+exponential one: in sv_layer_search and gens_prop42.  Each constructor
+checks its input once, where it enters, and the emitters check nothing:
+a whisker tree is checked by gens_whisker_tree, by _attachment_case, or
+as Lemma 5.4's hypothesis that G - {x3, x4} is one in gens_lemma54.
 """
 
 from __future__ import annotations
@@ -377,31 +380,28 @@ def _emit_layering(b, layers, monomials, witnesses):
         earlier |= layer
 
 
+def _children(t, w, parent=None):
+    """The children of w in the whisker tree t, rooted away from parent:
+    its base neighbours in label order, then its whisker."""
+    return sorted(t.neighbors(w) - {parent},
+                  key=lambda c: (t.degree(c) == 1, c))
+
+
 def _whisker_tree(b, t, anchor_edge):
     """Emit the n - 1 generators of the whisker tree t (n non-terminal
-    vertices) after its anchor edge uv, which the caller has established.
+    vertices) after its anchor edge uv, a non-terminal edge of t that the
+    caller has checked and established.
     Rooted at uv, a base vertex w with base children c1 < ... < ck hands
     w c1 to the sum of its parent edge, w c(i+1) to the sum of w ci and its
     whisker to the sum of w ck.  So each base edge xy, breadth-first from
     uv, gets an edge at x plus one at y, which one SV step by xy splits."""
-    if not is_whisker_tree(t):
-        raise ConstructionError("graph is not a whisker tree")
     u, v = anchor_edge
-    if edge(u, v) not in t.edges:
-        raise ConstructionError("anchor is not an edge")
-    if t.degree(u) == 1 or t.degree(v) == 1:
-        raise ConstructionError("anchor edge must be non-terminal")
-
-    def ends(w, parent):  # the base children of w in order, then its whisker
-        return sorted(t.neighbors(w) - {parent},
-                      key=lambda c: (t.degree(c) == 1, c))
-
-    hand = {u: ends(u, v), v: ends(v, u)}
+    hand = {u: _children(t, u, v), v: _children(t, v, u)}
     b.sv(b.ref(_m(u, v)), b.gen(_sum(_m(u, hand[u][0]), _m(v, hand[v][0]))))
     queue = [u, v]
     for w in queue:  # grows as it goes: breadth-first
         for c, end in zip(hand[w], hand[w][1:]):
-            hand[c] = ends(c, w)
+            hand[c] = _children(t, c, w)
             b.sv(b.ref(_m(w, c)), b.gen(_sum(_m(w, end), _m(c, hand[c][0]))))
             queue.append(c)
 
@@ -410,6 +410,13 @@ def gens_whisker_tree(t, anchor_edge):
     """n polynomials (n = number of non-terminal vertices) generating the
     edge ideal of a whisker tree up to radical, with the anchor edge as a
     standalone monomial generator.  Built directly, with no search."""
+    if not is_whisker_tree(t):
+        raise ConstructionError("graph is not a whisker tree")
+    u, v = anchor_edge
+    if edge(u, v) not in t.edges:
+        raise ConstructionError("anchor is not an edge")
+    if t.degree(u) == 1 or t.degree(v) == 1:
+        raise ConstructionError("anchor edge must be non-terminal")
     b = CertBuilder(t)
     b.gen(_p(*anchor_edge))
     _whisker_tree(b, t, anchor_edge)
@@ -463,18 +470,14 @@ def _attachment_case(att, root):
         raise ConstructionError("root must have exactly one neighbour in the "
                                 "attachment")
     e = nbrs[0]
-    stripped = att.without_vertex(root)
+    stripped = att.induced(set(att.vertices) - {root})
     if not is_whisker_tree(stripped):
         raise ConstructionError("attachment minus the root is not a whisker "
                                 "tree")
-
-    def least_base_neighbour(w):
-        return min(c for c in stripped.neighbors(w) if stripped.degree(c) > 1)
-
     if stripped.degree(e) > 1:
-        return e, least_base_neighbour(e), stripped, None
+        return e, _children(stripped, e)[0], stripped, None
     (f,) = stripped.neighbors(e)
-    return e, f, stripped, (f, least_base_neighbour(f))
+    return e, f, stripped, (f, _children(stripped, f)[0])
 
 
 def gens_lemma53(r, s, attach_x1=(), attach_x3=()):
@@ -521,9 +524,10 @@ def gens_lemma53(r, s, attach_x1=(), attach_x3=()):
 
 
 def gens_lemma54(h1, h2):
-    """Generator set for the 4-cycle with non-empty trees attached at the two
-    adjacent vertices x1, x2 (x3, x4 having degree 2), under the hypothesis
-    that h1 + the edge x1x2 + h2 is a whisker tree.  Size |C1| + |C2| + 1."""
+    """Generator set for the 4-cycle x1 x2 x3 x4 with non-empty trees h1, h2
+    at x1, x2, under Lemma 5.4's hypothesis that G - {x3, x4}, which is
+    h1 + x1x2 + h2, is a whisker tree.  Size |C1| + |C2| + 1.  That makes
+    an hi of two or more edges a whisker tree with xi non-terminal."""
     x = x1, x2, x3, x4 = default_cycle_labels(4)
     for xi, h in ((x1, h1), (x2, h2)):
         if xi not in h.vertices or not h.edges:
@@ -533,25 +537,12 @@ def gens_lemma54(h1, h2):
         raise ConstructionError("attached trees must be vertex-disjoint")
     if {x3, x4} & (set(h1.vertices) | set(h2.vertices)):
         raise ConstructionError("x3/x4 cannot appear in the attachments")
-    bridge = h1.union(h2).with_edges([(x1, x2)])
-    if not is_whisker_tree(bridge):
+    g = cycle_graph(x).union(h1).union(h2)
+    if not is_whisker_tree(g.induced(set(g.vertices) - {x3, x4})):
         raise ConstructionError("hypothesis fails: h1 + x1x2 + h2 is not a "
                                 "whisker tree")
+    y1, y2 = _children(h1, x1)[0], _children(h2, x2)[0]
 
-    ys = []
-    for xi, h in ((x1, h1), (x2, h2)):
-        if len(h.edges) == 1:
-            (e,) = h.edges
-            yi = e[0] if e[1] == xi else e[1]
-        else:
-            if not is_whisker_tree(h):
-                raise ConstructionError("attachment at %r is neither a single "
-                                        "edge nor a whisker tree" % xi)
-            yi = min(w for w in h.neighbors(xi) if h.degree(w) > 1)
-        ys.append(yi)
-    y1, y2 = ys
-
-    g = cycle_graph(x).union(h1).union(h2)
     b = CertBuilder(g)
     r0 = b.gen(_p(x1, x2))
     r1 = b.gen(_sum(_m(x1, x4), _m(x2, x3)))

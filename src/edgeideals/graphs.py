@@ -27,7 +27,8 @@ neighbourhood of a simplicial vertex.  One whisker kernel
 (`_whisker_base`) answers the whisker graphs and trees, and the forest
 test of `classify`'s matchers.
 
-`Graph` is the one record here.  Like every record of the package, it
+`Graph` is the one record here; its derived graphs are `with_edges`,
+`induced` and `union`.  Like every record of the package, it
 subclasses a `collections.namedtuple` base: an immutable value checked
 in `__new__`, whose hash and equality are those of its field tuple, so
 sets and dicts of records keep one layout and order for a given hash
@@ -243,20 +244,6 @@ class Graph(namedtuple("Graph", "vertices edges")):
 
     def with_edges(self, new_edges):
         return Graph.build([*self.edges, *new_edges], self.vertices)
-
-    def without_edges(self, dropped):
-        drop = {edge(u, v) for u, v in dropped}
-        missing = drop - self.edges
-        if missing:
-            raise GraphError("edges not present: %s" % sorted(missing))
-        return Graph(self.vertices, self.edges - drop)
-
-    def without_vertex(self, x):
-        if x not in self.adj:
-            raise GraphError("unknown vertex %r" % (x,))
-        vs = tuple(v for v in self.vertices if v != x)
-        es = frozenset(e for e in self.edges if x not in e)
-        return Graph(vs, es)
 
     def induced(self, vertex_subset):
         vs = frozenset(vertex_subset)

@@ -6,7 +6,8 @@ brute-force subset enumeration over labels, so agreement with the bitmask kernel
 and the cycle DFS) is a genuine cross-check.  The cactus, chordality and
 branch oracles go through networkx (biconnected blocks, `nx.is_chordal`,
 the components of g - x), and the whisker-tree oracle checks the degree
-conditions directly.  The paper's cover-combination lemmas and its
+conditions directly; the Thm 5.1 case-5 oracle applies it to the trees
+that a 4-cycle carries, on labels.  The paper's cover-combination lemmas and its
 redundancy remark are checked here by full cover enumeration; in the
 library, `bounds.theorem34_trace` re-verifies the same inequalities on each
 proof step.
@@ -26,7 +27,8 @@ from edgeideals.constructions import sv_layer_search
 from edgeideals.covers import (DEFAULT_VERTEX_LIMIT, CoverSizeError,
                                MinimalCover, big_height, cover_stats)
 from edgeideals.graphs import (WHISKER, Graph, GraphError, _bits, _vertex_sets,
-                               build_attached_graph, edge, parse_edge_list)
+                               build_attached_graph, cycle_graph, edge,
+                               parse_edge_list)
 from edgeideals.polynomials import Monomial, Polynomial
 
 
@@ -44,6 +46,13 @@ def relabel(g, mapping):
     """g with every vertex v renamed mapping[v]."""
     return Graph.build(((mapping[u], mapping[v]) for u, v in g.edges),
                        isolated=(mapping[v] for v in g.vertices))
+
+
+def without_edges(g, dropped):
+    """g with the edges `dropped`, each of which it must have, removed."""
+    drop = {edge(u, v) for u, v in dropped}
+    assert drop <= g.edges, sorted(drop - g.edges)
+    return Graph(g.vertices, g.edges - drop)
 
 
 def format_edge_list(g):
@@ -196,6 +205,28 @@ def whisker_tree_oracle(g):
                    for t in g.vertices)
 
 
+def case5_split_oracle(g, walk):
+    """Thm 5.1 case 5 on the labels of a unicyclic g with 4-cycle walk: two
+    adjacent cycle vertices x3, x4 of degree 2, and the graphs h1, h2 that
+    the other two carry off the cycle, each with an edge and joined across
+    their cycle edge x1x2, form a whisker tree.  Returns the evidence of
+    `classify._match_case` or None."""
+    off_cycle = without_edges(g, cycle_graph(walk).edges)
+    comps = off_cycle.components()
+    for i in range(4):
+        x3, x4 = walk[i], walk[(i + 1) % 4]
+        x2, x1 = walk[(i + 2) % 4], walk[(i + 3) % 4]
+        if g.degree(x3) != 2 or g.degree(x4) != 2:
+            continue
+        h1, h2 = (off_cycle.induced(next(c for c in comps if x in c))
+                  for x in (x1, x2))
+        if not h1.edges or not h2.edges:
+            continue
+        if whisker_tree_oracle(h1.union(h2).with_edges([(x1, x2)])):
+            return {"x1": x1, "x2": x2, "h1": h1, "h2": h2}
+    return None
+
+
 # -- paper-lemma oracles: Lemmas 2.6 and 2.7, the redundancy remark ----
 
 
@@ -231,7 +262,7 @@ def redundancy_remark_check(g, c: MinimalCover, x, y):
     c minus y is a minimal vertex cover of g minus the edge xy.  Returns
     whether the two sides agree (they always should)."""
     lhs = is_redundant_neighbor(g, c, x, y)
-    g_minus = g.without_edges([edge(x, y)])
+    g_minus = without_edges(g, [edge(x, y)])
     rhs = is_minimal_cover(g_minus, c.vertices - {y})
     return lhs == rhs
 
@@ -249,7 +280,7 @@ def _split_overlap(g, g1):
     """Check g1 is a subgraph of g meeting its complement in one vertex x."""
     if not (set(g1.vertices) <= set(g.vertices) and g1.edges <= g.edges):
         raise GraphError("g1 is not a subgraph of g")
-    rest = g.without_edges(g1.edges).drop_isolated()
+    rest = without_edges(g, g1.edges).drop_isolated()
     overlap = set(g1.vertices) & set(rest.vertices)
     if len(overlap) != 1:
         raise GraphError("vertex sets must overlap in exactly one vertex, "

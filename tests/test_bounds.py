@@ -18,7 +18,7 @@ from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, branch_oracle,
                       cycle, format_edge_list, old_big_height, old_cover_stats,
                       old_maximum_covers_avoiding,
                       old_vertex_in_every_maximum_cover, path_graph,
-                      relabel)
+                      relabel, without_edges)
 
 
 def test_theorem34_bound_values():
@@ -364,9 +364,9 @@ def test_split_pass_matches_branches_and_enumeration():
                 g2 = g.induced(s)
                 rest = [r for r in branches if r is not br]
                 ys = sorted(g2.neighbors(x))
-                g1 = g.without_edges(g2.edges).drop_isolated()
+                g1 = without_edges(g, g2.edges).drop_isolated()
                 g1p = g1.with_edges((x, y) for y in ys)
-                g2bar = g2.without_edges((x, y) for y in ys).drop_isolated()
+                g2bar = without_edges(g2, ((x, y) for y in ys)).drop_isolated()
                 assert covers._joined([br]) == old(g2, x)
                 assert covers._joined(rest) == old(g1, x)
                 assert covers._joined(rest, len(ys)) == old(g1p, x)
@@ -477,6 +477,6 @@ def test_open_cycle_matches_the_edge_edit():
                 while y in g.vertices:
                     y += "'"
                 assert bounds.open_cycle(g, cyc, v) == \
-                    g.without_edges([(xs, v)]).with_edges([(xs, y)])
+                    without_edges(g, [(xs, v)]).with_edges([(xs, y)])
                 opened += 1
     assert opened > 100

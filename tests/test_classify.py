@@ -2,6 +2,7 @@
 the two corollary equivalences, and the dispatcher."""
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -11,14 +12,16 @@ from pathlib import Path
 
 import pytest
 
-from edgeideals import classify, graphs
+from edgeideals import classify, constructions, covers, graphs
+from edgeideals.certificates import verify_certificate
 from edgeideals.classify import CM, NOT_CM, UNKNOWN, HypothesisError
+from edgeideals.constructions import ConstructionError
 from edgeideals.graphs import Graph, GraphError, parse_edge_list
 
 import catalog
 from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3,
-                      brute_force_minimal_covers, cycle, path_graph,
-                      simplex_oracle)
+                      brute_force_minimal_covers, case5_split_oracle, cycle,
+                      path_graph, relabel, simplex_oracle)
 
 
 def test_is_whisker_tree():
@@ -107,6 +110,39 @@ def test_unicyclic_case5():
     g = parse_edge_list("x1 x2\nx2 x3\nx3 x4\nx4 x1\nx1 u\nx2 v")
     v = classify.classify_unicyclic(g)
     assert (v.status, v.case_tag) == (CM, "Thm 5.1 case 5")
+
+
+def test_case5_and_lemma54_state_one_hypothesis():
+    # C4 x1 x2 x3 x4 with a rooted tree of 2-6 vertices hung at x1 and
+    # another at x2, over all 64 x 64 pairs: Thm 5.1 case 5 matches as the
+    # label-level oracle does, exactly when Lemma 5.4 certifies the graph
+    # with height-many generators, and Lemma 5.4 refuses the rest.
+    rooted = [(t, r) for t in catalog.trees_upto(6) for r in t.vertices]
+
+    def hang(t, root, x):
+        return relabel(t, {v: x if v == root else "%s_%s" % (x, v)
+                           for v in t.vertices})
+
+    c4 = graphs.cycle_graph(("x1", "x2", "x3", "x4"))
+    matched = 0
+    for (t1, r1), (t2, r2) in itertools.product(rooted, repeat=2):
+        h1, h2 = hang(t1, r1, "x1"), hang(t2, r2, "x2")
+        g = c4.union(h1).union(h2)
+        verdict = classify.classify_unicyclic(g)
+        expected = case5_split_oracle(g, graphs.cycles(g)[0])
+        if expected is None:
+            assert (verdict.status, verdict.case_tag) == (NOT_CM, "Thm 5.1")
+            with pytest.raises(ConstructionError, match="hypothesis fails"):
+                constructions.gens_lemma54(h1, h2)
+            continue
+        assert (verdict.case_tag, verdict.evidence) == ("Thm 5.1 case 5",
+                                                        expected)
+        assert {expected["x1"], expected["x2"]} == {"x1", "x2"}
+        gs, cert = constructions.gens_lemma54(h1, h2)
+        assert verify_certificate(gs, cert).ok
+        assert len(gs) == covers.height(g)
+        matched += 1
+    assert matched == 49
 
 
 def test_classify_unicyclic_input_checks():

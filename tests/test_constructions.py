@@ -513,6 +513,47 @@ def test_gens_lemma54_hypothesis_checked():
         cons.gens_lemma54(h1, h2)
 
 
+def test_each_whisker_tree_hypothesis_is_checked_once(monkeypatch):
+    # Checked where the input enters: once per lemma53 attachment, once for
+    # lemma54's G - {x3, x4} and once for a raw whisker tree; the emitter
+    # checks nothing again.
+    calls = []
+    real = cons.is_whisker_tree
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(cons, "is_whisker_tree", counted)
+
+    def at(root, text):
+        return parse_edge_list(text.replace("R", root))
+
+    case_a = "R R_p\nR_p R_q\nR_p R_pw\nR_q R_qw"
+    case_b = "R R_e\nR_e R_f\nR_f R_g\nR_g R_h"
+    b1, a3, b3 = (at("x1", case_b), at("x3", case_a),
+                  at("x3", case_b.replace("R_", "Rb")))
+    for at1, at3 in (([], []), ([at("x1", case_a)], []), ([b1], [a3, b3])):
+        calls.clear()
+        _check(*cons.gens_lemma53(1, 1, at1, at3))
+        assert len(calls) == len(at1) + len(at3)
+    for h1, h2, tree in (("x1 y1\nx1 z\nz zw\nz u\nu uw",
+                          "x2 y2\nx2 w\nw ww\nw t\nt tw", True),
+                         ("x1 y1", "x2 y2", True),
+                         ("x1 y1\nx1 z", "x2 y2", False)):
+        calls.clear()
+        if tree:
+            _check(*cons.gens_lemma54(parse_edge_list(h1),
+                                      parse_edge_list(h2)))
+        else:
+            with pytest.raises(ConstructionError, match="hypothesis fails"):
+                cons.gens_lemma54(parse_edge_list(h1), parse_edge_list(h2))
+        assert calls == [parse_edge_list("%s\nx1 x2\n%s" % (h1, h2))]
+    calls.clear()
+    _check(*cons.gens_whisker_tree(WHISKER_P3, ("a", "b")))
+    assert calls == [WHISKER_P3]
+
+
 def test_all_verified_sets_meet_krull_bound(certificate_corpus):
     for name, gs, cert in certificate_corpus:
         assert len(gs) >= covers.big_height(gs.graph), name
