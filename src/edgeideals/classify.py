@@ -12,7 +12,8 @@ the Prop 4.2 tail reads its attachments off the degrees and the cycles,
 building only the base graph it returns.  Case 5 tests Lemma 5.4's
 hypothesis, G - {x3, x4} a whisker tree, as `constructions.gens_lemma54`
 does.  Cor 4.4's simplexes are the closed neighbourhoods of the simplicial
-vertices, so its partition test enumerates no cliques.
+vertices, so its partition test enumerates no cliques.  Cor 4.4 and Cor
+6.1 share one verdict rule, `_purity_verdict`.
 """
 
 from __future__ import annotations
@@ -144,22 +145,29 @@ def classify_unicyclic(g):
     return CmVerdict(CM, "Yes", tag, evidence)
 
 
+def _purity_verdict(g, tag, structure, witness):
+    """The verdict of a result under which purity holds exactly when the
+    structure does: CM and STCI with the structure's witness, or NotCM with
+    the cover numbers.  witness is False when the structure fails."""
+    h, bh = covers.height(g), covers.big_height(g)
+    if (h == bh) != bool(witness):
+        raise GraphError("internal invariant violation: purity and the %s "
+                         "must agree under the hypothesis" % structure)
+    if witness:
+        return CmVerdict(CM, "Yes", tag, witness)
+    return CmVerdict(NOT_CM, case_tag=tag,
+                     evidence={"height": h, "big_height": bh})
+
+
 def corollary44(g):
     """For chordal graphs, or graphs without C4/C5 subgraphs: purity, CM,
     the simplex partition and STCI are all equivalent."""
     if not graphs.is_chordal(g) and graphs.has_cycle_subgraph(g, (4, 5)):
         raise HypothesisError("hypothesis not met: graph is neither chordal "
                               "nor free of length-4/5 cycle subgraphs")
-    h, bh = covers.height(g), covers.big_height(g)
-    part_ok, partition = simplex_partition_check(g)
-    if (h == bh) != part_ok:
-        raise GraphError("internal invariant violation: purity and the "
-                         "simplex partition must agree under the hypothesis")
-    if part_ok:
-        return CmVerdict(CM, "Yes", "Cor 4.4",
-                         {"partition": [sorted(s) for s in partition]})
-    return CmVerdict(NOT_CM, case_tag="Cor 4.4",
-                     evidence={"height": h, "big_height": bh})
+    ok, partition = simplex_partition_check(g)
+    return _purity_verdict(g, "Cor 4.4", "simplex partition", ok and {
+        "partition": [sorted(s) for s in partition]})
 
 
 def corollary61(g):
@@ -178,18 +186,9 @@ def corollary61(g):
     if graphs.has_cycle_subgraph(g, (3, 4, 5)):
         raise HypothesisError("hypothesis not met: graph has a minimal cycle "
                               "of length less than 6")
-    h, bh = covers.height(g), covers.big_height(g)
     whisker, base = graphs.is_whisker_graph(g)
-    if (h == bh) != whisker:
-        raise GraphError("internal invariant violation: purity and the "
-                         "whisker decomposition must agree under the "
-                         "hypothesis")
-    if whisker:
-        return CmVerdict(CM, "Yes", "Cor 6.1",
-                         {"base_edges": [list(e) for e in
-                                         base.sorted_edges()]})
-    return CmVerdict(NOT_CM, case_tag="Cor 6.1",
-                     evidence={"height": h, "big_height": bh})
+    return _purity_verdict(g, "Cor 6.1", "whisker decomposition", whisker and {
+        "base_edges": [list(e) for e in base.sorted_edges()]})
 
 
 def _prop42_tail(g):
@@ -232,16 +231,14 @@ def _prop42_tail(g):
 
 
 def stci_verdict(g):
-    """Try each classification result in fixed order and return the strongest
-    verdict; Unknown when nothing applies."""
+    """Try each classification result in fixed order (unicyclic, Cor 4.4,
+    the Prop 4.2 tail) and return the strongest verdict; Unknown when
+    nothing applies.  Cor 6.1 is not asked: girth at least 6 leaves no C4
+    or C5 subgraph, so Cor 4.4 answers first wherever Cor 6.1 would."""
     if g.edges and g.is_connected() and len(g.edges) == len(g.vertices):
         return classify_unicyclic(g)
     try:
         return corollary44(g)
-    except HypothesisError:
-        pass
-    try:
-        return corollary61(g)
     except HypothesisError:
         pass
     tail = _prop42_tail(g)

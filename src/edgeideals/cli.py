@@ -2,8 +2,11 @@
 
 Reads graphs in the one-edge-per-line format ("u v"; a bare "v" declares an
 isolated vertex; a token that begins with '#' starts a comment to the end of
-the line), writes JSON reports to stdout and certificates to files.  Exit
-codes: 0 success, 1 failed verification, 2 usage or hypothesis errors.
+the line), writes JSON reports to stdout and certificates to files.  Each
+subcommand returns its graph and its report fields; `main` frames, renders
+and writes the report and sets the exit code: 0 success, 1 a report that
+reads "verified": false, 2 a usage, input or hypothesis error, input too
+deep for the recursion limit included, with one error line and no report.
 """
 
 from __future__ import annotations
@@ -30,17 +33,9 @@ def _graph_summary(g):
             "edges": [list(e) for e in g.sorted_edges()]}
 
 
-def _emit(report):
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-
-
-def cmd_analyze(args):
-    g = _load_graph(args.graph)
+def cmd_analyze(g, args):
     cactus = graphs.is_cactus(g)
-    report = {
-        "command": "analyze",
-        "graph": _graph_summary(g),
+    fields = {
         "degrees": {v: g.degree(v) for v in g.vertices},
         "components": [sorted(c) for c in g.components()],
         "is_cactus": cactus,
@@ -48,43 +43,26 @@ def cmd_analyze(args):
         "terminal_edges": [list(e) for e in sorted(g.terminal_edges())],
     }
     if cactus:
-        report["cycles"] = [list(c) for c in graphs.cycles(g)]
-    _emit(report)
-    return 0
+        fields["cycles"] = [list(c) for c in graphs.cycles(g)]
+    return g, fields
 
 
-def cmd_covers(args):
-    g = _load_graph(args.graph)
+def cmd_covers(g, args):
     stats = covers.cover_stats(g)
-    _emit({
-        "command": "covers",
-        "graph": _graph_summary(g),
-        "height": stats.height,
-        "big_height": stats.big_height,
-        "unmixed": stats.unmixed,
-        "covers": [list(c.sorted()) for c in stats.all_covers],
-    })
-    return 0
+    return g, {"height": stats.height, "big_height": stats.big_height,
+               "unmixed": stats.unmixed,
+               "covers": [list(c.sorted()) for c in stats.all_covers]}
 
 
-def _report_bound(r: bounds.BoundReport):
-    return {"bound": r.bound, "big_height": r.big_height,
-            "n_cycles": r.n_cycles, "improvement_k": r.improvement_k,
-            "source": r.source, "stci": r.stci}
-
-
-def cmd_bound(args):
-    g = _load_graph(args.graph)
+def cmd_bound(g, args):
     r = bounds.corollary41_bound(g) if args.improve \
         else bounds.theorem34_bound(g)
-    report = {"command": "bound", "graph": _graph_summary(g),
-              **_report_bound(r)}
+    fields = {k: v for k, v in r._asdict().items() if k != "graph"}
     if args.trace:
         trace = bounds.theorem34_trace(g)
-        report["trace"] = trace.to_data()
-        report["trace_bound"] = trace.bound
-    _emit(report)
-    return 0
+        fields["trace"] = trace.to_data()
+        fields["trace_bound"] = trace.bound
+    return g, fields
 
 
 def _parse_attachments(specs):
@@ -136,28 +114,19 @@ def _build_family(args):
             raise GraphError("no layering within %s layers found"
                              % args.max_layers)
         return res
-    raise GraphError("unknown family %r" % fam)
 
 
 def cmd_gens(args):
     gs, cert = _build_family(args)
     verdict = verify_certificate(gs, cert)
-    data = certified_set_to_data(gs, cert)
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-    _emit({
-        "command": "gens",
-        "family": args.family,
-        "graph": _graph_summary(gs.graph),
-        "count": len(gs.polys),
-        "generators": [str(p) for p in gs.polys],
-        "steps": len(cert.steps),
-        "certificate_file": args.out,
-        "verified": verdict.ok,
-        "reason": verdict.reason,
-    })
-    return 0 if verdict.ok else 1
+            json.dump(certified_set_to_data(gs, cert), fh, indent=2,
+                      sort_keys=True)
+    return gs.graph, {"family": args.family, "count": len(gs.polys),
+                      "generators": [str(p) for p in gs.polys],
+                      "steps": len(cert.steps), "certificate_file": args.out,
+                      "verified": verdict.ok, "reason": verdict.reason}
 
 
 def cmd_verify(args):
@@ -169,15 +138,9 @@ def cmd_verify(args):
                                          % exc) from None
     gs, cert = certified_set_from_data(data)
     verdict = verify_certificate(gs, cert)
-    _emit({
-        "command": "verify",
-        "graph": _graph_summary(gs.graph),
-        "count": len(gs.polys),
-        "verified": verdict.ok,
-        "failed_step": verdict.failed_step,
-        "reason": verdict.reason,
-    })
-    return 0 if verdict.ok else 1
+    return gs.graph, {"count": len(gs.polys), "verified": verdict.ok,
+                      "failed_step": verdict.failed_step,
+                      "reason": verdict.reason}
 
 
 # classify --result: the name of the `classify` function behind each choice,
@@ -187,33 +150,18 @@ _RESULTS = {"auto": "stci_verdict", "unicyclic": "classify_unicyclic",
             "cor44": "corollary44", "cor61": "corollary61"}
 
 
-def cmd_classify(args):
-    g = _load_graph(args.graph)
+def cmd_classify(g, args):
     verdict = getattr(classify, _RESULTS[args.result])(g)
     evidence = {k: (sorted(v) if isinstance(v, (set, frozenset)) else
                     _graph_summary(v) if isinstance(v, graphs.Graph) else v)
                 for k, v in verdict.evidence.items()}
-    _emit({
-        "command": "classify",
-        "graph": _graph_summary(g),
-        "status": verdict.status,
-        "stci": verdict.stci,
-        "case": verdict.case_tag,
-        "evidence": evidence,
-    })
-    return 0
+    return g, {"status": verdict.status, "stci": verdict.stci,
+               "case": verdict.case_tag, "evidence": evidence}
 
 
-def cmd_pd(args):
-    g = _load_graph(args.graph)
+def cmd_pd(g, args):
     pd, table = homology.projective_dimension(g)
-    _emit({
-        "command": "pd",
-        "graph": _graph_summary(g),
-        "pd": pd,
-        "betti": table.to_data()["betti"],
-    })
-    return 0
+    return g, {"pd": pd, "betti": table.to_data()["betti"]}
 
 
 def build_parser():
@@ -225,7 +173,7 @@ def build_parser():
     def graph_cmd(name, fn, help_):
         p = sub.add_parser(name, help=help_)
         p.add_argument("graph", help="edge-list file, or - for stdin")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=lambda args: fn(_load_graph(args.graph), args))
         return p
 
     graph_cmd("analyze", cmd_analyze, "structural summary")
@@ -271,13 +219,21 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        graph, fields = args.fn(args)
+        text = json.dumps({"command": args.command,
+                           "graph": _graph_summary(graph), **fields},
+                          indent=2, sort_keys=True)
     except (GraphError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input too deep for the recursion limit",
+              file=sys.stderr)
+        return 2
+    print(text)
+    return 0 if fields.get("verified", True) else 1
 
 
 if __name__ == "__main__":

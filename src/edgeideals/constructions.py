@@ -192,7 +192,8 @@ def gens_lemma52(r, s, x=None, r_paths=None, s_paths=None):
 
 # -- Schmitt-Vogel layer search ---------------------------------------
 #
-# Edge i is bit i of a mask, over the edge monomials in sort_key order.
+# Edge i is bit i of a mask, over the edge monomials in the polynomial
+# term order.
 # witnesses[i][j] is the mask of the edges with both ends among the ends of
 # edges i and j: for square-free degree-2 monomials, exactly the d with
 # d | e*f.  Two remaining edges can share a layer when an earlier edge, one
@@ -225,8 +226,8 @@ def _compatible_cliques(remaining, monomials, witnesses):
     between PYTHONHASHSEED values."""
     earlier = ~remaining
     idx = list(_bits(remaining))
-    # Every set is filled in bit order, which is sort_key order (see
-    # _edge_monomials): this fixes its iteration order for a given hash
+    # Every set is filled in bit order, which is the polynomial term order
+    # (see _edge_monomials): this fixes its iteration order for a given hash
     # seed.  Branches also go in bit order, and r is the clique's mask.
     rem = [monomials[i] for i in idx]
     rank = dict(zip(rem, idx))
@@ -274,7 +275,8 @@ def _search_layers(n, p0, max_layers, cliques):
 
 
 def _edge_monomials(g):
-    """The edge monomials of g in sort_key order, the bit order of masks."""
+    """The edge monomials of g in the polynomial term order, the bit order
+    of masks."""
     return [Monomial.of(u, v) for u, v in g.sorted_edges()]
 
 

@@ -56,9 +56,6 @@ class Monomial(namedtuple("Monomial", "exps", defaults=((),))):
     def is_one(self):
         return not self.exps
 
-    def degree(self):
-        return sum(e for _, e in self.exps)
-
     def __mul__(self, other):
         d = self.as_dict()
         for v, e in other.exps:
@@ -88,9 +85,6 @@ class Monomial(namedtuple("Monomial", "exps", defaults=((),))):
             d[v] -= e
         return Monomial.from_dict(d)
 
-    def sort_key(self):
-        return (-self.degree(), self.exps)
-
     def __str__(self):
         if self.is_one:
             return "1"
@@ -102,9 +96,9 @@ ONE = Monomial()
 
 def _canon(terms):
     """The canonical tuple of a sequence of (Monomial, int) terms: like
-    monomials merged, zero coefficients dropped, sorted by Monomial.sort_key
-    (degree descending, then exps).  One term, as in every Polynomial.term,
-    needs no merge and no sort."""
+    monomials merged, zero coefficients dropped, sorted in the polynomial
+    term order (degree descending, then exps).  One term, as in every
+    Polynomial.term, needs no merge and no sort."""
     if len(terms) == 1:
         (m, c), = terms
         return ((m, c),) if c else ()

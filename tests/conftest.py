@@ -440,11 +440,17 @@ def old_maximum_covers_avoiding(g, x):
 # run: every state rebuilt its compatibility graph by multiplying monomials,
 # and the certificate looked each pair's witness up in a dict keyed by
 # Monomial pairs.  The mask search must return the very same
-# (GeneratorSet, Certificate).
+# (GeneratorSet, Certificate).  `_sort_key` stands in for the retired
+# `Monomial.sort_key`.
+
+
+def _sort_key(m):
+    """The polynomial term order: degree descending, then exps."""
+    return (-sum(e for _, e in m.exps), m.exps)
 
 
 def _old_compatible_cliques(remaining, earlier):
-    rem = sorted(remaining, key=lambda m: m.sort_key())
+    rem = sorted(remaining, key=_sort_key)
     compat = {m: set() for m in rem}
     for i, e in enumerate(rem):
         for f in rem[i + 1:]:
@@ -458,7 +464,7 @@ def _old_compatible_cliques(remaining, earlier):
             out.append(frozenset(r))
             return
         pivot = max(p | x, key=lambda m: len(compat[m] & p))
-        for m in sorted(p - compat[pivot], key=lambda m: m.sort_key()):
+        for m in sorted(p - compat[pivot], key=_sort_key):
             bk(r | {m}, p & compat[m], x & compat[m])
             p = p - {m}
             x = x | {m}
@@ -479,7 +485,7 @@ def _old_search_layers(monomials, p0, max_layers):
         for layer in _old_compatible_cliques(remaining, earlier):
             tail = go(remaining - layer, depth - 1)
             if tail is not None:
-                return [sorted(layer, key=lambda m: m.sort_key())] + tail
+                return [sorted(layer, key=_sort_key)] + tail
         dead.add(remaining)
         return None
 
@@ -497,7 +503,7 @@ def _old_layer_witnesses(layers):
             for f in layer[i + 1:]:
                 witness[(e, f)] = min(
                     (d for d in earlier if d.divides(e * f)),
-                    key=lambda m: m.sort_key())
+                    key=_sort_key)
         earlier.extend(layer)
     return witness
 

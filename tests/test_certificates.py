@@ -132,6 +132,14 @@ def test_sv_step_needs_two_unit_terms():
     assert not v.ok and "units" in v.reason
 
 
+def test_sv_step_needs_a_sum_of_two_terms():
+    g = Graph.build([("a", "b")])
+    gs = GeneratorSet(g, (_p("a", "b"),))
+    v = verify_certificate(gs, Certificate((SVStep(0, 0),)))
+    assert (v.ok, v.failed_step, v.reason) == (
+        False, 0, "sum_ref does not have two terms")
+
+
 def test_linear_step():
     g = Graph.build([("a", "b"), ("b", "c")])
     gs = GeneratorSet(g, (_p("a", "b"), _p("a", "b") + _p("b", "c")))
@@ -145,6 +153,14 @@ def test_linear_step_bad_remainder():
                           _p("a", "b") + _p("b", "c") + _p("c", "d")))
     v = verify_certificate(gs, Certificate((LinearStep(1, (0,)),)))
     assert not v.ok and "remainder" in v.reason
+
+
+def test_linear_step_subtracts_unit_monomials_only():
+    g = Graph.build([("a", "b"), ("b", "c")])
+    gs = GeneratorSet(g, (_p("a", "b") + _p("b", "c"), _p("a", "b")))
+    v = verify_certificate(gs, Certificate((LinearStep(1, (0,)),)))
+    assert (v.ok, v.failed_step, v.reason) == (
+        False, 0, "subtract ref 0 is not a unit monomial")
 
 
 def test_power_step_exact_identity():

@@ -320,3 +320,30 @@ def test_classification_matches_the_recorded_digest():
     text = json.dumps(results, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3045b9ee18811fc3493ab046cf8968cf1e1fa2b520d808a16a9600bb55247dc5")
+
+
+def _digest_corpus():
+    """The corpus of the recorded digest above."""
+    rng = random.Random(15)
+    return [*catalog.connected_graphs_upto(7),
+            *catalog.girth_at_least_6_upto(8),
+            *catalog.random_cacti(15, 60, 12),
+            *(_random_graph(rng) for _ in range(286))]
+
+
+def test_auto_dispatch_never_needs_cor61():
+    # Girth at least 6 leaves no C4 or C5 subgraph, so Cor 4.4's hypothesis
+    # holds wherever Cor 6.1's does, and Cor 4.4 answers first unless the
+    # graph is unicyclic.  All three give one status and one STCI answer.
+    answered = 0
+    for g in _digest_corpus():
+        auto = _outcome(classify.stci_verdict, g)
+        assert auto[2:3] != ["Cor 6.1"]
+        cor61 = _outcome(classify.corollary61, g)
+        if len(cor61) == 4:
+            answered += 1
+            cor44 = _outcome(classify.corollary44, g)
+            assert auto[:2] == cor44[:2] == cor61[:2]
+            if not auto[2].startswith("Thm 5.1"):
+                assert auto == cor44
+    assert answered

@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from edgeideals import constructions
-from edgeideals.certificates import certified_set_to_data
+from edgeideals.certificates import Certificate, certified_set_to_data
 from edgeideals.cli import main
 from edgeideals.graphs import Graph
 
@@ -542,6 +543,124 @@ def test_gens_svsearch_above_the_cover_guard(run, graph_file):
                                            for i in range(14)))
     rep = run(["gens", "--family", "svsearch", f])
     assert rep["verified"] and rep["count"] == 14
+
+
+# -- the report frame and the exit code, set once in main ---------------
+
+
+def test_every_report_carries_its_command_and_graph(run, graph_file,
+                                                    tmp_path):
+    f = graph_file("tri.txt", "a b\nb c\nc a\n")
+    for command in ("analyze", "covers", "bound", "classify", "pd"):
+        rep = run([command, f])
+        assert rep["command"] == command
+        assert rep["graph"] == {"vertices": ["a", "b", "c"],
+                                "edges": [["a", "b"], ["a", "c"], ["b", "c"]]}
+    cert = str(tmp_path / "cert.json")
+    made = run(["gens", "--family", "cycle", "--length", "3", "--out", cert])
+    checked = run(["verify", cert])
+    assert (made["command"], checked["command"]) == ("gens", "verify")
+    assert made["graph"] == checked["graph"] == {
+        "vertices": ["x1", "x2", "x3"],
+        "edges": [["x1", "x2"], ["x1", "x3"], ["x2", "x3"]]}
+
+
+def _without_the_last_step(length, gens_cycle=constructions.gens_cycle):
+    gs, cert = gens_cycle(length)
+    return gs, Certificate(cert.steps[:-1])
+
+
+def test_gens_and_verify_exit_1_exactly_on_a_failed_certificate(
+        run, tmp_path, monkeypatch):
+    out = str(tmp_path / "cert.json")
+    for code in (0, 1):
+        if code:
+            monkeypatch.setattr(constructions, "gens_cycle",
+                                _without_the_last_step)
+        for argv in (["gens", "--family", "cycle", "--out", out],
+                     ["verify", out]):
+            rep = run(argv, expect=code)
+            assert rep["verified"] is (code == 0)
+            assert bool(rep["reason"]) is (code == 1)
+
+
+def _triangle_chain(n):
+    """n triangles, each sharing one vertex with the next: the Theorem 3.4
+    trace nests one proof step per triangle it opens."""
+    return "".join("t%d t%d\nt%d t%d\nt%d t%d\n"
+                   % (i, i + 1, i + 1, i + 2, i, i + 2)
+                   for i in range(0, 2 * n, 2))
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_input_too_deep_for_the_recursion_limit_exits_2(graph_file, capsys):
+    f = graph_file("chain.txt", _triangle_chain(150))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        err = input_error(["bound", "--trace", f], capsys)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert err == "error: input too deep for the recursion limit\n"
+
+
+# Each input check of a generator family that the CLI reaches; "@name" is
+# the file GENS_FILES[name].
+GENS_FILES = {"p3": "p0 p1\np1 p2\n", "ab": "a b\n",
+              "c5": "".join("c%d c%d\n" % (i, (i + 1) % 5) for i in range(5)),
+              "x1-twice": "x1 e\nx1 f\ne ew\nf fw\n", "x1-alone": "x1\n",
+              "h1": "x1 y1\n", "h2": "x2 y2\n", "h2-holds-y1": "x2 y1\n",
+              "h2-holds-x3": "x2 x3\n"}
+
+
+@pytest.mark.parametrize("argv,error", [
+    ("lemma52 --r -1", "r and s must be nonnegative"),
+    ("whisker @p3 --anchor p0 p1", "graph is not a whisker tree"),
+    ("prop42 --base @ab --attach a=whisker --attach b=6",
+     "cycle length 6 not supported (only 3, 4, 5)"),
+    ("prop42 --base @c5" + "".join(" --attach c%d=whisker" % i
+                                   for i in range(5)),
+     "no 5-layer generator set found for the whisker graph"),
+    ("lemma53 --attach-x1 @x1-twice",
+     "root must have exactly one neighbour in the attachment"),
+    ("lemma54 --h1 @x1-alone --h2 @h2",
+     "attachment at 'x1' must be a non-empty graph containing it"),
+    ("lemma54 --h1 @h1 --h2 @h2-holds-y1",
+     "attached trees must be vertex-disjoint"),
+    ("lemma54 --h1 @h1 --h2 @h2-holds-x3",
+     "x3/x4 cannot appear in the attachments"),
+], ids=["lemma52-negative", "whisker-not-a-whisker-tree", "prop42-length-6",
+        "prop42-search-budget", "lemma53-root-twice", "lemma54-empty",
+        "lemma54-overlap", "lemma54-x3"])
+def test_gens_input_checks_exit_2(graph_file, capsys, argv, error):
+    argv = ["gens", "--family"] + [
+        graph_file(a[1:] + ".txt", GENS_FILES[a[1:]]) if a[0] == "@" else a
+        for a in argv.split()]
+    assert input_error(argv, capsys) == "error: %s\n" % error
+
+
+@pytest.mark.parametrize("generators,step,reason", [
+    ([[[[["x1", 1], ["x2", 1]], 1]]], {"kind": "sv", "rho": 0, "sum": 0},
+     "sum_ref does not have two terms"),
+    ([[[[["x1", 1], ["x2", 1], ["y", 1]], 1],
+       [[["x1", 1], ["x2", 1], ["z", 1]], 1]],
+      [[[["x1", 1], ["x2", 1]], 1]]],
+     {"kind": "linear", "target": 1, "subtract": [0]},
+     "subtract ref 0 is not a unit monomial"),
+], ids=["sv-sum-of-one-term", "linear-subtracts-a-binomial"])
+def test_verify_rejects_a_ref_of_the_wrong_shape_with_exit_1(
+        run, tmp_path, generators, step, reason):
+    out = tmp_path / "cert.json"
+    out.write_text(json.dumps({"edges": [["x1", "x2"]],
+                               "generators": generators, "steps": [step]}))
+    rep = run(["verify", str(out)], expect=1)
+    assert (rep["failed_step"], rep["reason"]) == (0, reason)
 
 
 # -- fuzzing verify: every certificate file gets exit 0, 1 or 2 ----------

@@ -16,9 +16,9 @@ import pytest
 from edgeideals import constructions as cons
 from edgeideals import covers
 from edgeideals.certificates import verify_certificate
-from edgeideals.constructions import ConstructionError
+from edgeideals.constructions import ConstructionError, SearchBudgetError
 from edgeideals.graphs import Graph, GraphError, is_cactus, parse_edge_list
-from edgeideals.polynomials import Monomial
+from edgeideals.polynomials import Monomial, Polynomial
 
 import catalog
 from conftest import (WHISKER_P3, cycle, layer_search_mismatches, path_graph,
@@ -57,6 +57,16 @@ def test_gens_lemma52(r, s):
     assert stats.height == stats.big_height == r + s + 3
 
 
+def test_gens_lemma52_input_checks():
+    with pytest.raises(ConstructionError,
+                       match="^r and s must be nonnegative$"):
+        cons.gens_lemma52(0, -1)
+    with pytest.raises(ConstructionError, match="^path label count mismatch$"):
+        cons.gens_lemma52(1, 0, r_paths=[])
+    with pytest.raises(ConstructionError, match="^path labels collide$"):
+        cons.gens_lemma52(2, 0, r_paths=[("a1", "b1"), ("a1", "b2")])
+
+
 def test_lemma52_graph_shape():
     g = cons.lemma52_graph(r_paths=[("a1", "b1")], s_paths=[("c1", "d1")])
     assert g.degree("x1") == 3 and g.degree("x3") == 3
@@ -79,6 +89,12 @@ def test_gens_whisker_tree_count_and_anchor():
 def test_gens_whisker_tree_rejects_non_whisker_tree():
     with pytest.raises(ConstructionError):
         cons.gens_whisker_tree(path_graph(4), ("p0", "p1"))
+
+
+def test_gens_whisker_tree_rejects_a_graph_that_is_not_a_whisker_tree():
+    with pytest.raises(ConstructionError,
+                       match="^graph is not a whisker tree$"):
+        cons.gens_whisker_tree(path_graph(3), ("p0", "p1"))
 
 
 def _check_whisker_tree(base, anchor):
@@ -157,13 +173,13 @@ def _random_graph(rng, labels, count):
 
 def test_edge_monomials_follow_sort_key_order():
     # Mask bit i is the i-th edge monomial, and the least witness is the
-    # lowest set bit, so the list must be in sort_key order.
+    # lowest set bit, so the list must be in the polynomial term order.
     labels = ["a", "B", "a1", "a10", "a2", "aa", "b", "x_1", "Z9", "\u00e9"]
     rng = random.Random(5)
     for _ in range(50):
         g = _random_graph(rng, labels, rng.randint(1, 20))
         mons = cons._edge_monomials(g)
-        assert mons == sorted(mons, key=Monomial.sort_key)
+        assert mons == [m for m, _ in Polynomial.of(*mons).terms]
         assert len(set(mons)) == len(g.edges)
 
 
@@ -386,6 +402,21 @@ def test_gens_prop42_counts():
     assert stats.unmixed and len(gs) == stats.height
 
 
+def test_gens_prop42_rejects_an_unsupported_cycle_length():
+    with pytest.raises(ConstructionError, match=r"^cycle length 6 not "
+                       r"supported \(only 3, 4, 5\)$"):
+        cons.gens_prop42(parse_edge_list("a b"), {"a": cons.WHISKER, "b": 6})
+
+
+def test_gens_prop42_on_the_whiskered_c5_exceeds_the_search_budget():
+    # ROADMAP item 13c: the whiskered C5 has no 5-layer layering, so the
+    # family fails until it builds power and linear steps.
+    base = cycle(5)
+    with pytest.raises(SearchBudgetError, match="^no 5-layer generator set "
+                       "found for the whisker graph$"):
+        cons.gens_prop42(base, dict.fromkeys(base.vertices, cons.WHISKER))
+
+
 def test_gens_prop42_c4_attachment():
     base = parse_edge_list("a b")
     gs = _check(*cons.gens_prop42(base, {"a": cons.WHISKER, "b": 4}))
@@ -486,6 +517,13 @@ def test_gens_lemma53_rejects_bad_attachment():
         cons.gens_lemma53(-1, 0)
 
 
+def test_gens_lemma53_rejects_a_root_with_two_neighbours():
+    att = parse_edge_list("x1 e\nx1 f\ne ew\nf fw")
+    with pytest.raises(ConstructionError, match="^root must have exactly one "
+                       "neighbour in the attachment$"):
+        cons.gens_lemma53(0, 0, [att])
+
+
 def test_gens_lemma53_rejects_overlapping_attachments():
     # With an overlap the generators would outnumber the big height.
     att = parse_edge_list("x1 e\ne f\ne ew\nf fw")
@@ -511,6 +549,19 @@ def test_gens_lemma54_hypothesis_checked():
     h2 = parse_edge_list("x2 y2")
     with pytest.raises(ConstructionError):
         cons.gens_lemma54(h1, h2)
+
+
+def test_gens_lemma54_input_checks():
+    h1 = parse_edge_list("x1 y1")
+    with pytest.raises(ConstructionError, match="^attachment at 'x2' must be "
+                       "a non-empty graph containing it$"):
+        cons.gens_lemma54(h1, parse_edge_list("x2"))
+    with pytest.raises(ConstructionError,
+                       match="^attached trees must be vertex-disjoint$"):
+        cons.gens_lemma54(h1, parse_edge_list("x2 y1"))
+    with pytest.raises(ConstructionError,
+                       match="^x3/x4 cannot appear in the attachments$"):
+        cons.gens_lemma54(h1, parse_edge_list("x2 x3"))
 
 
 def test_each_whisker_tree_hypothesis_is_checked_once(monkeypatch):

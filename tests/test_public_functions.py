@@ -59,10 +59,11 @@ def _referenced_names(tree, skip=frozenset()):
 
 
 def _public_definitions(tree):
-    """The public module-level functions and public `Graph` methods."""
+    """The public module-level functions and the public methods of every
+    class."""
     for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == "Graph":
-            yield from (("Graph." + f.name, f) for f in node.body
+        if isinstance(node, ast.ClassDef):
+            yield from (("%s.%s" % (node.name, f.name), f) for f in node.body
                         if isinstance(f, ast.FunctionDef)
                         and not f.name.startswith("_"))
         elif isinstance(node, ast.FunctionDef) \
