@@ -20,16 +20,15 @@ Two paths give these numbers:
 `cover_stats`, behind the `covers` report, always enumerates; so does
 `maximum_covers_avoiding`, which lists only the sets through one vertex.
 
-One memo keeps, for the _COVER_MEMO_SIZE most recently used graphs, what
-was computed for each, and never changes a stored value: a
-(height, big_height) pair from one DP pass, or an enumeration's CoverStats
-(the same two fields and more), which `cover_stats` stores over the pair.
-Its keys are graph values, as the trace builds equal graphs anew: on the
-pinned 110-trace test corpus a per-object cache made 288 unrooted DP
-passes where value keys make 267.  The guard is checked on every
-enumerating call, outside the memo, and a CoverStats above the guard is
-not read, so a CoverSizeError is never cached.  The MinimalCover values
-are built only when `all_covers` is read.
+What is computed for a graph is kept on that graph object, in its
+instance `__dict__` (as `cached_property` keeps `Graph.masks`), and never
+changed: under "_cover_pair" the (height, big_height) pair of one DP
+pass, or None when the pass finds no cactus; under "_cover_stats" the
+CoverStats of the enumeration, which on a cactus `cover_stats` also keeps
+as the pair.  Neither refers back to its graph, so a graph is freed with
+its numbers.  The guard is checked on every enumerating call before the
+kept CoverStats is read, so a CoverSizeError is never cached.  The
+MinimalCover values are built only when `all_covers` is read.
 
 The paper's cover-union lemmas are checked where they are used:
 `bounds.theorem34_trace` re-verifies the inequalities of each proof step
@@ -49,12 +48,6 @@ from .graphs import (Graph, GraphError, _bits, _cactus_dfs, _vertex_sets,
 # on cacti does not read it.
 DEFAULT_VERTEX_LIMIT = 26
 
-# The bounds and the classification ask for the numbers of the same graph
-# several times, so a small memo catches the repeats.  Measured on
-# random cacti of 6-16 vertices: 1024 entries gave no more speed than 64
-# and raised peak RSS from 50 to 71 MB.
-_COVER_MEMO_SIZE = 64
-
 # larger than any cover count: the cost of an impossible DP state
 _INF = 1 << 40
 _ALONE = (1, _INF, 0, 1, 0)   # the DP state of a vertex with nothing below
@@ -66,8 +59,8 @@ class CoverSizeError(GraphError):
     pass
 
 
-class MinimalCover(namedtuple("MinimalCover", "vertices host")):
-    """A minimal vertex cover of `host` (a generator set of a minimal prime)."""
+class MinimalCover(namedtuple("MinimalCover", "vertices")):
+    """A minimal vertex cover (a generator set of a minimal prime)."""
 
     __slots__ = ()
 
@@ -79,12 +72,12 @@ class MinimalCover(namedtuple("MinimalCover", "vertices host")):
 
 
 class CoverStats(namedtuple("CoverStats",
-                            "height big_height unmixed graph independent")):
-    """The cover numbers of `graph`, kept as the int masks of its maximal
-    independent sets (bit i: graph.vertices[i]); the complements of the
-    smallest ones are the maximum covers.  `all_covers` is built from the
-    masks on first read and kept in the instance `__dict__`; assignment is
-    refused, as on a Graph."""
+                            "height big_height unmixed vertices independent")):
+    """The cover numbers of a graph, kept as the int masks of its maximal
+    independent sets (bit i: vertices[i], the graph's vertex labels); the
+    complements of the smallest ones are the maximum covers.  `all_covers`
+    is built from the masks on first read and kept in the instance
+    `__dict__`; assignment is refused, as on a Graph."""
 
     __setattr__ = Graph.__setattr__
     __delattr__ = Graph.__delattr__
@@ -96,21 +89,17 @@ class CoverStats(namedtuple("CoverStats",
     @functools.cached_property
     def all_covers(self):
         """Every minimal cover, sorted by its independent complement."""
-        g = self.graph
-        active = frozenset(g.non_isolated)
-        return tuple(MinimalCover(active - ind, g)
-                     for ind in _vertex_sets(g.vertices, self.independent))
-
-
-def _over_guard(g):
-    # The vertex count comes first: it bounds the non-isolated count and
-    # needs no adjacency masks.
-    return len(g.vertices) > DEFAULT_VERTEX_LIMIT \
-        and len(g.non_isolated) > DEFAULT_VERTEX_LIMIT
+        sets = _vertex_sets(self.vertices, self.independent)
+        # every non-isolated vertex lies in some maximal independent set
+        active = frozenset().union(*sets)
+        return tuple(MinimalCover(active - ind) for ind in sets)
 
 
 def _guard(g):
-    if _over_guard(g):
+    # The vertex count comes first: it bounds the non-isolated count and
+    # needs no adjacency masks.
+    if len(g.vertices) > DEFAULT_VERTEX_LIMIT \
+            and len(g.non_isolated) > DEFAULT_VERTEX_LIMIT:
         raise CoverSizeError(
             "%d non-isolated vertices exceeds the enumeration guard (%d)"
             % (len(g.non_isolated), DEFAULT_VERTEX_LIMIT))
@@ -211,34 +200,20 @@ def _without_root(branch):
     return k - branch.terms[4], k - branch.least
 
 
-# -- the memo ------------------------------------------------------------
+# -- the numbers kept on each graph ------------------------------------
 
 
 _Numbers = namedtuple("_Numbers", "height big_height")   # from a DP pass
-_memo = {}
-
-
-def _remember(g, value):
-    if len(_memo) >= _COVER_MEMO_SIZE:
-        del _memo[next(iter(_memo))]
-    _memo[g] = value
-    return value
 
 
 def _numbers(g):
-    """The memo value of g: from the memo, else from one DP pass, else (not
-    a cactus) from `cover_stats`.  A CoverStats above the guard (stored
-    while the guard was raised) is not read, so the guard decides as on
-    enumeration."""
-    value = _memo.pop(g, None)
-    if value is not None and not (isinstance(value, CoverStats)
-                                  and _over_guard(g)):
-        _memo[g] = value
-        return value
-    dp = _cactus_numbers(g)
-    if dp is None:
-        return cover_stats(g)
-    return _remember(g, _Numbers(dp[0], dp[1]))
+    """The height and big height of g: from the one DP pass kept on g,
+    else (g is no cactus, kept as None) from `cover_stats`."""
+    kept = g.__dict__
+    if "_cover_pair" not in kept:
+        dp = _cactus_numbers(g)
+        kept["_cover_pair"] = dp and _Numbers(dp[0], dp[1])
+    return kept["_cover_pair"] or cover_stats(g)
 
 
 # -- enumeration -----------------------------------------------------
@@ -253,20 +228,24 @@ def _maximal_independent(masks, drop=0):
 
 
 def cover_stats(g):
-    """Height, big height, unmixedness and every minimal cover of g, by
-    enumeration (memoised per g; a CoverSizeError is raised again on every
-    call)."""
+    """Height, big height, unmixedness and every minimal cover of g, by one
+    enumeration kept on g; the guard is checked on every call, so a
+    CoverSizeError is raised again each time."""
     _guard(g)
-    stats = _memo.pop(g, None)
-    if not isinstance(stats, CoverStats):
+    kept = g.__dict__
+    if "_cover_stats" not in kept:
         sets = _maximal_independent(g.masks)
         sizes = [s.bit_count() for s in sets]
         smallest, largest = min(sizes), max(sizes)
         k = len(g.non_isolated)
-        stats = CoverStats(height=k - largest, big_height=k - smallest,
-                           unmixed=(smallest == largest), graph=g,
-                           independent=tuple(sets))
-    return _remember(g, stats)
+        kept["_cover_stats"] = CoverStats(
+            height=k - largest, big_height=k - smallest,
+            unmixed=(smallest == largest), vertices=g.vertices,
+            independent=tuple(sets))
+        if g._cactus_cycles is not None:
+            # the DP needs no guard, so on a cactus the numbers stand alone
+            kept.setdefault("_cover_pair", kept["_cover_stats"])
+    return kept["_cover_stats"]
 
 
 def height(g):

@@ -32,8 +32,10 @@ test of `classify`'s matchers.
 subclasses a `collections.namedtuple` base: an immutable value checked
 in `__new__`, whose hash and equality are those of its field tuple, so
 sets and dicts of records keep one layout and order for a given hash
-seed.  It keeps an instance `__dict__` for its cached properties, as
-`covers.CoverStats` does, and refuses every attribute assignment.
+seed.  It keeps an instance `__dict__` for its cached properties and
+for the cover numbers that `covers` keeps on it (its private "_cover_"
+keys), as `covers.CoverStats` does for `all_covers`, and refuses every
+attribute assignment.
 This module imports no other module of the package.
 """
 

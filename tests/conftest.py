@@ -42,6 +42,12 @@ def cycle(n, prefix="c"):
                        for i in range(n))
 
 
+def fresh(graphs):
+    """Equal copies of graphs, built apart: nothing is computed on them yet,
+    so `covers` runs its DP pass or enumeration on each of them again."""
+    return [Graph(*g) for g in graphs]
+
+
 def relabel(g, mapping):
     """g with every vertex v renamed mapping[v]."""
     return Graph.build(((mapping[u], mapping[v]) for u, v in g.edges),
@@ -267,12 +273,11 @@ def redundancy_remark_check(g, c: MinimalCover, x, y):
     return lhs == rhs
 
 
-def induced_cover(c: MinimalCover, h: Graph):
-    """The (possibly empty, possibly non-minimal) cover induced by c on a
-    subgraph h of c's host."""
-    if not (set(h.vertices) <= set(c.host.vertices)
-            and h.edges <= c.host.edges):
-        raise GraphError("h is not a subgraph of the cover's host")
+def induced_cover(g, c: MinimalCover, h: Graph):
+    """The (possibly empty, possibly non-minimal) cover induced by c, a
+    minimal cover of g, on a subgraph h of g."""
+    if not (set(h.vertices) <= set(g.vertices) and h.edges <= g.edges):
+        raise GraphError("h is not a subgraph of the cover's graph")
     return frozenset(c.vertices & set(h.vertices))
 
 
@@ -304,7 +309,7 @@ def lemma26_check(g, g1, x):
                          "cover of g1 avoids %r" % (x,))
     b1 = big_height(g1)
     for c in maximum_minimal_covers(g):
-        d1 = induced_cover(c, g1)
+        d1 = induced_cover(g, c, g1)
         if len(d1) > b1:
             return False
         if x in c.vertices and len(d1) != b1:
@@ -357,7 +362,7 @@ def lemma27_union(g1, g2, x, case):
     if union_cover not in {c.vertices for c in maxima}:
         raise GraphError("internal invariant violation: union cover is not a "
                          "maximum minimal cover")
-    return MinimalCover(union_cover, union_graph)
+    return MinimalCover(union_cover)
 
 
 # -- cover statistics as they were before int masks --------------------
@@ -404,7 +409,7 @@ def old_cover_stats(g):
             % (len(active), DEFAULT_VERTEX_LIMIT))
     active_mask = sum(1 << i for i, m in enumerate(g.masks) if m)
     non_adj = [active_mask & ~m & ~(1 << i) for i, m in enumerate(g.masks)]
-    covers = [MinimalCover(frozenset(active) - ind, g)
+    covers = [MinimalCover(frozenset(active) - ind)
               for ind in _old_bron_kerbosch(g.vertices, non_adj, active_mask)]
     sizes = [len(c) for c in covers]
     h, bh = min(sizes), max(sizes)

@@ -15,8 +15,8 @@ from edgeideals.graphs import Graph, GraphError, parse_edge_list
 
 import catalog
 from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, branch_oracle,
-                      cycle, format_edge_list, old_big_height, old_cover_stats,
-                      old_maximum_covers_avoiding,
+                      cycle, format_edge_list, fresh, old_big_height,
+                      old_cover_stats, old_maximum_covers_avoiding,
                       old_vertex_in_every_maximum_cover, path_graph,
                       relabel, without_edges)
 
@@ -191,18 +191,21 @@ def test_trace_matches_the_list_based_cover_path(monkeypatch):
     cacti = [catalog.random_cactus(rng, rng.randint(3, 14)) for _ in range(40)]
 
     def replay():
-        covers._memo.clear()
+        # fresh copies, so no number kept on a graph by an earlier replay
+        # is read
         return [(bounds.theorem34_trace(g).to_data(),
-                 covers.cover_stats(g).all_covers) for g in cacti]
+                 covers.cover_stats(g).all_covers) for g in fresh(cacti)]
 
     dp_path = replay()
     real_pass = covers._cactus_numbers
     # With the unrooted DP switched off, every number outside the split
     # passes comes from the enumeration.
+    unrooted = []
     with monkeypatch.context() as m:
-        m.setattr(covers, "_cactus_numbers",
-                  lambda g, x=-1: real_pass(g, x) if x >= 0 else None)
+        m.setattr(covers, "_cactus_numbers", lambda g, x=-1: real_pass(g, x)
+                  if x >= 0 else unrooted.append(g))
         assert replay() == dp_path
+    assert unrooted
 
     # With the list-based path swapped in, the split passes give only the
     # branches (masks and kinds): each part is built as a graph and its
@@ -376,20 +379,20 @@ def test_split_pass_matches_branches_and_enumeration():
 
 
 # The Bron-Kerbosch runs and the DP passes that the first 100 and the last
-# 10 traces of TRACE_CORPUS make, from an empty memo.  Before the DP, these
+# 10 traces of TRACE_CORPUS make, on fresh graphs.  Before the DP, these
 # traces ran 943 full enumerations; now only Case 1.2 enumerates, and only
 # the maximal independent sets of G2 through x.  The split passes (rooted at
 # the split vertex, one per split step) are counted apart from the others,
 # which a graph gets only when its big height is not handed down and it
 # does not split.
 TRACE_ENUMERATIONS = 96
-TRACE_DP_PASSES = 267
+TRACE_DP_PASSES = 288
 TRACE_SPLIT_PASSES = 194
 
 
 def test_trace_enumeration_count_is_pinned(monkeypatch):
-    # the trace asks for covers in a fixed order, so with the memo emptied
-    # the number of enumerations and passes that really run is fixed too
+    # the trace asks for covers in a fixed order, so on fresh graphs the
+    # number of enumerations and passes that really run is fixed too
     counts = {"full": 0, "all": 0, "dp": 0, "split": 0}
     real_pass, real_independent = covers._cactus_numbers, \
         covers._maximal_independent
@@ -413,10 +416,8 @@ def test_trace_enumeration_count_is_pinned(monkeypatch):
     monkeypatch.setattr(covers, "bron_kerbosch",
                         counted("all", covers.bron_kerbosch))
     monkeypatch.setattr(covers, "_cactus_numbers", dp_pass)
-    covers._memo.clear()
-    for g in TRACE_CORPUS[:100] + TRACE_CORPUS[-10:]:
+    for g in fresh(TRACE_CORPUS[:100] + TRACE_CORPUS[-10:]):
         bounds.theorem34_trace(g)
-    covers._memo.clear()
     assert counts == {"full": 0, "all": TRACE_ENUMERATIONS,
                       "dp": TRACE_DP_PASSES, "split": TRACE_SPLIT_PASSES}
 
@@ -429,13 +430,11 @@ def test_no_graph_gets_two_dp_passes_in_one_trace(monkeypatch):
     monkeypatch.setattr(covers, "_cactus_numbers",
                         lambda g, x=-1: passes.append(g) or real_pass(g, x))
     total = 0
-    for g in TRACE_CORPUS:
-        covers._memo.clear()
+    for g in fresh(TRACE_CORPUS):
         del passes[:]
         bounds.theorem34_trace(g)
         assert len(set(passes)) == len(passes)
         total += len(passes)
-    covers._memo.clear()
     assert total > len(TRACE_CORPUS)
 
 
@@ -455,14 +454,9 @@ def test_open_cycle_check_runs_after_the_recursion(monkeypatch):
         return dp
 
     monkeypatch.setattr(covers, "_cactus_numbers", inflated)
-    covers._memo.clear()
-    try:
-        for g in (TRIANGLE, TRI_2W, BOWTIE):
-            with pytest.raises(bounds.TraceInvariantError,
-                               match="within \\+1"):
-                bounds.theorem34_trace(g)
-    finally:
-        covers._memo.clear()
+    for g in fresh((TRIANGLE, TRI_2W, BOWTIE)):
+        with pytest.raises(bounds.TraceInvariantError, match="within \\+1"):
+            bounds.theorem34_trace(g)
 
 
 def test_open_cycle_matches_the_edge_edit():

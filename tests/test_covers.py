@@ -1,7 +1,9 @@
 """Minimal-cover enumeration against a brute-force subset oracle, plus the
 two cover-combination lemmas and the redundancy remark."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from edgeideals.graphs import Graph, GraphError, parse_edge_list
 
 import catalog
 from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3,
-                      brute_force_minimal_covers, cycle, induced_cover,
+                      brute_force_minimal_covers, cycle, fresh, induced_cover,
                       is_minimal_cover, is_redundant_neighbor, lemma26_check,
                       lemma27_union, maximal_independent_sets,
                       maximum_minimal_covers, old_cover_stats,
@@ -76,60 +78,71 @@ def test_enumeration_guard(monkeypatch):
     assert covers.height(big) == 15
 
 
-def test_cover_stats_memo_is_by_value(monkeypatch):
+def _counted(monkeypatch):
+    """Record every full enumeration (its masks) and every DP pass (its
+    graph and root) that `covers` runs from here on."""
     enumerated, passes = [], []
     real, dp = covers._maximal_independent, covers._cactus_numbers
     monkeypatch.setattr(covers, "_maximal_independent",
                         lambda masks: enumerated.append(masks) or real(masks))
     monkeypatch.setattr(covers, "_cactus_numbers",
                         lambda g, x=-1: passes.append((g, x)) or dp(g, x))
-    covers._memo.clear()
-    g1 = path_graph(7, prefix="memo")
-    g2 = Graph.build(reversed(g1.sorted_edges()))
-    assert g1 == g2 and g1 is not g2
-    assert covers.cover_stats(g1) == covers.cover_stats(g2)
-    assert covers.cover_stats(g1) is covers.cover_stats(g2)
-    assert covers.big_height(g2) == 4
-    assert covers.height(g1) == 3
-    assert enumerated == [g1.masks]
-    # the enumerated entry answers every number: the DP never runs on it
-    assert passes == []
-    # and a DP entry answers every later read of its graph value
-    g3 = cycle(9, prefix="memo")
-    g4 = Graph.build(reversed(g3.sorted_edges()))
-    assert (covers.height(g3), covers.big_height(g4)) == (5, 6)
-    assert (covers.height(g4), covers.big_height(g3)) == (5, 6)
-    assert passes == [(g3, -1)]
-    # A graph that is no cactus tries one pass, which finds none, and its
-    # enumeration then answers every equal graph value.
-    diamond = Graph.build([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
-                           ("a", "c")])
-    twin = Graph.build(reversed(diamond.sorted_edges()))
-    assert [covers.big_height(g) for g in (diamond, twin)] == [3, 3]
-    assert covers.height(twin) == 2
-    assert enumerated == [g1.masks, diamond.masks]
-    assert passes == [(g3, -1), (diamond, -1)]
+    return enumerated, passes
 
 
-def test_memo_keeps_the_most_recently_used_graphs(monkeypatch):
-    passes = []
-    dp = covers._cactus_numbers
-    monkeypatch.setattr(covers, "_cactus_numbers",
-                        lambda g, x=-1: passes.append(g) or dp(g, x))
-    covers._memo.clear()
-    paths = [path_graph(n, prefix="lru") for n in range(2, 3 +
-                                                        covers._COVER_MEMO_SIZE)]
-    for p in paths[:-1]:
-        covers.big_height(p)
-    covers.big_height(paths[0])        # a hit, which makes paths[0] recent
-    covers.big_height(paths[-1])       # a miss, which evicts paths[1]
-    assert len(covers._memo) == covers._COVER_MEMO_SIZE
-    assert paths[0] in covers._memo and paths[1] not in covers._memo
-    assert len(passes) == len(paths)
-    covers._memo.clear()
+def test_each_graph_object_is_computed_once(monkeypatch):
+    enumerated, passes = _counted(monkeypatch)
+    path, ring = path_graph(7, prefix="once"), cycle(9, prefix="once")
+    diamond = parse_edge_list("a b\nb c\nc d\nd a\na c")
+    for _ in range(3):
+        # the enumeration answers every number of a cactus: no DP pass
+        assert covers.cover_stats(path) is covers.cover_stats(path)
+        assert (covers.height(path), covers.big_height(path)) == (3, 4)
+        # one DP pass answers every number of the cycle
+        assert (covers.height(ring), covers.big_height(ring)) == (5, 6)
+        # a graph that is no cactus tries one pass, which finds none, and
+        # its one enumeration then answers every number
+        assert (covers.height(diamond), covers.big_height(diamond)) == (2, 3)
+        assert covers.cover_stats(diamond).unmixed is False
+    assert enumerated == [path.masks, diamond.masks]
+    assert passes == [(ring, -1), (diamond, -1)]
 
 
-def test_memo_results_are_not_shared_lists():
+def test_equal_graphs_built_apart_are_computed_apart(monkeypatch):
+    enumerated, passes = _counted(monkeypatch)
+    ring = cycle(9, prefix="apart")
+    twin = Graph.build(reversed(ring.sorted_edges()))
+    assert twin == ring and twin is not ring
+    assert covers.big_height(ring) == covers.big_height(twin) == 6
+    assert passes == [(ring, -1), (twin, -1)]
+    assert passes[0][0] is ring and passes[1][0] is twin
+    assert covers.cover_stats(ring) == covers.cover_stats(twin)
+    assert covers.cover_stats(ring) is not covers.cover_stats(twin)
+    assert enumerated == [ring.masks, twin.masks]
+
+
+def test_a_graph_is_freed_with_its_cover_numbers():
+    # A Graph takes no weak reference, so a probe kept in its instance dict
+    # tells when it is freed: with the collector off, only reference
+    # counting frees it, which a cycle back to the graph would stop.
+    class Probe:
+        pass
+
+    probe = Probe()
+    alive = weakref.ref(probe)
+    gc.disable()
+    try:
+        for g in [cycle(9, prefix="freed"), _theta(8, "freed")]:
+            covers.cover_stats(g).all_covers
+            covers.height(g)
+            g.__dict__["probe"] = probe
+        del g, probe
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_cover_results_are_not_shared_lists():
     g = cycle(6, prefix="mut")
     expected = covers.cover_stats(g).all_covers
     assert isinstance(expected, tuple)   # a caller cannot change it
@@ -157,8 +170,8 @@ def test_cover_size_error_is_never_cached(monkeypatch):
             covers.big_height(big)
         with pytest.raises(covers.CoverSizeError):
             maximum_minimal_covers(big)
-    # The memo is keyed by the graph alone: once the guard is back, the
-    # entry computed under the raised guard must not be handed out.
+    # The enumeration is kept on the graph: once the guard is back, what
+    # was computed under the raised guard must not be handed out.
     with monkeypatch.context() as m:
         m.setattr(covers, "DEFAULT_VERTEX_LIMIT", 40)
         assert covers.height(big) == 16
@@ -233,9 +246,9 @@ def test_redundancy_remark(g):
 def test_induced_cover():
     c = maximum_minimal_covers(WHISKER_P3)[0]
     sub = Graph.build([("a", "b"), ("a", "aw")])
-    assert induced_cover(c, sub) <= c.vertices
+    assert induced_cover(WHISKER_P3, c, sub) <= c.vertices
     with pytest.raises(GraphError):
-        induced_cover(c, TRIANGLE)
+        induced_cover(WHISKER_P3, c, TRIANGLE)
 
 
 def test_lemma26_at_a_forced_vertex():
@@ -398,15 +411,14 @@ def test_dp_matches_enumeration(corpus, monkeypatch):
                }[corpus]()
     for g in graphs_:
         assert _dp_answers(g) == _enumerated_answers(g), g.sorted_edges()
-    # The public functions answer every cactus from the DP: no enumeration.
-    def no_enumeration(*args):
-        raise AssertionError("a cactus was enumerated")
-
-    monkeypatch.setattr(covers, "_maximal_independent", no_enumeration)
-    covers._memo.clear()
-    for g in graphs_[:300]:
+    # The public functions answer each cactus from one DP pass, with no
+    # enumeration.
+    enumerated, passes = _counted(monkeypatch)
+    some = fresh(graphs_[:300])
+    for g in some:
         assert _public_answers(g) == _enumerated_answers(g)[:3]
-    covers._memo.clear()
+    assert enumerated == []
+    assert passes == [(g, -1) for g in some]
 
 
 @st.composite
@@ -450,14 +462,11 @@ def test_dp_matches_enumeration_random(g):
 def test_non_cacti_fall_back_to_enumeration(g, monkeypatch):
     assert covers._cactus_numbers(g) is None
     assert covers._cactus_numbers(g, 1) is None
-    enumerated = []
-    real = covers._maximal_independent
-    monkeypatch.setattr(covers, "_maximal_independent",
-                        lambda masks: enumerated.append(masks) or real(masks))
-    covers._memo.clear()
+    (g,) = fresh([g])
+    enumerated, passes = _counted(monkeypatch)
     assert _public_answers(g) == _enumerated_answers(g)[:3]
     assert enumerated == [g.masks]
-    covers._memo.clear()
+    assert passes == [(g, -1)]
 
 
 def test_dp_answers_far_above_the_guard():

@@ -178,7 +178,7 @@ def test_cover_stats_repr_leaves_out_graph_and_masks():
 def test_records_survive_pickle_and_deepcopy():
     g = Graph.build([("a", "b"), ("b", "c")])
     g.masks  # a cached value rides along in the instance dict
-    for r in [g, MinimalCover(frozenset("b"), g), Polynomial.of(AB, BC),
+    for r in [g, MinimalCover(frozenset("b")), Polynomial.of(AB, BC),
               TraceNode(g, "t", 1, detail={"x": 1})]:
         for back in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
             assert type(back) is type(r) and back == r
