@@ -7,12 +7,15 @@ subcommand returns its graph and its report fields; `main` frames, renders
 and writes the report and sets the exit code: 0 success, 1 a report that
 reads "verified": false, 2 a usage, input or hypothesis error, input too
 deep for the recursion limit included, with one error line and no report.
+A stdout that its reader closes before the whole report is written also
+exits 2, with one error line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bounds, classify, constructions, covers, graphs, homology
@@ -225,6 +228,14 @@ def main(argv=None):
         text = json.dumps({"command": args.command,
                            "graph": _graph_summary(graph), **fields},
                           indent=2, sort_keys=True)
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed before the report was written",
+              file=sys.stderr)
+        return 2
     except (GraphError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -232,7 +243,6 @@ def main(argv=None):
         print("error: input too deep for the recursion limit",
               file=sys.stderr)
         return 2
-    print(text)
     return 0 if fields.get("verified", True) else 1
 
 

@@ -9,35 +9,31 @@ Theory Ser. A 113, 2006), shows that Betti numbers of edge ideals can depend
 on the characteristic from 11 vertices up, which is below the MAX_VERTICES
 guard.  An answer from this module is an answer over F2.
 
-`projective_dimension` keeps the ranks of every nonempty W of the
-non-isolated vertices in a table indexed by mask, one table of 2^n entries
-per call.  Most W are settled from smaller masks by two rules that are
-exact over any field:
+`projective_dimension` ranks every W of the non-isolated vertices in one
+table per call: one byte per mask, the index of W's ranks among the
+distinct rank dicts met so far.  Most W are settled by rules exact over
+any field, found for all 2^n masks at once by `_screen` on member sets
+(the 2^n-bit int of the W that hold vertex i, one bit per W):
 
+- Cone.  A vertex with no neighbour in W is an apex: no reduced homology.
 - Fold.  If u != v in W have N_W(u) a subset of N_W(v), then Ind(G[W]) is
   homotopy equivalent to Ind(G[W - v]) (Engstrom, "Independence complexes of
-  claw-free graphs", European J. Combin. 29, 2008).  A homotopy equivalence
-  keeps every homology group and its degree, so W takes the entry of W - v,
-  whichever fold is picked.  A vertex u with no neighbour in W is the case
-  N_W(u) empty: Ind(G[W]) is a cone with apex u and has no reduced
-  homology.
-- Split.  If no vertex of W folds and G[W] is disconnected, Ind(G[W]) is the
-  join of its components' complexes, and over a field H~_n(X * Y) is the
+  claw-free graphs", European J. Combin. 29, 2008), so W copies the byte of
+  W - v, whichever fold is picked.
+- Matching.  If every vertex has exactly one neighbour in W, G[W] is an
+  induced matching of c = |W|/2 edges and Ind(G[W]) is the sphere S^(c-1),
+  the join of c copies of S^0; these W give Katzman's beta_{c,2c}, the
+  number of induced matchings of c edges.  They never fold.
+- Split.  Any other W is split into its components by the component walk
+  of `graphs`.  Ind(G[W]) is their join, and over a field H~_n(X * Y) is the
   sum over a + b = n - 1 of H~_a(X) (x) H~_b(Y); the empty complex has rank
-  1 in degree -1.  The components are smaller masks, already in the table.
+  1 in degree -1.  Only a connected W is ranked from scratch: its faces are
+  listed as vertex bitmasks (`_independent_faces`) and one F2 eliminator
+  ranks them (`_reduced_ranks`).
 
-The cones and folds are found for all 2^n masks at once (`_screen`): with
-one bit per W, the member set of vertex i is the 2^n-bit int of the W that
-hold i, and the W in which i is isolated, or in which u folds v away, are
-ands and and-nots of member sets.  One byte per W then codes cone, fold
-(with the vertex folded) or neither.  A loop visits the non-cone W in
-increasing mask order: a folded W copies the entry of W - v, and any other
-W is split into its components by the component walk of `graphs`, the one
-the graph queries run.
-
-Only a connected W in which no vertex folds is ranked from scratch: its
-faces are listed as vertex bitmasks (`_independent_faces`) and one F2
-eliminator ranks them (`_reduced_ranks`).  The module imports only `graphs`.
+The Betti table is summed once per distinct entry: the W holding it are
+counted in each size class |W| by popcount against the size classes that
+`_members` caches with the member sets.  The module imports only `graphs`.
 """
 
 from __future__ import annotations
@@ -139,22 +135,25 @@ def _join(x, y):
 
 @cache
 def _members(n):
-    """Member sets: for each vertex bit i < n, the 2^n-bit int whose bit W
-    is set iff bit i of W is.  That bit has period 2^(i+1), so one period
-    is doubled up to 2^n bits."""
-    out = []
+    """Member sets and size classes for n vertex bits: the 2^n-bit ints
+    whose bit W is set iff W holds bit i, and iff W has s bits.  Bit i of W
+    has period 2^(i+1), so one period is doubled up to 2^n bits; a W that
+    holds bit i has one bit more than W - 2^i."""
+    members, sizes = [], [1]
     for i in range(n):
         block, size = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
         while size < 1 << n:
             block |= block << size
             size *= 2
-        out.append(block)
-    return tuple(out)
+        members.append(block)
+        sizes = [a | b << (1 << i) for a, b in zip(sizes + [0], [0] + sizes)]
+    return tuple(members), tuple(sizes)
 
 
-# Screen codes; a fold of vertex bit k is k + 1.  _CONE is 0 so that the
-# codes themselves select the W the loop of _ranks_table visits.
-_CONE, _SPLIT = 0, 255
+# Screen codes; a fold of vertex bit k is k + 1, at most MAX_VERTICES < 16.
+# _CONE is 0 so that the codes themselves select the W _ranks_table visits.
+_CONE, _MATCHING, _SPLIT = 0, 16, 17
+_BYTE = 256  # the entries a one-byte table index can name
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -175,20 +174,36 @@ def _digits(family, size):
                           .translate(_DIGITS), "big")
 
 
+def _family(data, digit):
+    """The int whose bit W is set iff byte W of data is digit, the inverse
+    of _digits: the bytes become "1" or "0", reversed for int()."""
+    return int(data.translate(b"0" * digit + b"1" + b"0" * (255 - digit))
+               [::-1], 2)
+
+
 def _screen(masks, n):
     """One code per mask W of the n vertex bits, as bytes: _CONE when some
     vertex of W has no neighbour in W, k + 1 when vertex bit k folds away
-    (some u != k in W has N_W(u) within N_W(k)), and _SPLIT otherwise.
+    (some u != k in W has N_W(u) within N_W(k)), _MATCHING when every vertex
+    of W has exactly one neighbour in W, and _SPLIT otherwise.
 
     Each rule is evaluated for all 2^n masks at once on the member sets,
     one bit per W; a W that several vertices fold gets the least of them.
+    The codes are summed from five bit planes, one _digits call each.
     """
     size = 1 << n
-    members = _members(n)
-    settled = 0
+    members = _members(n)[0]
+    settled = crowded = 0
     for i in range(n):
-        settled |= _avoiding(members, members[i], masks[i])
-    codes = 0
+        # one: the W that hold a neighbour j of i; two: those that hold two
+        one = two = 0
+        for j in range(n):
+            if masks[i] >> j & 1:
+                two |= one & members[j]
+                one |= members[j]
+        settled |= members[i] & ~one
+        crowded |= members[i] & two
+    planes = [0] * 5
     for v in range(n):
         nv = masks[v]
         folds = 0
@@ -200,40 +215,56 @@ def _screen(masks, n):
             if u != v and nu & nv and not nu >> v & 1:
                 folds |= _avoiding(members, members[u], nu & ~nv)
         folds &= members[v] & ~settled
-        if folds:
-            settled |= folds
-            codes += _digits(folds, size) * (v + 1)
-    codes += _digits(((1 << size) - 1) & ~settled, size) * _SPLIT
-    return codes.to_bytes(size, "little")
+        settled |= folds
+        for b in range(4):
+            if (v + 1) >> b & 1:
+                planes[b] |= folds
+    # In what is left, a W that is not crowded is a matching.  No matching
+    # folds: a fold gives a neighbour of u two neighbours, u and v.
+    planes[4] = ((1 << size) - 1) & ~settled
+    planes[0] |= planes[4] & crowded
+    return sum(_digits(p, size) << b for b, p in enumerate(planes)
+               ).to_bytes(size, "little")
 
 
 def _ranks_table(masks, n):
-    """Reduced F2 ranks {degree: rank} of Ind(G[w]) for every mask w of the
-    n vertex bits, as a list indexed by w; entries may share one dict.
+    """(table, entries) for the n vertex bits: entries lists the distinct
+    reduced F2 ranks {degree: rank} met, and table[w] indexes Ind(G[w])'s.
+    Entry 0 is {}, a cone's; entry c + 1 is {c - 1: 1}, the sphere of an
+    induced matching of c edges (c = 0: the empty W).
 
-    The screen settles each cone (no homology) and each fold (the entry
-    of w minus the folded vertex).  The loop visits the other w in
-    increasing order and splits each into its components, whose smaller
-    masks are already in the table, or, when G[w] is connected, ranks it
-    by F2 elimination.
+    The screen settles each cone, fold and matching.  The loop visits the
+    other w in increasing order and joins the entries of the components,
+    smaller masks already in the table, or, when G[w] is connected, ranks
+    it by F2 elimination.  The table holds one byte per w, or ints once a
+    257th entry is met.
     """
     codes = _screen(masks, n)
-    table = [{}] * (1 << n)
-    table[0] = {-1: 1}
-    for w in compress(range(1, 1 << n), codes[1:]):
+    table = bytearray(1 << n)
+    entries = [{}] + [{c - 1: 1} for c in range(n // 2 + 1)]
+    index = {frozenset(e.items()): i for i, e in enumerate(entries)}
+    for w in compress(range(1 << n), codes):
         code = codes[w]
-        if code != _SPLIT:
+        if code < _MATCHING:
             table[w] = table[w ^ (1 << (code - 1))]
+            continue
+        if code == _MATCHING:
+            table[w] = (w.bit_count() >> 1) + 1
             continue
         comps = list(_components(masks, w))
         if len(comps) == 1:
-            table[w] = _reduced_ranks(_independent_faces(masks, w))
+            ranks = _reduced_ranks(_independent_faces(masks, w))
         else:
             ranks = {-1: 1}
             for c in comps:
-                ranks = _join(ranks, table[c])
-            table[w] = ranks
-    return table
+                ranks = _join(ranks, entries[table[c]])
+        e = index.setdefault(frozenset(ranks.items()), len(entries))
+        if e == len(entries):
+            entries.append(ranks)
+            if e == _BYTE:
+                table = list(table)
+        table[w] = e
+    return table, entries
 
 
 def projective_dimension(g):
@@ -241,17 +272,24 @@ def projective_dimension(g):
 
     Every nonempty W with homology contains an edge, so its faces have at
     most |W| - 1 vertices and each homology degree gives an index i >= 1.
+    Each entry past the empty W's is summed once, over the W holding it
+    counted in each size class by popcount.
     """
     active = _guard(g)
     if not g.edges:
         return 0, BettiTable({}, 0)
-    table = _ranks_table(g.drop_isolated().masks, len(active))
-    entries = {}
-    for w, ranks in compress(enumerate(table), table):
-        if w:
-            size = w.bit_count()
-            for deg, r in ranks.items():
-                key = (size - deg - 1, size)
-                entries[key] = entries.get(key, 0) + r
-    pd = max(i for i, _ in entries)
-    return pd, BettiTable(entries, pd)
+    n = len(active)
+    table, entries = _ranks_table(g.drop_isolated().masks, n)
+    sizes = _members(n)[1]
+    betti = {}
+    for e in range(2, len(entries)):
+        held = _family(table, e) if len(entries) <= _BYTE else \
+            _family(bytes(map(e.__eq__, table)), 1)
+        for size, count in enumerate(map(int.bit_count,
+                                         map(held.__and__, sizes))):
+            if count:
+                for deg, r in entries[e].items():
+                    key = (size - deg - 1, size)
+                    betti[key] = betti.get(key, 0) + r * count
+    pd = max(i for i, _ in betti)
+    return pd, BettiTable(betti, pd)

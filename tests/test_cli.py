@@ -5,7 +5,9 @@ import contextlib
 import copy
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import edgeideals
 from edgeideals import constructions
 from edgeideals.certificates import Certificate, certified_set_to_data
 from edgeideals.cli import main
@@ -608,6 +611,26 @@ def test_input_too_deep_for_the_recursion_limit_exits_2(graph_file, capsys):
     finally:
         sys.setrecursionlimit(limit)
     assert err == "error: input too deep for the recursion limit\n"
+
+
+def test_closed_stdout_exits_2_without_a_traceback(graph_file):
+    # 8 disjoint triangles have 3^8 covers: a report of about 1.3 MB, more
+    # than a pipe holds, so the write meets the closed pipe every time.
+    f = graph_file("tri8.txt", "".join("t%d a%d\nt%d b%d\na%d b%d\n" % ((i,) * 6)
+                                       for i in range(8)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(edgeideals.__file__).resolve().parents[1]),
+                    os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen([sys.executable, "-m", "edgeideals.cli", "covers",
+                             f], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == ("error: standard output closed before the report was "
+                   "written\n")
 
 
 # Each input check of a generator family that the CLI reaches; "@name" is

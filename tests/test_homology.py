@@ -30,11 +30,12 @@ def faces_by_cardinality(g):
 
 def ranks_by_subset(g):
     """homology's ranks table for g, keyed by vertex tuples W (in the order
-    of g.vertices) instead of bitmasks."""
+    of g.vertices) instead of bitmasks, each read through its entry index."""
     n = len(g.vertices)
-    table = homology._ranks_table(g.masks, n)
-    return {tuple(v for i, v in enumerate(g.vertices) if w >> i & 1): ranks
-            for w, ranks in enumerate(table)}
+    table, entries = homology._ranks_table(g.masks, n)
+    assert len(table) == 1 << n
+    return {tuple(v for i, v in enumerate(g.vertices) if w >> i & 1):
+            entries[e] for w, e in enumerate(table)}
 
 
 def test_independence_complex_of_path():
@@ -232,10 +233,14 @@ def test_isolated_vertex_subsets_have_no_homology(g):
 
 @pytest.mark.parametrize("n", [1, homology.MAX_VERTICES])
 def test_member_sets(n):
-    members = homology._members(n)
+    members, sizes = homology._members(n)
     assert len(members) == n
     for i, m in enumerate(members):
         assert m == int("".join("01"[w >> i & 1]
+                                for w in reversed(range(1 << n))), 2)
+    assert len(sizes) == n + 1
+    for s, m in enumerate(sizes):
+        assert m == int("".join("01"[bin(w).count("1") == s]
                                 for w in reversed(range(1 << n))), 2)
 
 
@@ -277,7 +282,9 @@ def test_screen_matches_each_subset(seed):
             continue
         folds = {v for v in inside for u in inside
                  if u != v and not hood[u] & ~hood[v]}
-        if codes[w] == homology._SPLIT:
+        one_each = all(bin(hood[i]).count("1") == 1 for i in inside)
+        assert (codes[w] == homology._MATCHING) == one_each, (masks, w)
+        if codes[w] in (homology._SPLIT, homology._MATCHING):
             assert not folds, (masks, w)
         else:
             assert codes[w] - 1 in folds, (masks, w)
@@ -315,6 +322,32 @@ def test_matching_complex_is_a_sphere(k, ranks):
     assert pd == k and table.entries[(k, 2 * k)] == 1
 
 
+def induced_matchings(g, c):
+    """The number of sets of c edges of g that are induced matchings: 2c
+    distinct vertices spanning no edge of g but those c."""
+    count = 0
+    for m in itertools.combinations(g.edges, c):
+        spanned = set().union(*m)
+        count += len(spanned) == 2 * c and sum(
+            1 for e in g.edges if spanned.issuperset(e)) == c
+    return count
+
+
+@pytest.mark.parametrize("family", [
+    lambda: catalog.trees_upto(8),
+    lambda: catalog.unicyclic_upto(7),
+    lambda: catalog.random_cacti(seed=5, count=40, max_vertices=11),
+], ids=["trees-8", "unicyclic-7", "cacti-11"])
+def test_betti_c_2c_counts_induced_matchings(family):
+    # Katzman (J. Combin. Theory Ser. A 113, 2006): beta_{c,2c} is the
+    # number of induced matchings of c edges, over every field.
+    for g in family():
+        entries = homology.projective_dimension(g)[1].entries
+        for c in range(1, len(g.non_isolated) // 2 + 1):
+            assert entries.get((c, 2 * c), 0) == induced_matchings(g, c), \
+                (sorted(g.edges), c)
+
+
 # A 12-vertex flag triangulation of RP^2.  Its independence complex is RP^2
 # in the complement of its 1-skeleton, whose F2 homology (H~_1 = H~_2 = 1)
 # differs from the rational one (zero): the answer must stay over F2 through
@@ -340,6 +373,18 @@ def test_rp2_complement_keeps_its_f2_torsion():
     pd, table = homology.projective_dimension(g)
     assert pd == 10
     assert table.entries[(10, 12)] == 1 and table.entries[(9, 12)] == 1
+
+
+def test_table_past_one_byte_of_entries(monkeypatch):
+    # RP^2's complement meets 16 distinct entries; past a lowered one-byte
+    # limit of 12 the index table becomes a list and gives the same answer.
+    g = rp2_complement()
+    want = homology.projective_dimension(g)
+    monkeypatch.setattr(homology, "_BYTE", 12)
+    table, entries = homology._ranks_table(g.masks, 12)
+    assert isinstance(table, list) and len(entries) > 12
+    assert ranks_by_subset(g)[g.vertices] == {1: 1, 2: 1}
+    assert homology.projective_dimension(g) == want
 
 
 def test_pd_output_does_not_depend_on_the_hash_seed(tmp_path):
