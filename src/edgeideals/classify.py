@@ -63,8 +63,8 @@ def _case5_split(g, walk, degree):
     walk[i].  Returns evidence or None; its h1 and h2 are the sides of that
     tree once the edge x1x2 is cut."""
     for i in range(4):
-        x3, x4, x2, x1 = walk[i:] + walk[:i]
-        d3, d4, d2, d1 = degree[i:] + degree[:i]
+        x4, x3, x2, x1 = walk[i:] + walk[:i]
+        d4, d3, d2, d1 = degree[i:] + degree[:i]
         if not d3 == d4 == 2 < min(d1, d2):
             continue
         bridge = g.induced(set(g.vertices) - {x3, x4})

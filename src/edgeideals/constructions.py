@@ -9,7 +9,9 @@ Each constructor writes into one CertBuilder.  The pieces it glues together
 that take the builder and add their generators and steps in any
 interleaving: refs are handed out in call order, and CertBuilder.result
 numbers the generators first.  Only the layerings come from a search, an
-exponential one: in sv_layer_search and gens_prop42.  Each constructor
+exponential one, and the search is an emitter too: _layer_search writes the
+layering it finds into the builder that sv_layer_search or gens_prop42
+passes, and returns whether it found one.  Each constructor
 checks its input once, where it enters, and the emitters check nothing:
 a whisker tree is checked by gens_whisker_tree, by _attachment_case, or
 as Lemma 5.4's hypothesis that G - {x3, x4} is one in gens_lemma54.
@@ -308,17 +310,16 @@ def sv_layer_search(g, max_layers=None):
     order: the count found was the same under eight seeds
     on every tree of at most 9 vertices and on 40 random cacti.
     """
-    found = _layer_search(g, max_layers)
-    if found is None:
-        return None
     b = CertBuilder(g)
-    _emit_layering(b, *found)
-    return b.result()
+    return b.result() if _layer_search(g, max_layers, b) else None
 
 
-def _layer_search(g, max_layers):
-    """The search of sv_layer_search, from every edge as the start: (layer
-    masks, edge monomials, their _witness_table), or None."""
+def _layer_search(g, max_layers, b):
+    """The search of sv_layer_search, from every edge as the start.  It
+    emits the shortest layering it finds into b, one generator per layer
+    sum and the steps establishing every monomial of the later layers, and
+    returns whether it found one.  The witness of a pair is the least
+    earlier edge dividing its product."""
     monomials = _edge_monomials(g)
     if not monomials:
         raise ConstructionError("graph has no edges")
@@ -330,7 +331,7 @@ def _layer_search(g, max_layers):
     except covers.CoverSizeError:
         floor = 1
     if cap < floor:
-        return None
+        return False
     witnesses = _witness_table(monomials)
     table = {}
 
@@ -349,22 +350,15 @@ def _layer_search(g, max_layers):
         if layers is not None and (best is None or len(layers) < len(best)):
             best = layers
     if best is None:
-        return None
-    return best, monomials, witnesses
+        return False
 
-
-def _emit_layering(b, layers, monomials, witnesses):
-    """Emit a layering given as edge masks (bit i is monomials[i], and
-    witnesses is their _witness_table): one generator per layer sum and the
-    steps establishing every monomial of the later layers.  The witness of
-    a pair is the least earlier edge dividing its product."""
     def rho(i, j):
         w = witnesses[i][j] & earlier
         return monomials[(w & -w).bit_length() - 1]
 
-    b.gen(_sum(*(monomials[i] for i in _bits(layers[0]))))
-    earlier = layers[0]
-    for layer in layers[1:]:
+    b.gen(_sum(*(monomials[i] for i in _bits(best[0]))))
+    earlier = best[0]
+    for layer in best[1:]:
         idx = list(_bits(layer))
         ref = b.gen(_sum(*(monomials[i] for i in idx)))
         if len(idx) == 2:
@@ -380,6 +374,7 @@ def _emit_layering(b, layers, monomials, witnesses):
                         combo.append((-Polynomial.term(q), b.ref(d)))
                 b.power(mu, 2, combo)
         earlier |= layer
+    return True
 
 
 def _children(t, w, parent=None):
@@ -438,16 +433,14 @@ def gens_prop42(base, attachments):
                 "cycle length %r not supported (only 3, 4, 5)" % (att,))
     g, labels = build_attached_graph(base, attachments)
     # Whisker graph on the base: one pendant per base vertex (for cycles, the
-    # first cycle neighbour plays the pendant).
-    whisker_edges = [(v, labels[v][1]) for v in base.vertices]
-    wg = base.with_edges(whisker_edges)
+    # first cycle neighbour plays the pendant).  Attachments meet nothing but
+    # their own root, so g induces exactly these edges on those vertices.
+    wg = g.induced([*base.vertices, *(labels[v][1] for v in base.vertices)])
     n = len(base.vertices)
-    found = _layer_search(wg, max_layers=n)
-    if found is None:
+    b = CertBuilder(g)
+    if not _layer_search(wg, n, b):
         raise SearchBudgetError(
             "no %d-layer generator set found for the whisker graph" % n)
-    b = CertBuilder(g)
-    _emit_layering(b, *found)
     for v in base.vertices:
         if attachments[v] != WHISKER:
             ring = labels[v]

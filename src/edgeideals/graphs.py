@@ -27,9 +27,9 @@ neighbourhood of a simplicial vertex.  One whisker kernel
 (`_whisker_base`) answers the whisker graphs and trees, and the forest
 test of `classify`'s matchers.
 
-`Graph` is the one record here; its derived graphs are `with_edges`,
-`induced` and `union`.  Like every record of the package, it
-subclasses a `collections.namedtuple` base: an immutable value checked
+`Graph` is the one record here; its derived graphs are `induced` and
+`union`.  Like every record of the package, it subclasses a
+`collections.namedtuple` base: an immutable value checked
 in `__new__`, whose hash and equality are those of its field tuple, so
 sets and dicts of records keep one layout and order for a given hash
 seed.  It keeps an instance `__dict__` for its cached properties and
@@ -139,8 +139,7 @@ class Graph(namedtuple("Graph", "vertices edges")):
     Immutable value, rejected unless in that canonical form; all edit
     operations return new graphs.  Isolated vertices are permitted.
     `Graph(...)` checks only the canonical form: labels are checked where
-    they enter, in `build` and `parse_edge_list`, and `with_edges` goes
-    through `build`.
+    they enter, in `build` and `parse_edge_list`.
     """
 
     def __new__(cls, vertices=(), edges=frozenset()):
@@ -243,9 +242,6 @@ class Graph(namedtuple("Graph", "vertices edges")):
                          if e[0] in leaves or e[1] in leaves)
 
     # -- derived graphs ------------------------------------------------
-
-    def with_edges(self, new_edges):
-        return Graph.build([*self.edges, *new_edges], self.vertices)
 
     def induced(self, vertex_subset):
         vs = frozenset(vertex_subset)

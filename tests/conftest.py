@@ -54,6 +54,12 @@ def relabel(g, mapping):
                        isolated=(mapping[v] for v in g.vertices))
 
 
+def with_edges(g, new_edges):
+    """g with the edges `new_edges` added, their labels checked by
+    `Graph.build`."""
+    return Graph.build([*g.edges, *new_edges], g.vertices)
+
+
 def without_edges(g, dropped):
     """g with the edges `dropped`, each of which it must have, removed."""
     drop = {edge(u, v) for u, v in dropped}
@@ -220,7 +226,7 @@ def case5_split_oracle(g, walk):
     off_cycle = without_edges(g, cycle_graph(walk).edges)
     comps = off_cycle.components()
     for i in range(4):
-        x3, x4 = walk[i], walk[(i + 1) % 4]
+        x4, x3 = walk[i], walk[(i + 1) % 4]
         x2, x1 = walk[(i + 2) % 4], walk[(i + 3) % 4]
         if g.degree(x3) != 2 or g.degree(x4) != 2:
             continue
@@ -228,7 +234,7 @@ def case5_split_oracle(g, walk):
                   for x in (x1, x2))
         if not h1.edges or not h2.edges:
             continue
-        if whisker_tree_oracle(h1.union(h2).with_edges([(x1, x2)])):
+        if whisker_tree_oracle(with_edges(h1.union(h2), [(x1, x2)])):
             return {"x1": x1, "x2": x2, "h1": h1, "h2": h2}
     return None
 

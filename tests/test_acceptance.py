@@ -199,3 +199,20 @@ def test_criterion_10_forest_check():
     _report(10, not pd_bad and rate >= 0.95,
             "%d trees <= 9 vertices, pd=bight failures=%d, "
             "search success rate=%.3f" % (len(trees), len(pd_bad), rate))
+
+
+def test_criterion_11_bound_is_sharp():
+    """pd = bight + n on cycles of length 1 mod 3 and their disjoint unions,
+    so pd <= ara <= bight + n pins ara at the Thm 3.4 bound: the bound is
+    sharp."""
+    cases = {"C%d" % k: cycle(k) for k in (4, 7, 10, 13)}
+    cases["3xC4"] = cycle(4, "a").union(cycle(4, "b")).union(cycle(4, "c"))
+    cases["C4+C7"] = cycle(4, "a").union(cycle(7, "b"))
+    cases["C4+C10"] = cycle(4, "a").union(cycle(10, "b"))
+    pds = {name: homology.projective_dimension(g)[0]
+           for name, g in cases.items()}
+    misses = [name for name, g in cases.items()
+              if pds[name] != bounds.theorem34_bound(g).bound]
+    ok = not misses and pds == {"C4": 3, "C7": 5, "C10": 7, "C13": 9,
+                                "3xC4": 9, "C4+C7": 8, "C4+C10": 10}
+    _report(11, ok, "pd=%s, pd != bight + n on %s" % (pds, misses))

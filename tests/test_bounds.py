@@ -18,7 +18,7 @@ from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, branch_oracle,
                       cycle, format_edge_list, fresh, old_big_height,
                       old_cover_stats, old_maximum_covers_avoiding,
                       old_vertex_in_every_maximum_cover, path_graph,
-                      relabel, without_edges)
+                      relabel, with_edges, without_edges)
 
 
 def test_theorem34_bound_values():
@@ -68,10 +68,10 @@ def test_corollary41_c6():
 
 def test_corollary41_requires_consecutive_high_vertices():
     # C6 with two opposite whiskered vertices: no improvement.
-    g = cycle(6).with_edges([("c0", "w0"), ("c3", "w3")])
+    g = with_edges(cycle(6), [("c0", "w0"), ("c3", "w3")])
     assert bounds.corollary41_bound(g).improvement_k == 0
     # Adjacent whiskered vertices keep the improvement.
-    g = cycle(6).with_edges([("c0", "w0"), ("c1", "w1")])
+    g = with_edges(cycle(6), [("c0", "w0"), ("c1", "w1")])
     assert bounds.corollary41_bound(g).improvement_k == 1
 
 
@@ -236,7 +236,7 @@ def test_trace_matches_the_list_based_cover_path(monkeypatch):
         x, mask = g.vertices[xi], sum(br.mask for br in branches) | 1 << xi
         part = g.induced(v for j, v in enumerate(g.vertices) if mask >> j & 1)
         for _ in range(leaves):
-            part = part.with_edges([(x, bounds.fresh_vertex(part, "leaf"))])
+            part = with_edges(part, [(x, bounds.fresh_vertex(part, "leaf"))])
         stats = old_cover_stats(part)
         return (stats.height, stats.big_height,
                 not old_vertex_in_every_maximum_cover(part, x))
@@ -368,7 +368,7 @@ def test_split_pass_matches_branches_and_enumeration():
                 rest = [r for r in branches if r is not br]
                 ys = sorted(g2.neighbors(x))
                 g1 = without_edges(g, g2.edges).drop_isolated()
-                g1p = g1.with_edges((x, y) for y in ys)
+                g1p = with_edges(g1, ((x, y) for y in ys))
                 g2bar = without_edges(g2, ((x, y) for y in ys)).drop_isolated()
                 assert covers._joined([br]) == old(g2, x)
                 assert covers._joined(rest) == old(g1, x)
@@ -471,6 +471,6 @@ def test_open_cycle_matches_the_edge_edit():
                 while y in g.vertices:
                     y += "'"
                 assert bounds.open_cycle(g, cyc, v) == \
-                    without_edges(g, [(xs, v)]).with_edges([(xs, y)])
+                    with_edges(without_edges(g, [(xs, v)]), [(xs, y)])
                 opened += 1
     assert opened > 100

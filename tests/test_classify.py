@@ -21,7 +21,7 @@ from edgeideals.graphs import Graph, GraphError, parse_edge_list
 import catalog
 from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3,
                       brute_force_minimal_covers, case5_split_oracle, cycle,
-                      path_graph, relabel, simplex_oracle)
+                      path_graph, relabel, simplex_oracle, with_edges)
 
 
 def test_is_whisker_tree():
@@ -92,7 +92,7 @@ def test_unicyclic_mixed_graphs_not_cm():
 
 
 def test_unicyclic_case2_whisker_graph():
-    g = TRIANGLE.with_edges([("a", "aw"), ("b", "bw"), ("c", "cw")])
+    g = with_edges(TRIANGLE, [("a", "aw"), ("b", "bw"), ("c", "cw")])
     v = classify.classify_unicyclic(g)
     assert (v.status, v.case_tag) == (CM, "Thm 5.1 case 2")
 
@@ -141,6 +141,16 @@ def test_case5_and_lemma54_state_one_hypothesis():
         gs, cert = constructions.gens_lemma54(h1, h2)
         assert verify_certificate(gs, cert).ok
         assert len(gs) == covers.height(g)
+        # Named as Lemma 5.4 names the cycle, x4 next to x1 and x3 next to
+        # x2, the evidence's h1 and h2 rebuild the relabelled graph.
+        x1, x2 = expected["x1"], expected["x2"]
+        (x3,), (x4,) = c4.neighbors(x2) - {x1}, c4.neighbors(x1) - {x2}
+        names = {x1: "x1", x2: "x2", x3: "x3", x4: "x4"}
+        mapping = {v: names.get(v, v) for v in g.vertices}
+        gs, cert = constructions.gens_lemma54(relabel(expected["h1"], mapping),
+                                              relabel(expected["h2"], mapping))
+        assert gs.graph == relabel(g, mapping)
+        assert verify_certificate(gs, cert).ok
         matched += 1
     assert matched == 49
 
@@ -169,8 +179,8 @@ def test_corollary44():
 def test_corollary61():
     v = classify.corollary61(cycle(6))
     assert v.status == NOT_CM
-    whiskered_c6 = cycle(6).with_edges(
-        ("c%d" % i, "w%d" % i) for i in range(6))
+    whiskered_c6 = with_edges(cycle(6),
+                              (("c%d" % i, "w%d" % i) for i in range(6)))
     v = classify.corollary61(whiskered_c6)
     assert v.status == CM and v.stci == "Yes"
     with pytest.raises(HypothesisError):
@@ -201,12 +211,12 @@ def _twins(g, root, kind):
     """Graphs that miss Prop 4.2's shape by one attachment or component:
     two more whiskers on a root, a whisker beside a root's cycle (or a
     triangle beside its whisker), an isolated vertex and a K2 component."""
-    other = (g.with_edges([(root, root + "_t1"), (root + "_t1", root + "_t2"),
-                           (root + "_t2", root)]) if kind == graphs.WHISKER
-             else g.with_edges([(root, root + "_x")]))
-    return [g.with_edges([(root, root + "_x"), (root, root + "_y")]), other,
+    other = (with_edges(g, [(root, root + "_t1"), (root + "_t1", root + "_t2"),
+                            (root + "_t2", root)]) if kind == graphs.WHISKER
+             else with_edges(g, [(root, root + "_x")]))
+    return [with_edges(g, [(root, root + "_x"), (root, root + "_y")]), other,
             Graph.build(g.edges, g.vertices + ("zz",)),
-            g.with_edges([("zz_a", "zz_b")])]
+            with_edges(g, [("zz_a", "zz_b")])]
 
 
 def test_prop42_tail_round_trip():

@@ -22,7 +22,7 @@ from edgeideals.polynomials import Monomial, Polynomial
 
 import catalog
 from conftest import (WHISKER_P3, cycle, layer_search_mismatches, path_graph,
-                      whisker_graph_cases)
+                      whisker_graph_cases, with_edges)
 
 
 def _check(gs, cert):
@@ -99,7 +99,7 @@ def test_gens_whisker_tree_rejects_a_graph_that_is_not_a_whisker_tree():
 
 def _check_whisker_tree(base, anchor):
     # One generator per base vertex: the big height of the whisker tree.
-    t = base.with_edges((v, v + "_w") for v in base.vertices)
+    t = with_edges(base, ((v, v + "_w") for v in base.vertices))
     gs = _check(*cons.gens_whisker_tree(t, anchor))
     assert len(gs) == len(base.vertices)
     assert gs.polys[0].single_term == (Monomial.of(*anchor), 1)
@@ -468,7 +468,7 @@ def test_gens_lemma53_case_b_at_every_whisker_tip_of_small_trees():
     for base in catalog.trees_upto(7):
         tree = _whiskered(base, "x1_")
         for v in sorted(base.vertices):
-            att = tree.with_edges([("x1", "x1_%sw" % v)])
+            att = with_edges(tree, [("x1", "x1_%sw" % v)])
             gs = _check(*cons.gens_lemma53(0, 0, [att], []))
             assert len(gs) == covers.big_height(gs.graph), (base.edges, v)
             attachments += 1
@@ -484,7 +484,7 @@ def test_gens_lemma53_case_b_at_every_whisker_tip_of_small_trees():
                    "depth; keyed by depth, the search finds 8 layers")
 def test_sv_layer_search_reaches_the_big_height_of_a_case_b_attachment():
     base = parse_edge_list("v3 v2\nv2 v1\nv1 v0\nv0 v4\nv4 v5\nv5 v6")
-    att = _whiskered(base, "x1_").with_edges([("x1", "x1_v3w")])
+    att = with_edges(_whiskered(base, "x1_"), [("x1", "x1_v3w")])
     assert covers.big_height(att) == 8
     assert cons.sv_layer_search(att, max_layers=8) is not None
 
@@ -493,7 +493,7 @@ def test_gens_lemma53_case_b_does_not_depend_on_the_hash_seed(tmp_path):
     base = parse_edge_list("v0 v1\nv0 v3\nv1 v2")
     f = tmp_path / "att.txt"
     f.write_text("".join("%s %s\n" % e for e in
-                         _whiskered(base).with_edges([("x1", "v1w")]).edges))
+                         with_edges(_whiskered(base), [("x1", "v1w")]).edges))
     src = Path(cons.__file__).resolve().parents[1]
     outs = set()
     for seed in "01234":

@@ -18,7 +18,7 @@ from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3,
                       lemma27_union, maximal_independent_sets,
                       maximum_minimal_covers, old_cover_stats,
                       old_maximum_covers_avoiding, path_graph,
-                      redundancy_remark_check, relabel)
+                      redundancy_remark_check, relabel, with_edges)
 
 SMALL = [TRIANGLE, TRI_2W, BOWTIE, WHISKER_P3, cycle(4), cycle(5), cycle(7),
          path_graph(2), path_graph(5), path_graph(6),
@@ -156,8 +156,9 @@ def test_cover_results_are_not_shared_lists():
 def _theta(n, prefix):
     """A path of n vertices plus two chords that close two triangles on a
     shared edge: not a cactus, so its numbers come from enumeration."""
-    return path_graph(n, prefix=prefix).with_edges(
-        [(prefix + "0", prefix + "2"), (prefix + "1", prefix + "3")])
+    return with_edges(path_graph(n, prefix=prefix),
+                      [(prefix + "0", prefix + "2"),
+                       (prefix + "1", prefix + "3")])
 
 
 def test_cover_size_error_is_never_cached(monkeypatch):

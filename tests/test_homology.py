@@ -19,7 +19,7 @@ from edgeideals.graphs import Graph, parse_edge_list
 
 import catalog
 from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, cycle,
-                      maximal_independent_sets, path_graph)
+                      maximal_independent_sets, path_graph, with_edges)
 
 
 def faces_by_cardinality(g):
@@ -136,7 +136,7 @@ def test_pd_at_the_guard_edge():
 def test_pd_at_the_guard_edge_with_a_cycle():
     # The whisker graph of C7: 14 vertices, Cohen-Macaulay (every whisker
     # graph is), so pd = height = 7.
-    g = cycle(7).with_edges(("c%d" % i, "w%d" % i) for i in range(7))
+    g = with_edges(cycle(7), (("c%d" % i, "w%d" % i) for i in range(7)))
     assert len(g.non_isolated) == homology.MAX_VERTICES
     assert covers.height(g) == 7
     assert homology.projective_dimension(g)[0] == 7

@@ -29,33 +29,35 @@ def test_public_functions_have_code(mod):
             if getattr(obj, "__code__", None) is None] == []
 
 
-# Public API kept with no caller yet, each waiting on the ROADMAP item that
-# wires it in: Prop 4.2's bound goes into `bound --improve` (item 15).
-UNCALLED_ON_PURPOSE = {"proposition42_bound"}
+# Public API kept with no caller in the package: Prop 4.2's bound waits on
+# the ROADMAP item that wires it into `bound --improve` (item 15), and
+# perfbench's tracer counts trace nodes with `TraceNode.walk`
+# (`_hook_theorem34_trace`).
+UNCALLED_ON_PURPOSE = {"proposition42_bound", "TraceNode.walk"}
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def _referenced_names(tree, skip=frozenset()):
-    """Every name a tree refers to: names, attributes, import aliases and
-    string constants (`cli._RESULTS` names functions as strings), outside
-    the nodes in `skip`."""
-    out = set()
+    """Every name a tree refers to, outside the nodes in `skip`, as two
+    sets: the bare names and import aliases, and the attributes and string
+    constants (`cli._RESULTS` names functions as strings)."""
+    bare, attrs = set(), set()
     todo = [tree]
     while todo:
         node = todo.pop()
         if id(node) in skip:
             continue
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.alias):
-            out.add(node.name)
+            bare.add(node.name)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
+            attrs.add(node.value)
         todo.extend(ast.iter_child_nodes(node))
-    return out
+    return bare, attrs
 
 
 def _public_definitions(tree):
@@ -74,7 +76,8 @@ def _public_definitions(tree):
 def test_every_public_function_has_a_caller():
     # A public function that nothing in `src/` calls, and that the README
     # `## Library` block does not document, is dead API: delete it, or move
-    # it to `tests/conftest.py` as an oracle.
+    # it to `tests/conftest.py` as an oracle.  A method counts as used only
+    # through an attribute or a string, never through a local of its name.
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted((ROOT / "src" / "edgeideals").glob("*.py"))}
     library = (ROOT / "README.md").read_text().split("## Library", 1)[1]
@@ -84,8 +87,11 @@ def test_every_public_function_has_a_caller():
     for module, tree in trees.items():
         for qualified, node in _public_definitions(tree):
             inside = {id(n) for n in ast.walk(node)}
-            used = set().union(*(_referenced_names(t, inside)
-                                 for t in trees.values()))
-            if node.name not in used | documented | UNCALLED_ON_PURPOSE:
+            method = qualified != node.name
+            used = set()
+            for bare, attrs in [documented] + [_referenced_names(t, inside)
+                                               for t in trees.values()]:
+                used |= attrs if method else bare | attrs
+            if node.name not in used and qualified not in UNCALLED_ON_PURPOSE:
                 uncalled.append("%s:%s" % (module, qualified))
     assert uncalled == []
