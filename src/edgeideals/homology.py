@@ -1,15 +1,24 @@
-"""Brute-force projective dimension of R/I(G) via Hochster's formula.
+"""Projective dimension and Betti table of R/I(G) via Hochster's formula.
 
 The graded Betti number beta_{i,W} is the rank of the reduced homology of the
-independence complex Ind(G[W]) in degree |W| - i - 1.  All ranks, and so
-every Betti number and pd reported here, are taken over the field F2 by
-Gaussian elimination on bitmask rows.  The field matters: Katzman,
-"Characteristic-independence of Betti numbers of graph ideals" (J. Combin.
-Theory Ser. A 113, 2006), shows that Betti numbers of edge ideals can depend
-on the characteristic from 11 vertices up, which is below the MAX_VERTICES
-guard.  An answer from this module is an answer over F2.
+independence complex Ind(G[W]) in degree |W| - i - 1.  `projective_dimension`
+takes one of two paths.
 
-`projective_dimension` ranks every W of the non-isolated vertices in one
+On a cactus (forests included), `_cactus_betti` runs one dynamic program
+over the post-order of `graphs._cactus_dfs`, the package's one cactus
+kernel, with no size guard.  Folds, joins and one wedge split reduce every
+Ind(G[W]) to a wedge of spheres, so the table it returns holds over every
+field.
+
+On any other graph, `_table_betti` ranks all 2^n subsets W under the
+MAX_VERTICES guard, by Gaussian elimination over F2 on bitmask rows.  The
+field matters there: Katzman, "Characteristic-independence of Betti numbers
+of graph ideals" (J. Combin. Theory Ser. A 113, 2006), shows that Betti
+numbers of edge ideals can depend on the characteristic from 11 vertices
+up, which is below the guard.  An answer from this path is an answer over
+F2.
+
+`_ranks_table` ranks every W of the non-isolated vertices in one
 table per call: one byte per mask, the index of W's ranks among the
 distinct rank dicts met so far.  Most W are settled by rules exact over
 any field, found for all 2^n masks at once by `_screen` on member sets
@@ -42,7 +51,7 @@ from collections import namedtuple
 from functools import cache
 from itertools import compress
 
-from .graphs import GraphError, _components
+from .graphs import GraphError, _cactus_dfs, _components
 
 MAX_VERTICES = 14  # 2^14 subsets is the hard cap
 
@@ -267,18 +276,126 @@ def _ranks_table(masks, n):
     return table, entries
 
 
-def projective_dimension(g):
-    """(pd, BettiTable) of R/I(G) by Hochster's formula over F2.
+def _fold_cycle(states, y, block):
+    """The factors (gone or kill, gone or bare, gone) that a cycle topped at
+    v gives v's products in `_cactus_betti`; states lists the (gone, bare,
+    kill) polynomials of its chain c1 .. cm, each adjacent to the next and
+    c1, cm to v.
+
+    Read as two children of v, a cycle acts by its end effects: a killer at
+    c1 or cm, or the arm of bare vertices that runs from it.  The chain DP
+    carries the pattern's class (the first arm's effect, one class per
+    `block` bits: gone, bare, kill) and where the scan stands: idle (after a
+    gone vertex or a deleted bare one), after a killer, or inside a run of
+    r + 1 bare vertices, the last pending (a killer next deletes it), for r
+    mod 3.  A run gains a suspension at its second, fifth, ... vertex, the
+    arm count; a closed free run of length 1 mod 3 is contractible.  a is
+    the all-bare product: the whole cycle, read by the wedge split.
+    """
+    def arm(length):   # the class and the suspensions of a first arm
+        return length % 3 * block + (length + 1) // 3 * y
+
+    def free(p, length):   # a free path P_length: a sphere, or contractible
+        return 0 if length % 3 == 1 else p << (length + 2) // 3 * y
+
+    a, idle, killer, r0, r1, r2 = 1, 0, 0, 0, 0, 0
+    for j, (g, b, k) in enumerate(states):
+        # the first arm (j bare vertices so far) closes at a gone vertex, or
+        # at a killer, which deletes its last vertex
+        idle, killer, r0, r1, r2, a = (
+            g * (idle + killer + (r1 << y) + r2 + (a << arm(j)))
+            + b * killer,
+            k * (idle + r0 + r2 + (a << arm(j - 1))),
+            b * (idle + r2), b * r0, b * r1 << y, a * b)
+    # the last arm ends at cm: r2 closes gone, r0 bare and r1 kills
+    mask = (1 << block) - 1
+    gone, bare, kill = idle + r2, r0, killer + (r1 << y)
+    g = gone & mask
+    b = (gone >> block & mask) + (bare & mask) + (bare >> block & mask)
+    k = (gone >> 2 * block) + (kill & mask) + (kill >> 2 * block)
+    m = len(states)
+    return g + k + free(a, m), g + b + free(a, m - 2), g
+
+
+def _cactus_betti(masks):
+    """The Betti entries {(i, j): rank} of R/I(G) over every field, where
+    masks[i] is the neighbourhood of vertex i, by one dynamic program over
+    the post-order of `graphs._cactus_dfs`; None when G is not a cactus.
+
+    Bottom up, folds (Engstrom), joins and one wedge split reduce each
+    Ind(G[W]) to a wedge of spheres.  Each vertex v ends in one of three
+    states, each a polynomial in x^|W| y^s over the W-patterns of the part
+    below it, weighted by the number of spheres S^(s-1) it leaves:
+    - gone: v is not in W, or was deleted;
+    - bare: v is in W with no neighbour left below;
+    - kill: a leaf folded at v, so N[v] is deleted, v's neighbour above
+      too, and the edge v-leaf splits off as one suspension.
+    A bare child is a leaf at v and a killing child deletes v.  So v not in
+    W is gone, over children that are gone or kill (a bare one would be a
+    cone).  v in W is bare when every child is gone, kills when some child
+    is bare and none kills, and is gone when some child kills and none is
+    bare; with both it is a cone.  A cycle at v acts as two children, its
+    ends (`_fold_cycle`).  If its whole chain is bare, Ind(G) is Ind(G - v)
+    wedge the suspension of Ind(G - N[v]), since Ind(P_(m-2)) -> Ind(P_m)
+    is null-homotopic: v is then gone with the cycle a free path P_m, or
+    kills with it cut to P_(m-2).  Over v's children, qk is the product of
+    gone or kill, qb of gone or bare (each all-bare cycle as those paths)
+    and pg of gone: v in W kills with qb - pg and is gone with qk - pg.
+
+    The polynomials are ints: the coefficient of x^j y^s sits at bit
+    (j * S + s) * B.  Every suspension uses up two vertices of W, so
+    S = n // 2 + 1 slots hold s <= j / 2.  A coefficient counts at most 2^n
+    patterns of weight at most 2^c, one factor 2 per split, and a split uses
+    up one of the c cycles, so B = n + c + 1 bits hold it.  A product is one
+    int multiplication, and beta_{j-s, j} is the coefficient of x^j y^s.
+    """
+    dfs = _cactus_dfs(masks)
+    if dfs is None:
+        return None
+    post, parent, chains, on_cycle = dfs
+    n = len(post)
+    # a shift by y bits multiplies by y, and by x bits by x
+    y = n + sum(map(len, chains.values())) + 1
+    x = (n // 2 + 1) * y
+    block = (n + 1) * x   # one whole polynomial
+    qk, qb, pg = [1] * len(masks), [1] * len(masks), [1] * len(masks)
+    states, total = {}, 1
+    for v in post:
+        for chain in chains[v] if v in chains else ():
+            fk, fb, fg = _fold_cycle([states[c] for c in chain], y, block)
+            qk[v] *= fk
+            qb[v] *= fb
+            pg[v] *= fg
+        gone = qk[v] + (qk[v] - pg[v] << x)
+        bare, kill = pg[v] << x, qb[v] - pg[v] << x + y
+        p = parent[v]
+        if on_cycle >> v & 1:
+            states[v] = gone, bare, kill
+        elif p < 0:
+            total *= gone + kill   # a bare root is a cone
+        else:
+            qk[p] *= gone + kill
+            qb[p] *= gone + bare
+            pg[p] *= gone
+    betti, coef = {}, (1 << y) - 1
+    for j in range(1, n + 1):
+        for s in range(1, j // 2 + 1):
+            r = total >> j * x + s * y & coef
+            if r:
+                betti[j - s, j] = r
+    return betti
+
+
+def _table_betti(g):
+    """The Betti entries {(i, j): rank} of R/I(G) over F2 from the Hochster
+    table of `_ranks_table`, under the size guard.
 
     Every nonempty W with homology contains an edge, so its faces have at
     most |W| - 1 vertices and each homology degree gives an index i >= 1.
     Each entry past the empty W's is summed once, over the W holding it
     counted in each size class by popcount.
     """
-    active = _guard(g)
-    if not g.edges:
-        return 0, BettiTable({}, 0)
-    n = len(active)
+    n = len(_guard(g))
     table, entries = _ranks_table(g.drop_isolated().masks, n)
     sizes = _members(n)[1]
     betti = {}
@@ -291,5 +408,17 @@ def projective_dimension(g):
                 for deg, r in entries[e].items():
                     key = (size - deg - 1, size)
                     betti[key] = betti.get(key, 0) + r * count
+    return betti
+
+
+def projective_dimension(g):
+    """(pd, BettiTable) of R/I(G): on a cactus by `_cactus_betti`, over
+    every field and at any size; otherwise by Hochster's formula over F2,
+    under the size guard."""
+    if not g.edges:
+        return 0, BettiTable({}, 0)
+    betti = _cactus_betti(g.masks)
+    if betti is None:
+        betti = _table_betti(g)
     pd = max(i for i, _ in betti)
     return pd, BettiTable(betti, pd)

@@ -209,10 +209,18 @@ def test_criterion_11_bound_is_sharp():
     cases["3xC4"] = cycle(4, "a").union(cycle(4, "b")).union(cycle(4, "c"))
     cases["C4+C7"] = cycle(4, "a").union(cycle(7, "b"))
     cases["C4+C10"] = cycle(4, "a").union(cycle(10, "b"))
+    # past the Hochster guard of 14 vertices, by the cactus DP
+    cases.update(("C%d" % k, cycle(k)) for k in (16, 19, 22))
+    cases["C4+C13"] = cycle(4, "a").union(cycle(13, "b"))
+    cases["5xC4"] = cycle(4, "a")
+    for prefix in "bcde":
+        cases["5xC4"] = cases["5xC4"].union(cycle(4, prefix))
     pds = {name: homology.projective_dimension(g)[0]
            for name, g in cases.items()}
     misses = [name for name, g in cases.items()
               if pds[name] != bounds.theorem34_bound(g).bound]
     ok = not misses and pds == {"C4": 3, "C7": 5, "C10": 7, "C13": 9,
-                                "3xC4": 9, "C4+C7": 8, "C4+C10": 10}
+                                "3xC4": 9, "C4+C7": 8, "C4+C10": 10,
+                                "C16": 11, "C19": 13, "C22": 15,
+                                "C4+C13": 12, "5xC4": 15}
     _report(11, ok, "pd=%s, pd != bight + n on %s" % (pds, misses))

@@ -4,17 +4,19 @@ test-local Hochster oracle."""
 
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeideals import covers, homology
+from edgeideals import covers, graphs, homology
 from edgeideals.graphs import Graph, parse_edge_list
 
 import catalog
@@ -120,9 +122,24 @@ def test_betti_table_shape():
 
 
 def test_size_guard():
-    big = Graph.build(("u%d" % i, "v%d" % i) for i in range(8))
-    with pytest.raises(homology.SizeGuardError):
+    # K4 plus six disjoint edges: 16 vertices, not a cactus, so only the
+    # Hochster table can answer, and it is guarded.
+    big = with_edges(Graph.build(("u%d" % i, "v%d" % i) for i in range(6)),
+                     itertools.combinations("abcd", 2))
+    with pytest.raises(homology.SizeGuardError,
+                       match=r"^16 non-isolated vertices exceeds the oracle "
+                             r"guard \(14\)$"):
         homology.projective_dimension(big)
+
+
+def test_matching_past_the_guard():
+    # Eight disjoint edges are a forest: the cactus DP answers past the
+    # guard.  I(8 K2) is a complete intersection of 8 quadrics.
+    g = Graph.build(("u%d" % i, "v%d" % i) for i in range(8))
+    pd, table = homology.projective_dimension(g)
+    assert pd == 8 == covers.big_height(g)
+    assert table.entries == {(c, 2 * c): math.comb(8, c)
+                             for c in range(1, 9)}
 
 
 def test_pd_at_the_guard_edge():
@@ -130,7 +147,9 @@ def test_pd_at_the_guard_edge():
     # non-isolated vertices, and pd = big height on trees.
     g = Graph.build(("t%d" % i, "t%d" % ((i - 1) // 2)) for i in range(1, 14))
     assert len(g.non_isolated) == homology.MAX_VERTICES
-    assert homology.projective_dimension(g)[0] == covers.big_height(g)
+    pd, table = homology.projective_dimension(g)
+    assert pd == covers.big_height(g)
+    assert table.entries == homology._table_betti(g)
 
 
 def test_pd_at_the_guard_edge_with_a_cycle():
@@ -139,7 +158,8 @@ def test_pd_at_the_guard_edge_with_a_cycle():
     g = with_edges(cycle(7), (("c%d" % i, "w%d" % i) for i in range(7)))
     assert len(g.non_isolated) == homology.MAX_VERTICES
     assert covers.height(g) == 7
-    assert homology.projective_dimension(g)[0] == 7
+    pd, table = homology.projective_dimension(g)
+    assert pd == 7 and table.entries == homology._table_betti(g)
 
 
 # -- independent oracle -------------------------------------------------
@@ -402,3 +422,74 @@ def test_pd_output_does_not_depend_on_the_hash_seed(tmp_path):
             capture_output=True, text=True, check=True, env=env).stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["pd"] == 10
+
+
+# -- the cactus DP ----------------------------------------------------------
+#
+# On a cactus `projective_dimension` reads `_cactus_betti`, which gives the
+# whole Betti table in polynomial time; the Hochster table of `_table_betti`
+# checks it under the guard, and theorems past it.
+
+
+def seeded_cacti(seed, count, sizes, cycle_lengths=tuple(range(3, 12))):
+    rng = random.Random(seed)
+    return [catalog.grown_cactus(rng, rng.randint(*sizes), cycle_lengths)
+            for _ in range(count)]
+
+
+def disjoint_union(parts):
+    return Graph.build(("p%d%s" % (i, u), "p%d%s" % (i, v))
+                       for i, part in enumerate(parts) for u, v in part.edges)
+
+
+@pytest.mark.parametrize("family", [
+    lambda: catalog.trees_upto(10),
+    lambda: catalog.unicyclic_upto(9),
+    lambda: seeded_cacti(41, 200, (2, 14)),
+    lambda: catalog.random_cacti(seed=43, count=60, max_vertices=14),
+    lambda: list(map(disjoint_union, zip(seeded_cacti(45, 40, (2, 7)),
+                                         seeded_cacti(46, 40, (2, 7))))),
+    lambda: [cycle(k) for k in range(3, 15)],
+], ids=["trees-10", "unicyclic-9", "grown-14", "random-14", "unions-14",
+        "cycles-14"])
+def test_cactus_dp_matches_the_hochster_table(family):
+    for g in family():
+        assert homology._cactus_betti(g.masks) == homology._table_betti(g), \
+            sorted(g.edges)
+
+
+def test_cactus_dp_declines_non_cacti():
+    diamond = parse_edge_list("a b\nb c\nc d\nd a\na c")
+    assert homology._cactus_betti(diamond.masks) is None
+
+
+def test_pd_of_cycles_past_the_guard():
+    # pd(C_n) = ceil((2n - 1) / 3) (Jacques, thesis, Sheffield 2004).
+    for n in range(3, 61):
+        assert homology.projective_dimension(cycle(n))[0] == \
+            -(-(2 * n - 1) // 3), n
+
+
+def test_pd_is_big_height_on_forests_and_3_5_cacti():
+    # Forests, and cacti whose cycles all have length 3 or 5, are vertex
+    # decomposable (Woodroofe, Proc. AMS 137, 2009), so pd = bight
+    # (Morey-Villarreal, 2012).
+    rng = random.Random(47)
+    cases = []
+    for _ in range(4):
+        n, k = rng.randint(50, 200), rng.randint(1, 3)
+        cases.append(disjoint_union(catalog.grown_cactus(rng, n // k, ())
+                                    for _ in range(k)))
+    cases += seeded_cacti(48, 4, (50, 200), (3, 5))
+    for g in cases:
+        assert homology.projective_dimension(g)[0] == covers.big_height(g), \
+            sorted(g.edges)
+
+
+def test_pd_lies_between_big_height_and_the_bound_on_larger_cacti():
+    for g in seeded_cacti(49, 12, (30, 60)):
+        start = time.perf_counter()
+        pd = homology.projective_dimension(g)[0]
+        assert time.perf_counter() - start < 2.0
+        bight = covers.big_height(g)
+        assert bight <= pd <= bight + graphs.cycle_count(g), sorted(g.edges)
