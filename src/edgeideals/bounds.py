@@ -97,12 +97,9 @@ def corollary41_bound(g):
         if len(walk) % 3 != 0:
             continue
         high = [i for i, v in enumerate(walk) if g.masks[v].bit_count() != 2]
-        if len(high) <= 1:
-            k += 1
-        elif len(high) == 2:
-            i, j = high
-            if j - i == 1 or (i == 0 and j == len(walk) - 1):
-                k += 1
+        # two high vertices are consecutive on the cycle, or across its ends
+        k += len(high) <= 1 or (len(high) == 2 and
+                                high[1] - high[0] in (1, len(walk) - 1))
     bh = covers.big_height(g)
     return BoundReport(g, n, bh, bh + n - k, improvement_k=k,
                        source="Cor 4.1")
@@ -265,13 +262,15 @@ def _split(g, xi, b, cycles):
     for br in branches:
         _check(br.mask.bit_count() > 1, "no branch may be a single edge")
 
-    unforced = [br for br in branches if covers._joined([br])[2]]
-    g2_branch = max(unforced or branches,
-                    key=lambda br: tuple(_bits(br.mask | xbit)))
+    # G2: a branch avoidable at x if any, by its greatest least vertex (the
+    # masks are disjoint and miss x: the greatest sorted index tuple)
+    joined = {br: covers._joined([br]) for br in branches}
+    g2_branch = max(branches,
+                    key=lambda br: (joined[br][2], br.mask & -br.mask))
+    _, b2, avoidable2 = joined[g2_branch]
     mask2, two_branch = g2_branch.mask, g2_branch.two
     rest = [br for br in branches if br is not g2_branch]
     _, b1, avoidable1 = covers._joined(rest)
-    _, b2, avoidable2 = covers._joined([g2_branch])
     numbers = {"b": b, "b1": b1, "b2": b2}
     vs = g.vertices
 

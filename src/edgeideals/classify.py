@@ -47,11 +47,9 @@ def simplex_partition_check(g):
     """True iff every vertex lies in exactly one simplex (a maximal clique
     containing a simplicial vertex); returns (bool, partition)."""
     simplexes = graphs.simplexes(g)
-    count = {v: 0 for v in g.vertices}
-    for s in simplexes:
-        for v in s:
-            count[v] += 1
-    if all(c == 1 for c in count.values()):
+    # disjoint exactly when their sizes add up to the size of their union
+    if sum(map(len, simplexes)) == len(frozenset().union(*simplexes)) \
+            == len(g.vertices):
         return True, simplexes
     return False, None
 

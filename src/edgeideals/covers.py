@@ -203,16 +203,14 @@ def _without_root(branch):
 # -- the numbers kept on each graph ------------------------------------
 
 
-_Numbers = namedtuple("_Numbers", "height big_height")   # from a DP pass
-
-
 def _numbers(g):
-    """The height and big height of g: from the one DP pass kept on g,
-    else (g is no cactus, kept as None) from `cover_stats`."""
+    """(height, big height, ...) of g: the pair of the one DP pass kept on
+    g, else (g is no cactus, kept as None) `cover_stats`, whose first two
+    fields are the same numbers."""
     kept = g.__dict__
     if "_cover_pair" not in kept:
         dp = _cactus_numbers(g)
-        kept["_cover_pair"] = dp and _Numbers(dp[0], dp[1])
+        kept["_cover_pair"] = dp and dp[:2]
     return kept["_cover_pair"] or cover_stats(g)
 
 
@@ -249,11 +247,11 @@ def cover_stats(g):
 
 
 def height(g):
-    return _numbers(g).height
+    return _numbers(g)[0]
 
 
 def big_height(g):
-    return _numbers(g).big_height
+    return _numbers(g)[1]
 
 
 def maximum_covers_avoiding(g, x, bh):

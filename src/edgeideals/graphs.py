@@ -218,9 +218,7 @@ class Graph(namedtuple("Graph", "vertices edges")):
     # -- basic queries -------------------------------------------------
 
     def degree(self, v):
-        if v not in self.adj:
-            raise GraphError("unknown vertex %r" % (v,))
-        return len(self.adj[v])
+        return len(self.neighbors(v))
 
     def neighbors(self, v):
         if v not in self.adj:

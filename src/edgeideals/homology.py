@@ -4,11 +4,11 @@ The graded Betti number beta_{i,W} is the rank of the reduced homology of the
 independence complex Ind(G[W]) in degree |W| - i - 1.  `projective_dimension`
 takes one of two paths.
 
-On a cactus (forests included), `_cactus_betti` runs one dynamic program
-over the post-order of `graphs._cactus_dfs`, the package's one cactus
-kernel, with no size guard.  Folds, joins and one wedge split reduce every
-Ind(G[W]) to a wedge of spheres, so the table it returns holds over every
-field.
+On a cactus (forests and edgeless graphs included), `_cactus_betti` runs
+one dynamic program over the post-order of `graphs._cactus_dfs`, the
+package's one cactus kernel, with no size guard.  Folds, joins and one
+wedge split reduce every Ind(G[W]) to a wedge of spheres, so the table it
+returns holds over every field.
 
 On any other graph, `_table_betti` ranks all 2^n subsets W under the
 MAX_VERTICES guard, by Gaussian elimination over F2 on bitmask rows.  The
@@ -415,10 +415,8 @@ def projective_dimension(g):
     """(pd, BettiTable) of R/I(G): on a cactus by `_cactus_betti`, over
     every field and at any size; otherwise by Hochster's formula over F2,
     under the size guard."""
-    if not g.edges:
-        return 0, BettiTable({}, 0)
     betti = _cactus_betti(g.masks)
     if betti is None:
         betti = _table_betti(g)
-    pd = max(i for i, _ in betti)
+    pd = max((i for i, _ in betti), default=0)
     return pd, BettiTable(betti, pd)

@@ -17,11 +17,16 @@ from __future__ import annotations
 
 import copy
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import edgeideals
 from edgeideals.certificates import CertBuilder
 from edgeideals.constructions import sv_layer_search
 from edgeideals.covers import (DEFAULT_VERTEX_LIMIT, CoverSizeError,
@@ -65,6 +70,20 @@ def without_edges(g, dropped):
     drop = {edge(u, v) for u, v in dropped}
     assert drop <= g.edges, sorted(drop - g.edges)
     return Graph(g.vertices, g.edges - drop)
+
+
+def run_under_hash_seed(seed, *argv, script=None):
+    """The stdout of `python -m edgeideals.cli *argv`, or of `python -c
+    script *argv`, in a fresh interpreter under PYTHONHASHSEED=seed, with
+    the package and the test modules importable; a nonzero exit fails."""
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(edgeideals.__file__).resolve().parents[1]),
+                    str(Path(__file__).resolve().parent),
+                    env.get("PYTHONPATH")) if p)
+    head = ["-c", script] if script is not None else ["-m", "edgeideals.cli"]
+    return subprocess.run([sys.executable, *head, *argv], capture_output=True,
+                          text=True, check=True, env=env).stdout
 
 
 def format_edge_list(g):

@@ -2,11 +2,7 @@
 
 import hashlib
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -18,7 +14,8 @@ from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, branch_oracle,
                       cycle, format_edge_list, fresh, old_big_height,
                       old_cover_stats, old_maximum_covers_avoiding,
                       old_vertex_in_every_maximum_cover, path_graph,
-                      relabel, with_edges, without_edges)
+                      relabel, run_under_hash_seed, with_edges,
+                      without_edges)
 
 
 def test_theorem34_bound_values():
@@ -305,16 +302,8 @@ def test_bound_trace_does_not_depend_on_the_hash_seed(tmp_path):
         for node in bounds.theorem34_trace(g).walk()))
     f = tmp_path / "cacti.txt"
     f.write_text(format_edge_list(g))
-    src = Path(bounds.__file__).resolve().parents[1]
-    outs = []
-    for seed in ("0", "7"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p)
-        outs.append(subprocess.run(
-            [sys.executable, "-m", "edgeideals.cli", "bound", "--trace",
-             str(f)], capture_output=True, text=True, check=True,
-            env=env).stdout)
+    outs = [run_under_hash_seed(seed, "bound", "--trace", str(f))
+            for seed in (0, 7)]
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["trace"]["case"] == "Components"
 
@@ -328,6 +317,23 @@ def test_every_trace_node_bound_is_bight_plus_cycles():
             if node.graph.edges:
                 assert node.bound == covers.big_height(node.graph) + \
                     graphs.cycle_count(node.graph)
+
+
+def test_g2_by_its_least_vertex_is_g2_by_its_sorted_index_tuple():
+    # The split step picks G2 by the least vertex of its branch mask.  On
+    # pairwise disjoint masks that miss x, the greatest least vertex marks
+    # the greatest sorted index tuple of mask | x, the key the proof's
+    # replay was recorded with.
+    rng = random.Random(41)
+    for _ in range(3000):
+        n = rng.randint(2, 30)
+        x = rng.randrange(n)
+        owner = [rng.randrange(-1, 6) if i != x else -1 for i in range(n)]
+        masks = [m for m in (sum(1 << i for i in range(n) if owner[i] == k)
+                             for k in range(6)) if m]
+        if masks:
+            assert max(masks, key=lambda m: m & -m) == max(
+                masks, key=lambda m: tuple(graphs._bits(m | 1 << x)))
 
 
 def test_split_pass_matches_branches_and_enumeration():

@@ -4,11 +4,7 @@ the two corollary equivalences, and the dispatcher."""
 import hashlib
 import itertools
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -21,7 +17,8 @@ from edgeideals.graphs import Graph, GraphError, parse_edge_list
 import catalog
 from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3,
                       brute_force_minimal_covers, case5_split_oracle, cycle,
-                      path_graph, relabel, simplex_oracle, with_edges)
+                      path_graph, relabel, run_under_hash_seed,
+                      simplex_oracle, with_edges)
 
 
 def test_is_whisker_tree():
@@ -247,20 +244,14 @@ _TAIL_GRAPH = ("a b\nb c\nc d\nd a\nd e\nc c2\nc2 c3\nc3 c\n"
 
 
 def test_prop42_tail_does_not_depend_on_the_hash_seed():
-    src = Path(classify.__file__).resolve().parents[1]
     script = ("import json, sys\n"
               "from edgeideals import classify, graphs\n"
               "g = graphs.parse_edge_list(sys.argv[1])\n"
               "v = classify.stci_verdict(g)\n"
               "roots = list(v.evidence['attachments'])\n"
               "print(json.dumps([v.case_tag, roots]))")
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-c", script, _TAIL_GRAPH],
-                             capture_output=True, text=True, check=True,
-                             env=env).stdout
+    for seed in (0, 1):
+        out = run_under_hash_seed(seed, _TAIL_GRAPH, script=script)
         assert json.loads(out) == ["Prop 4.2 tail",
                                    ["a", "b", "c", "d", "e"]]
 

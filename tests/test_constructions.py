@@ -4,12 +4,8 @@ search returns exactly what the old Monomial-level search returned."""
 
 import collections
 import itertools
-import os
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -22,7 +18,8 @@ from edgeideals.polynomials import Monomial, Polynomial
 
 import catalog
 from conftest import (WHISKER_P3, cycle, layer_search_mismatches, path_graph,
-                      whisker_graph_cases, with_edges)
+                      run_under_hash_seed, whisker_graph_cases,
+                      with_edges)
 
 
 def _check(gs, cert):
@@ -131,16 +128,8 @@ def test_gens_whisker_tree_does_not_depend_on_the_hash_seed(tmp_path):
     base = "v0 v1\nv0 v3\nv0 v5\nv1 v2\nv3 v4\n"
     f = tmp_path / "whisker.txt"
     f.write_text(base + "".join("v%d v%d_w\n" % (i, i) for i in range(6)))
-    src = Path(cons.__file__).resolve().parents[1]
-    outs = set()
-    for seed in "01234":
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p)
-        outs.add(subprocess.run(
-            [sys.executable, "-m", "edgeideals.cli", "gens", "--family",
-             "whisker", str(f), "--anchor", "v1", "v2"],
-            capture_output=True, text=True, check=True, env=env).stdout)
+    outs = {run_under_hash_seed(seed, "gens", "--family", "whisker", str(f),
+                                "--anchor", "v1", "v2") for seed in range(5)}
     assert len(outs) == 1
 
 
@@ -210,17 +199,10 @@ def test_mask_search_matches_the_old_search_on_cacti_under_hash_seed_4():
     # Pivot ties follow string-hash order in both searches, so they agree
     # under every seed, not just the one this process runs with.  The
     # default cap is the edge count.
-    tests = Path(__file__).resolve().parent
-    src = Path(cons.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONHASHSEED="4")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), str(tests), env.get("PYTHONPATH")) if p)
     script = ("import catalog, conftest\n"
               "cases = [(g, {}) for g in catalog.random_cacti(2026, 40, 10)]\n"
               "print(conftest.layer_search_mismatches(cases))\n")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, check=True, env=env, cwd=tests).stdout
-    assert out.strip() == "[]"
+    assert run_under_hash_seed(4, script=script).strip() == "[]"
 
 
 def test_mask_search_matches_the_old_search_on_non_cactus_whisker_graphs():
@@ -232,17 +214,10 @@ def test_mask_search_matches_the_old_search_on_non_cactus_whisker_graphs():
     assert layer_search_mismatches(cases) == []
     for g, kw in cases:
         assert len(_check(*cons.sv_layer_search(g, **kw))) == kw["max_layers"]
-    tests = Path(__file__).resolve().parent
-    src = Path(cons.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONHASHSEED="4")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), str(tests), env.get("PYTHONPATH")) if p)
     script = ("import conftest\n"
               "cases = list(conftest.whisker_graph_cases())\n"
               "print(conftest.layer_search_mismatches(cases))\n")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, check=True, env=env, cwd=tests).stdout
-    assert out.strip() == "[]"
+    assert run_under_hash_seed(4, script=script).strip() == "[]"
 
 
 def _no_floor(monkeypatch):
@@ -494,16 +469,8 @@ def test_gens_lemma53_case_b_does_not_depend_on_the_hash_seed(tmp_path):
     f = tmp_path / "att.txt"
     f.write_text("".join("%s %s\n" % e for e in
                          with_edges(_whiskered(base), [("x1", "v1w")]).edges))
-    src = Path(cons.__file__).resolve().parents[1]
-    outs = set()
-    for seed in "01234":
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p)
-        outs.add(subprocess.run(
-            [sys.executable, "-m", "edgeideals.cli", "gens", "--family",
-             "lemma53", "--attach-x1", str(f)],
-            capture_output=True, text=True, check=True, env=env).stdout)
+    outs = {run_under_hash_seed(seed, "gens", "--family", "lemma53",
+                                "--attach-x1", str(f)) for seed in range(5)}
     assert len(outs) == 1
 
 
@@ -641,12 +608,6 @@ print(hashlib.sha256(text.encode()).hexdigest())
 
 
 def test_certificates_match_the_recorded_digest():
-    src = Path(cons.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONHASHSEED="0")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", _GUARD_SCRIPT],
-                         capture_output=True, text=True, check=True,
-                         env=env).stdout
+    out = run_under_hash_seed(0, script=_GUARD_SCRIPT)
     assert out.strip() == (
         "797011f7f2fabd4ac0e763df47e94c3b3b48eb5bf2e293c0728e5dd4060dceb2")

@@ -5,12 +5,8 @@ test-local Hochster oracle."""
 import itertools
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +17,8 @@ from edgeideals.graphs import Graph, parse_edge_list
 
 import catalog
 from conftest import (BOWTIE, TRIANGLE, TRI_2W, WHISKER_P3, cycle,
-                      maximal_independent_sets, path_graph, with_edges)
+                      maximal_independent_sets, path_graph,
+                      run_under_hash_seed, with_edges)
 
 
 def faces_by_cardinality(g):
@@ -213,6 +210,104 @@ def oracle_betti(g):
                 if i >= 1:
                     entries[(i, k)] = entries.get((i, k), 0) + r
     return entries
+
+
+# -- the K-polynomial, an oracle of the whole table ---------------------
+#
+# For R/I(G) on n vertices, sum_{i,j} (-1)^i beta_{i,j} t^j equals
+# sum_k f_k t^k (1 - t)^(n - k), where f_k counts the independent sets of k
+# vertices: both are the numerator of the Hilbert series of the
+# Stanley-Reisner ring of Ind(G).  It reads neither Hochster's formula nor
+# a fold rule, holds over every field and at any size, and an isolated
+# vertex changes neither side.  Every table this module computes, on either
+# path, is checked against it.
+
+
+def independence_polynomial(masks):
+    """[f_0, f_1, ...] of the graph with neighbourhood masks `masks`: one
+    component at a time, each by branching on a vertex of most neighbours
+    in it (f(C) = f(C - v) + t f(C - N[v])), memoised by component mask."""
+    memo = {}
+
+    def connected(c):
+        if c not in memo:
+            v = max(graphs._bits(c), key=lambda u: (masks[u] & c).bit_count())
+            out, inner = of(c & ~(1 << v)), of(c & ~masks[v] & ~(1 << v))
+            out += [0] * (len(inner) + 1 - len(out))
+            for k, f in enumerate(inner):
+                out[k + 1] += f
+            memo[c] = out
+        return memo[c]
+
+    def of(w):
+        out = [1]
+        for c in graphs._components(masks, w):
+            fc = connected(c)
+            prod = [0] * (len(out) + len(fc) - 1)
+            for i, a in enumerate(out):
+                for j, b in enumerate(fc):
+                    prod[i + j] += a * b
+            out = prod
+        return out
+
+    return of((1 << len(masks)) - 1)
+
+
+def assert_k_polynomial(masks, entries):
+    """The Betti entries {(i, j): rank} of R/I(G), beta_{0,0} = 1 added,
+    meet the independence polynomial of G in the identity above."""
+    n = len(masks)
+    lhs = [1] + [0] * n
+    for (i, j), r in entries.items():
+        lhs[j] += (-1) ** i * r
+    f = independence_polynomial(masks)
+    rhs = [sum((-1) ** (j - k) * math.comb(n - k, j - k) * f[k]
+               for k in range(min(j, len(f) - 1) + 1)) for j in range(n + 1)]
+    assert lhs == rhs, entries
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _every_table_meets_the_k_polynomial():
+    cactus_betti, table_betti = homology._cactus_betti, homology._table_betti
+
+    def checked_cactus_betti(masks):
+        betti = cactus_betti(masks)
+        if betti is not None:
+            assert_k_polynomial(masks, betti)
+        return betti
+
+    def checked_table_betti(g):
+        betti = table_betti(g)
+        assert_k_polynomial(g.masks, betti)
+        return betti
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_cactus_betti", checked_cactus_betti)
+        mp.setattr(homology, "_table_betti", checked_table_betti)
+        yield
+
+
+def test_independence_polynomial_by_brute_force():
+    for g in (TRIANGLE, BOWTIE, WHISKER_P3, cycle(6), rp2_complement(),
+              Graph.build(isolated="ab")):
+        f = independence_polynomial(g.masks)
+        want = [sum(1 for s in itertools.combinations(g.vertices, k)
+                    if not any(g.adj[v] & set(s) for v in s))
+                for k in range(len(g.vertices) + 1)]
+        assert f + [0] * (len(want) - len(f)) == want
+
+
+def test_k_polynomial_on_larger_cacti():
+    # Past the Hochster guard nothing else checks the DP's whole table.
+    for g in seeded_cacti(50, 12, (30, 80)):
+        assert_k_polynomial(g.masks, homology._cactus_betti(g.masks))
+
+
+def test_k_polynomial_catches_a_wrong_entry():
+    entries = dict(homology.projective_dimension(BOWTIE)[1].entries)
+    entries[(1, 2)] += 1
+    with pytest.raises(AssertionError):
+        assert_k_polynomial(BOWTIE.masks, entries)
 
 
 @st.composite
@@ -411,15 +506,7 @@ def test_pd_output_does_not_depend_on_the_hash_seed(tmp_path):
     f = tmp_path / "rp2.txt"
     f.write_text("".join("%s %s\n" % e
                          for e in rp2_complement().sorted_edges()))
-    src = Path(homology.__file__).resolve().parents[1]
-    outs = []
-    for seed in ("0", "4"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p)
-        outs.append(subprocess.run(
-            [sys.executable, "-m", "edgeideals.cli", "pd", str(f)],
-            capture_output=True, text=True, check=True, env=env).stdout)
+    outs = [run_under_hash_seed(seed, "pd", str(f)) for seed in (0, 4)]
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["pd"] == 10
 

@@ -138,6 +138,15 @@ def test_polynomial_equals_only_polynomials():
     assert len({zero, ONE}) == 2
 
 
+def test_one_and_the_zero_polynomial_compare_as_they_stand():
+    # Both are the tuple ((),).  With the Monomial on the left the tuples
+    # are compared; with the Polynomial on the left the type is checked.
+    # No path compares the two (ROADMAP item 18); pinned so that a change
+    # to either side shows.
+    assert (ONE == Polynomial()) is True
+    assert (Polynomial() == ONE) is False
+
+
 def test_truthiness_keeps_each_record_rule():
     assert not Verdict(False) and Verdict(True)
     empty = GeneratorSet(TRIANGLE, ())
