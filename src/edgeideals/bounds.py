@@ -11,13 +11,13 @@ heights; degrees and terminal edges are read off the neighbourhood masks.
 The numbers come from the linear dynamic program of `covers` (every part of
 a cactus is a cactus), at most one pass per graph: a split step makes one
 pass rooted at its vertex, takes its own big height from it (or checks the
-one handed down) and combines its branch records into the numbers of every
-part.  A graph whose big height is not handed down (the input, each
-component, each graph with a cycle opened) and that does not split asks
-`covers.big_height` once; an opening step reads its child's big height off
-the child's node.  Only Case 1.2 enumerates: the maximum covers of G2 that
-avoid x, under the cover guard, sized by the big height of G2 that the
-split already holds.
+one handed down) and combines its branch records into the big height of
+every part and whether some maximum cover of G1, and of G2, avoids x.  A
+graph whose big height is not handed down (the input, each component, each
+graph with a cycle opened) and that does not split asks `covers.big_height`
+once; an opening step reads its child's big height off the child's node.
+Only Case 1.2 enumerates: the maximum covers of G2 that avoid x, under the
+cover guard, sized by the big height of G2 that the split already holds.
 
 The structural questions (cactus, cycles) are answered by `graphs`, which
 also builds the Prop 4.2 graphs.  The branches at a split vertex are the
@@ -38,15 +38,15 @@ class TraceInvariantError(GraphError):
     """A proof-step inequality failed on a concrete instance."""
 
 
-class BoundReport(namedtuple("BoundReport", "graph n_cycles big_height bound "
+class BoundReport(namedtuple("BoundReport", "n_cycles big_height bound "
                              "improvement_k source stci")):
     __slots__ = ()
 
-    def __new__(cls, graph, n_cycles, big_height, bound, improvement_k=0,
+    def __new__(cls, n_cycles, big_height, bound, improvement_k=0,
                 source="Thm 3.4", stci=False):
         assert bound == big_height + n_cycles - improvement_k
         assert 0 <= improvement_k <= n_cycles
-        return tuple.__new__(cls, (graph, n_cycles, big_height, bound,
+        return tuple.__new__(cls, (n_cycles, big_height, bound,
                                    improvement_k, source, stci))
 
 
@@ -54,7 +54,7 @@ def theorem34_bound(g):
     """ara I(G) <= bight I(G) + n for a cactus graph with n cycles."""
     n = graphs.cycle_count(g)
     bh = covers.big_height(g)
-    return BoundReport(g, n, bh, bh + n)
+    return BoundReport(n, bh, bh + n)
 
 
 # -- cycle opening ----------------------------------------------------
@@ -101,8 +101,7 @@ def corollary41_bound(g):
         k += len(high) <= 1 or (len(high) == 2 and
                                 high[1] - high[0] in (1, len(walk) - 1))
     bh = covers.big_height(g)
-    return BoundReport(g, n, bh, bh + n - k, improvement_k=k,
-                       source="Cor 4.1")
+    return BoundReport(n, bh, bh + n - k, improvement_k=k, source="Cor 4.1")
 
 
 def proposition42_bound(base, attachments):
@@ -121,7 +120,7 @@ def proposition42_bound(base, attachments):
     if stci and covers.height(g) != bh:
         raise TraceInvariantError(
             "hgt = bight must hold when all cycle lengths are 3 or 5")
-    report = BoundReport(g, len(lengths), bh, bh + m,
+    report = BoundReport(len(lengths), bh, bh + m,
                          improvement_k=len(lengths) - m,
                          source="Prop 4.2", stci=stci)
     return report, g
@@ -153,8 +152,7 @@ class TraceNode(namedtuple("TraceNode", "graph case_tag bound cover_numbers "
             "bound": self.bound,
             "edges": [list(e) for e in self.graph.sorted_edges()],
             "cover_numbers": dict(self.cover_numbers),
-            "detail": {k: (sorted(v) if isinstance(v, (set, frozenset))
-                           else v) for k, v in self.detail.items()},
+            "detail": dict(self.detail),
             "children": [c.to_data() for c in self.children],
         }
 
@@ -186,8 +184,6 @@ def theorem34_trace(g):
     """
     cycles = graphs.cycles(g)  # raises GraphError on a non-cactus
     g = g.drop_isolated()
-    if not g.vertices:
-        return TraceNode(g, "Base-FullyWhiskered", 0)
     if not g.is_connected():
         children = tuple(
             _trace(c, [cyc for cyc in cycles if cyc[0] in c.vertices])
@@ -247,7 +243,8 @@ def _split(g, xi, b, cycles):
     classify by which maximum minimal covers contain x, recurse on the two
     parts.  One DP pass rooted at x gives g's big height (checked against
     b when b is handed down) and the branches at x, and combining their
-    records gives the numbers of every part (`covers._joined`)."""
+    records gives the big height of every part (`covers._joined`, and
+    `covers._without_root` for G2bar)."""
     x, xbit, full = g.vertices[xi], 1 << xi, (1 << len(g.vertices)) - 1
     dp = covers._cactus_numbers(g, xi)
     if dp is None or sum(br.mask for br in dp[2]) | xbit != full:
@@ -266,11 +263,11 @@ def _split(g, xi, b, cycles):
     # masks are disjoint and miss x: the greatest sorted index tuple)
     joined = {br: covers._joined([br]) for br in branches}
     g2_branch = max(branches,
-                    key=lambda br: (joined[br][2], br.mask & -br.mask))
-    _, b2, avoidable2 = joined[g2_branch]
+                    key=lambda br: (joined[br][1], br.mask & -br.mask))
+    b2, avoidable2 = joined[g2_branch]
     mask2, two_branch = g2_branch.mask, g2_branch.two
     rest = [br for br in branches if br is not g2_branch]
-    _, b1, avoidable1 = covers._joined(rest)
+    b1, avoidable1 = covers._joined(rest)
     numbers = {"b": b, "b1": b1, "b2": b2}
     vs = g.vertices
 
@@ -284,7 +281,7 @@ def _split(g, xi, b, cycles):
     cycles1 = [c for c in cycles if not in_g2.issuperset(c)]
     cycles2 = [c for c in cycles if in_g2.issuperset(c)]
     ys = [vs[j] for j in _bits(g.masks[xi] & mask2)]
-    detail = {"x": x, "g2_vertices": in_g2,
+    detail = {"x": x, "g2_vertices": list(g2.vertices),
               "branch_kind": "2-branch" if two_branch else "1-branch"}
 
     def primed_parts():
@@ -293,8 +290,8 @@ def _split(g, xi, b, cycles):
         pendant = frozenset(edge(x, y) for y in ys)
         g1p = part(full & ~mask2 | g.masks[xi] & mask2, g1.edges | pendant)
         g2bar = part(mask2, g2.edges - pendant)
-        b1p = covers._joined(rest, len(ys))[1]
-        b2bar = covers._without_root(g2_branch)[1]
+        b1p = covers._joined(rest, len(ys))[0]
+        b2bar = covers._without_root(g2_branch)
         numbers["b1_prime"] = b1p
         numbers["b2_bar"] = b2bar
         cycles2bar = [c for c in cycles2 if x not in c]
@@ -331,9 +328,9 @@ def _split(g, xi, b, cycles):
             if clean is not None:
                 tag = "Case1.2a"
                 _check(b == b1 + b2, "Case 1.2a: b = b1 + b2 fails", **numbers)
-                detail["cover_without_redundant"] = {
+                detail["cover_without_redundant"] = [
                     v for j, v in enumerate(g2.vertices)
-                    if masks[j] and not clean >> j & 1}
+                    if masks[j] and not clean >> j & 1]
                 children = (g1, cycles1, b1), (g2, cycles2, b2)
             else:
                 tag = "Case1.2b"

@@ -132,10 +132,7 @@ def verify_certificate(gs: GeneratorSet, cert: Certificate) -> Verdict:
 
     established = list(gs.polys)
 
-    def fail(idx, why):
-        return Verdict(False, idx, why)
-
-    def get(idx, ref):
+    def get(ref):
         if not isinstance(ref, int) or not 0 <= ref < len(established):
             raise IndexError
         return established[ref]
@@ -143,58 +140,63 @@ def verify_certificate(gs: GeneratorSet, cert: Certificate) -> Verdict:
     for idx, step in enumerate(cert.steps):
         try:
             if isinstance(step, SVStep):
-                rho = _unit_monomial(get(idx, step.rho_ref))
+                rho = _unit_monomial(get(step.rho_ref))
                 if rho is None:
-                    return fail(idx, "rho_ref is not a unit monomial")
-                s = get(idx, step.sum_ref)
+                    return Verdict(False, idx,
+                                   "rho_ref is not a unit monomial")
+                s = get(step.sum_ref)
                 if len(s.terms) != 2:
-                    return fail(idx, "sum_ref does not have two terms")
+                    return Verdict(False, idx,
+                                   "sum_ref does not have two terms")
                 (m1, c1), (m2, c2) = s.terms
                 if abs(c1) != 1 or abs(c2) != 1:
-                    return fail(idx, "sum_ref coefficients are not units")
+                    return Verdict(False, idx,
+                                   "sum_ref coefficients are not units")
                 if not rho.divides(m1 * m2):
                     # the factors, not their product: an exponent sum can
                     # pass the digit limit of int-to-str conversion
-                    return fail(idx, "%s does not divide %s times %s"
-                                % (rho, m1, m2))
+                    return Verdict(False, idx, "%s does not divide %s "
+                                   "times %s" % (rho, m1, m2))
                 established.append(Polynomial.term(m1, c1))
                 established.append(Polynomial.term(m2, c2))
             elif isinstance(step, LinearStep):
-                target = get(idx, step.target_ref)
+                target = get(step.target_ref)
                 subs = []
                 for r in step.subtract_refs:
-                    m = _unit_monomial(get(idx, r))
+                    m = _unit_monomial(get(r))
                     if m is None:
-                        return fail(idx, "subtract ref %d is not a unit "
-                                         "monomial" % r)
+                        return Verdict(False, idx, "subtract ref %d is not "
+                                       "a unit monomial" % r)
                     subs.append(m)
                 work += _pair_work(target.monomials(), subs)
                 if work > _MAX_TERM_WORK:
-                    return fail(idx, _OVER_BUDGET)
+                    return Verdict(False, idx, _OVER_BUDGET)
                 rest = [(m, c) for m, c in target.terms
                         if not any(s.divides(m) for s in subs)]
                 if len(rest) != 1 or abs(rest[0][1]) != 1:
-                    return fail(idx, "remainder is not a single unit term")
+                    return Verdict(False, idx,
+                                   "remainder is not a single unit term")
                 established.append(Polynomial.term(*rest[0]))
             elif isinstance(step, PowerStep):
                 if step.k < 1:
-                    return fail(idx, "power must be positive")
+                    return Verdict(False, idx, "power must be positive")
                 terms = []
                 for coeff, ref in step.combination:
-                    h = get(idx, ref)
+                    h = get(ref)
                     work += _pair_work(coeff.monomials(), h.monomials())
                     if work > _MAX_TERM_WORK:
-                        return fail(idx, _OVER_BUDGET)
+                        return Verdict(False, idx, _OVER_BUDGET)
                     terms.extend((coeff * h).terms)
                 if Polynomial(tuple(terms)) != \
                         Polynomial.term(step.target ** step.k):
-                    return fail(idx, "identity %s^%d does not hold"
-                                % (step.target, step.k))
+                    return Verdict(False, idx, "identity %s^%d does not "
+                                   "hold" % (step.target, step.k))
                 established.append(Polynomial.term(step.target))
             else:
-                return fail(idx, "unknown step kind %r" % type(step).__name__)
+                return Verdict(False, idx, "unknown step kind %r"
+                               % type(step).__name__)
         except IndexError:
-            return fail(idx, "reference out of range")
+            return Verdict(False, idx, "reference out of range")
 
     have = {m.exps for m in map(_unit_monomial, established) if m is not None}
     # an edge (u, v) is sorted, so ((u, 1), (v, 1)) are its monomial's exps

@@ -44,14 +44,14 @@ class CmVerdict(namedtuple("CmVerdict", "status stci case_tag evidence")):
 
 
 def simplex_partition_check(g):
-    """True iff every vertex lies in exactly one simplex (a maximal clique
-    containing a simplicial vertex); returns (bool, partition)."""
+    """The simplexes (maximal cliques containing a simplicial vertex) when
+    every vertex lies in exactly one of them, else None."""
     simplexes = graphs.simplexes(g)
     # disjoint exactly when their sizes add up to the size of their union
     if sum(map(len, simplexes)) == len(frozenset().union(*simplexes)) \
             == len(g.vertices):
-        return True, simplexes
-    return False, None
+        return simplexes
+    return None
 
 
 def _case5_split(g, walk, degree):
@@ -89,9 +89,9 @@ def _match_case(g, cycle):
     if len(masks) == ell and ell in (3, 5):
         return "Thm 5.1 case 1", {"cycle": cycle}
 
-    ok, dec = graphs.is_whisker_graph(g)
-    if ok:
-        return "Thm 5.1 case 2", {"base": dec}
+    base = graphs.is_whisker_graph(g)
+    if base is not None:
+        return "Thm 5.1 case 2", {"base": base}
 
     # g minus its cycle is a forest, so the kernel decides whether each of
     # its components is a whisker tree or a single edge
@@ -163,9 +163,9 @@ def corollary44(g):
     if not graphs.is_chordal(g) and graphs.has_cycle_subgraph(g, (4, 5)):
         raise HypothesisError("hypothesis not met: graph is neither chordal "
                               "nor free of length-4/5 cycle subgraphs")
-    ok, partition = simplex_partition_check(g)
-    return _purity_verdict(g, "Cor 4.4", "simplex partition", ok and {
-        "partition": [sorted(s) for s in partition]})
+    part = simplex_partition_check(g)
+    return _purity_verdict(g, "Cor 4.4", "simplex partition", part is not None
+                           and {"partition": [sorted(s) for s in part]})
 
 
 def corollary61(g):
@@ -184,8 +184,8 @@ def corollary61(g):
     if graphs.has_cycle_subgraph(g, (3, 4, 5)):
         raise HypothesisError("hypothesis not met: graph has a minimal cycle "
                               "of length less than 6")
-    whisker, base = graphs.is_whisker_graph(g)
-    return _purity_verdict(g, "Cor 6.1", "whisker decomposition", whisker and {
+    base = graphs.is_whisker_graph(g)
+    return _purity_verdict(g, "Cor 6.1", "whisker decomposition", base and {
         "base_edges": [list(e) for e in base.sorted_edges()]})
 
 

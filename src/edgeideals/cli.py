@@ -60,7 +60,7 @@ def cmd_covers(g, args):
 def cmd_bound(g, args):
     r = bounds.corollary41_bound(g) if args.improve \
         else bounds.theorem34_bound(g)
-    fields = {k: v for k, v in r._asdict().items() if k != "graph"}
+    fields = r._asdict()
     if args.trace:
         trace = bounds.theorem34_trace(g)
         fields["trace"] = trace.to_data()

@@ -11,8 +11,9 @@ Two paths give these numbers:
 - on a cactus or forest, `_cactus_numbers` runs one linear dynamic program
   over the post-order of `graphs._cactus_dfs`, the DFS walk that also lists
   the cycles, with no size guard; rooted at a vertex, it also returns one
-  record per branch there, which `_joined` combines into the numbers of any
-  union of branches (the trace's parts);
+  record per branch there, which `_joined` combines into the big height
+  of any union of branches (the trace's parts) and whether its root lies
+  in a smallest maximal independent set;
 - otherwise every maximal independent set is enumerated as an int mask, as
   a maximal clique of the complement (`graphs.bron_kerbosch` on complement
   bitmasks), under the size guard DEFAULT_VERTEX_LIMIT.
@@ -183,7 +184,7 @@ def _cactus_numbers(g, x=-1):
 
 
 def _joined(branches, leaves=0):
-    """(height, big height, whether the root lies in some smallest maximal
+    """(big height, whether the root lies in some smallest maximal
     independent set) of the root of a DP pass joined to some of its branch
     records and to `leaves` pendant leaves."""
     s, k = _ALONE, 1 + leaves
@@ -191,13 +192,12 @@ def _joined(branches, leaves=0):
         s, k = _absorb(s, br.terms), k + br.mask.bit_count()
     for _ in range(leaves):
         s = _absorb(s, _LEAF)
-    return k - max(s[3], s[4]), k - min(s[0], s[1]), s[0] <= s[1]
+    return k - min(s[0], s[1]), s[0] <= s[1]
 
 
 def _without_root(branch):
-    """(height, big height) of the subtree of one branch record alone."""
-    k = branch.mask.bit_count()
-    return k - branch.terms[4], k - branch.least
+    """The big height of the subtree of one branch record alone."""
+    return branch.mask.bit_count() - branch.least
 
 
 # -- the numbers kept on each graph ------------------------------------

@@ -320,8 +320,8 @@ def _whisker_base(masks):
 
 
 def is_whisker_graph(g):
-    """Whether g is a base graph with exactly one pendant edge attached to
-    each base vertex; returns (bool, base graph or None).
+    """The base graph of g when g is a base graph with exactly one pendant
+    edge attached to each base vertex, else None.
 
     The base consists of the non-terminal vertices; a bare edge has no
     non-terminal vertex and is not considered a whisker graph (its base
@@ -330,8 +330,8 @@ def is_whisker_graph(g):
     """
     base = _whisker_base(g.masks)
     if base and 2 * len(base) == len(g.vertices):
-        return True, g.induced(map(g.vertices.__getitem__, base))
-    return False, None
+        return g.induced(map(g.vertices.__getitem__, base))
+    return None
 
 
 def is_whisker_tree(g):

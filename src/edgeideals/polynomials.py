@@ -27,13 +27,11 @@ class Monomial(namedtuple("Monomial", "exps", defaults=((),))):
     __slots__ = ()
 
     @staticmethod
-    def of(*variables, **powers):
-        """Monomial.of('x1', 'x2') -> x1*x2;  Monomial.of(x1=2) -> x1^2."""
+    def of(*variables):
+        """Monomial.of('x1', 'x2') -> x1*x2;  Monomial.of('x', 'x') -> x^2."""
         d = {}
         for v in variables:
             d[v] = d.get(v, 0) + 1
-        for v, e in powers.items():
-            d[v] = d.get(v, 0) + e
         return Monomial.from_dict(d)
 
     @staticmethod

@@ -16,6 +16,7 @@ proof step.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import os
 import subprocess
@@ -595,6 +596,36 @@ def layer_search_mismatches(cases):
     sv_layer_search and the old search return different results."""
     return [(g.sorted_edges(), kw) for g, kw in cases
             if sv_layer_search(g, **kw) != old_sv_layer_search(g, **kw)]
+
+
+def min_layer_count(g):
+    """The fewest layers of a Schmitt-Vogel layering of the edges of g, by
+    brute force: a singleton first layer, then layers whose every pair has
+    an earlier edge with both ends among the pair's ends.  A subset DP over
+    the set of placed edges tries every compatible set as the next layer."""
+    ends = [frozenset(e) for e in g.sorted_edges()]
+    m = len(ends)
+    full = (1 << m) - 1
+    # cover[i][j]: the edges with both ends among those of edges i and j
+    cover = [[sum(1 << k for k, f in enumerate(ends) if f <= a | b)
+              for b in ends] for a in ends]
+
+    @functools.lru_cache(maxsize=None)
+    def rest(placed):
+        free = full & ~placed
+        if not free:
+            return 0
+        best = m
+        layer = free
+        while layer:
+            members = list(_bits(layer))
+            if all(cover[i][j] & placed
+                   for i, j in itertools.combinations(members, 2)):
+                best = min(best, 1 + rest(placed | layer))
+            layer = (layer - 1) & free
+        return best
+
+    return 1 + min(rest(1 << i) for i in range(m))
 
 
 # Non-cactus bases of at most 5 vertices.  gens_prop42 runs the layer

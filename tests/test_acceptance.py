@@ -118,7 +118,7 @@ def test_criterion_06_corollary44_chordal():
             continue
         checked += 1
         pure = covers.cover_stats(g).unmixed
-        part, _ = classify.simplex_partition_check(g)
+        part = classify.simplex_partition_check(g) is not None
         if pure != part:
             exceptions.append(g.sorted_edges())
     _report(6, checked > 0 and not exceptions,
@@ -155,7 +155,7 @@ def test_criterion_08_corollary61_girth6():
             continue  # single edge / C7, excluded by the statement
         checked += 1
         pure = covers.cover_stats(g).unmixed
-        whisker, _ = graphs.is_whisker_graph(g)
+        whisker = graphs.is_whisker_graph(g) is not None
         if pure != whisker or (verdict.status == classify.CM) != pure:
             exceptions.append(g.sorted_edges())
     _report(8, checked > 0 and not exceptions,

@@ -78,10 +78,9 @@ def test_whisker_recognizers():
         (1 << len(WHISKER_P3.vertices)) - 1
     assert graphs._on_terminal_edges(TRI_2W.masks) != \
         (1 << len(TRI_2W.vertices)) - 1
-    ok, base = graphs.is_whisker_graph(WHISKER_P3)
-    assert ok and set(base.vertices) == {"a", "b", "c"}
-    assert not graphs.is_whisker_graph(TRIANGLE)[0]
-    assert not graphs.is_whisker_graph(Graph.build([("a", "b")]))[0]
+    assert graphs.is_whisker_graph(WHISKER_P3).vertices == ("a", "b", "c")
+    assert graphs.is_whisker_graph(TRIANGLE) is None
+    assert graphs.is_whisker_graph(Graph.build([("a", "b")])) is None
 
 
 def test_proposition42_bound():
@@ -164,7 +163,7 @@ def test_trace_random_cacti():
 
 def test_bound_report_invariant():
     with pytest.raises(AssertionError):
-        bounds.BoundReport(TRIANGLE, 1, 2, 99)
+        bounds.BoundReport(1, 2, 99)
 
 
 def test_split_pass_guards():
@@ -234,15 +233,14 @@ def test_trace_matches_the_list_based_cover_path(monkeypatch):
         part = g.induced(v for j, v in enumerate(g.vertices) if mask >> j & 1)
         for _ in range(leaves):
             part = with_edges(part, [(x, bounds.fresh_vertex(part, "leaf"))])
-        stats = old_cover_stats(part)
-        return (stats.height, stats.big_height,
+        return (old_cover_stats(part).big_height,
                 not old_vertex_in_every_maximum_cover(part, x))
 
     def without_root(branch):
         g = split["g"]
-        stats = old_cover_stats(g.induced(
-            v for j, v in enumerate(g.vertices) if branch.mask >> j & 1))
-        return stats.height, stats.big_height
+        part = g.induced(v for j, v in enumerate(g.vertices)
+                         if branch.mask >> j & 1)
+        return old_cover_stats(part).big_height
 
     monkeypatch.setattr(covers, "_cactus_numbers", split_pass)
     monkeypatch.setattr(covers, "_joined", counted("_joined", joined))
@@ -361,7 +359,7 @@ def test_split_pass_matches_branches_and_enumeration():
         for xi in graphs._bits(off):
             x = vs[xi]
             h, bh, branches = covers._cactus_numbers(g, xi)
-            assert (h, bh, covers._joined(branches)[2]) == old(g, x)
+            assert (h, bh, covers._joined(branches)[1]) == old(g, x)
             parts = {tuple(v for j, v in enumerate(vs)
                            if (br.mask | 1 << xi) >> j & 1): br
                      for br in branches}
@@ -376,10 +374,10 @@ def test_split_pass_matches_branches_and_enumeration():
                 g1 = without_edges(g, g2.edges).drop_isolated()
                 g1p = with_edges(g1, ((x, y) for y in ys))
                 g2bar = without_edges(g2, ((x, y) for y in ys)).drop_isolated()
-                assert covers._joined([br]) == old(g2, x)
-                assert covers._joined(rest) == old(g1, x)
-                assert covers._joined(rest, len(ys)) == old(g1p, x)
-                assert covers._without_root(br) == old(g2bar)
+                assert covers._joined([br]) == old(g2, x)[1:]
+                assert covers._joined(rest) == old(g1, x)[1:]
+                assert covers._joined(rest, len(ys)) == old(g1p, x)[1:]
+                assert covers._without_root(br) == old(g2bar)[1]
                 seen.add((br.two, into, len(ys)))
     assert seen == {(False, 1, 1), (True, 2, 2)}
 

@@ -35,12 +35,10 @@ def test_is_whisker_tree():
 
 
 def test_simplex_partition():
-    ok, part = classify.simplex_partition_check(WHISKER_P3)
-    assert ok and len(part) == 3
-    ok, _ = classify.simplex_partition_check(path_graph(5))
-    assert not ok
-    ok, part = classify.simplex_partition_check(TRIANGLE)
-    assert ok and part == [frozenset({"a", "b", "c"})]
+    assert len(classify.simplex_partition_check(WHISKER_P3)) == 3
+    assert classify.simplex_partition_check(path_graph(5)) is None
+    assert classify.simplex_partition_check(TRIANGLE) == [
+        frozenset({"a", "b", "c"})]
 
 
 def test_simplex_partition_enumerates_no_cliques(monkeypatch):
@@ -55,7 +53,8 @@ def test_simplex_partition_enumerates_no_cliques(monkeypatch):
     for g in chordal:
         simplexes = simplex_oracle(g)
         assert graphs.simplexes(g) == simplexes
-        ok, partition = classify.simplex_partition_check(g)
+        partition = classify.simplex_partition_check(g)
+        ok = partition is not None
         assert ok == all(sum(v in s for s in simplexes) == 1
                          for v in g.vertices)
         assert partition == (sorted(simplexes, key=sorted) if ok else None)

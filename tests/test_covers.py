@@ -33,7 +33,7 @@ def _dp_forced(g, x):
     records `covers._joined` combines."""
     i = g.vertices.index(x)
     branches = covers._cactus_numbers(g, i)[2]
-    return bool(g.masks[i]) and not covers._joined(branches)[2]
+    return bool(g.masks[i]) and not covers._joined(branches)[1]
 
 
 @pytest.mark.parametrize("g", SMALL, ids=lambda g: ",".join(
@@ -369,7 +369,7 @@ def _dp_answers(g):
         if g.masks[i]:
             dp = covers._cactus_numbers(g, i)
             assert dp[:2] == (h, bh)
-            if not covers._joined(dp[2])[2]:
+            if not covers._joined(dp[2])[1]:
                 forced.append(v)
     return h, bh, h == bh, forced
 

@@ -580,3 +580,77 @@ def test_pd_lies_between_big_height_and_the_bound_on_larger_cacti():
         assert time.perf_counter() - start < 2.0
         bight = covers.big_height(g)
         assert bight <= pd <= bight + graphs.cycle_count(g), sorted(g.edges)
+
+
+# -- regularity ---------------------------------------------------------
+#
+# reg R/I(G) is the largest j - i over the Betti entries (i, j); the empty
+# W's entry (0, 0) adds 0.
+
+
+def regularity(betti):
+    return max((j - i for i, j in betti), default=0)
+
+
+def test_regularity_of_cycles():
+    # reg(C_n) = floor(n/3), plus 1 when n = 2 mod 3 (Jacques, thesis,
+    # Sheffield 2004).
+    for n in range(3, 61):
+        assert regularity(homology._cactus_betti(cycle(n).masks)) == \
+            n // 3 + (n % 3 == 2), n
+
+
+def forest_induced_matching(g):
+    """The induced matching number of a forest by a DP over each tree,
+    rooted at its least vertex, with three states per vertex: out of the
+    matching (out), matched to a child (matched), and in it but waiting
+    for its parent, with no child in it (up)."""
+    parent, order = {}, []
+    for root in g.vertices:
+        if root in parent:
+            continue
+        parent[root], stack = None, [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for u in g.adj[v] - {parent[v]}:
+                parent[u] = v
+                stack.append(u)
+    out, up, matched = {}, {}, {}
+    for v in reversed(order):
+        kids = g.adj[v] - {parent[v]}
+        out[v] = sum(max(out[c], matched[c]) for c in kids)
+        up[v] = sum(out[c] for c in kids)
+        # a leaf has no child to match: 0 is no better than out
+        matched[v] = max((up[v] - out[c] + up[c] + 1 for c in kids),
+                         default=0)
+    return sum(max(out[v], matched[v]) for v in order if parent[v] is None)
+
+
+def test_forest_induced_matching_by_brute_force():
+    unions = zip(seeded_cacti(51, 30, (2, 5), ()),
+                 seeded_cacti(52, 30, (2, 4), ()))
+    for g in list(catalog.trees_upto(9)) + list(map(disjoint_union, unions)):
+        nu = forest_induced_matching(g)
+        assert induced_matchings(g, nu), sorted(g.edges)
+        assert not induced_matchings(g, nu + 1), sorted(g.edges)
+
+
+def test_regularity_of_forests_is_the_induced_matching_number():
+    # reg R/I(G) = nu(G) on forests (Zheng, Comm. Algebra 32, 2004).
+    rng = random.Random(53)
+    for _ in range(4):
+        n, k = rng.randint(50, 150), rng.randint(1, 3)
+        g = disjoint_union(catalog.grown_cactus(rng, n // k, ())
+                           for _ in range(k))
+        assert regularity(homology._cactus_betti(g.masks)) == \
+            forest_induced_matching(g), sorted(g.edges)
+
+
+def test_k_polynomial_on_cacti_of_80_to_120_vertices():
+    # 120 vertices keep this near a second; a 200-vertex table alone takes
+    # about 4 s.
+    rng = random.Random(55)
+    for n in (80, 100, 120):
+        masks = catalog.grown_cactus(rng, n).masks
+        assert_k_polynomial(masks, homology._cactus_betti(masks))

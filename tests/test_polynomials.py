@@ -11,7 +11,7 @@ from edgeideals.polynomials import (ONE, Monomial, PolyError, Polynomial,
 
 def test_monomial_canonical_form():
     assert Monomial.of("b", "a") == Monomial.of("a", "b")
-    assert Monomial.of("x", x=1) == Monomial.of(x=2)
+    assert Monomial.of("x", "x") == Monomial.from_dict({"x": 2})
     assert Monomial.from_dict({"x": 0, "y": 1}) == Monomial.of("y")
     with pytest.raises(PolyError):
         Monomial.from_dict({"x": -1})
@@ -19,8 +19,8 @@ def test_monomial_canonical_form():
 
 def test_monomial_arithmetic():
     xy = Monomial.of("x", "y")
-    assert xy * Monomial.of("x") == Monomial.of(x=2, y=1)
-    assert xy ** 2 == Monomial.of(x=2, y=2)
+    assert xy * Monomial.of("x") == Monomial.of("x", "x", "y")
+    assert xy ** 2 == Monomial.from_dict({"x": 2, "y": 2})
     assert xy ** 0 == ONE
     assert Monomial.of("x").divides(xy)
     assert not xy.divides(Monomial.of("x"))
@@ -31,7 +31,7 @@ def test_monomial_arithmetic():
 
 def test_monomial_str():
     assert str(Monomial.of("x", "y")) == "x*y"
-    assert str(Monomial.of(x=2)) == "x^2"
+    assert str(Monomial.of("x", "x")) == "x^2"
     assert str(ONE) == "1"
 
 

@@ -82,7 +82,7 @@ def test_defaults_and_keywords():
     v = CmVerdict(CM, stci="Yes", case_tag="Cor 4.4")
     assert (v.status, v.stci, v.case_tag, v.evidence) == (
         CM, "Yes", "Cor 4.4", {})
-    r = BoundReport(TRIANGLE, 1, 2, 2, improvement_k=1)
+    r = BoundReport(1, 2, 2, improvement_k=1)
     assert (r.source, r.stci) == ("Thm 3.4", False)
 
 
@@ -92,9 +92,9 @@ def test_validation_runs_in_new():
     with pytest.raises(GraphError):
         Graph(("a", "b"), frozenset({("b", "a")}))
     with pytest.raises(AssertionError):
-        BoundReport(TRIANGLE, 1, 2, 4)
+        BoundReport(1, 2, 4)
     with pytest.raises(AssertionError):
-        BoundReport(TRIANGLE, 1, 2, 0, improvement_k=3)
+        BoundReport(1, 2, 0, improvement_k=3)
     with pytest.raises(AssertionError):
         CmVerdict("Not CM", "Yes", "x")
 
